@@ -30,6 +30,9 @@ _LP_MAX_DEGREE = 160
 # Safety margin the builder keeps between a candidate's fitted bound and the
 # requested eta, so that grid certification is not decided by rounding.
 _FIT_MARGIN = 1e-8
+# Entries kept by each builder memo.  The eta frontier at degrees up to 21
+# leaves 48 builds and 10 LP fits, the 5x5 acceptance sweep 25 builds.
+_CACHE_SIZE = 256
 
 
 class CapacityError(RuntimeError):
@@ -276,12 +279,13 @@ def _erf_path(search, limit):
                     break
 
 
-def _lp_odd_fit(delta, eta, degree):
+@lru_cache(maxsize=_CACHE_SIZE)
+def _lp_minimax(delta, degree):
     """Discrete minimax fit of an odd polynomial on a Chebyshev-refined grid.
 
     Minimises the worst plateau shortfall t = max(1 - q) on [delta, 1]
-    subject to |q| <= 1 on [0, 1]; returns coefficients when t fits under
-    eta with margin, else None.
+    subject to |q| <= 1 on [0, 1]; returns the immutable pair
+    (t*, coeffs), or None when the solver fails.
     """
     xs = np.unique(np.concatenate([
         np.linspace(0.0, 1.0, 2501),
@@ -311,11 +315,24 @@ def _lp_odd_fit(delta, eta, degree):
     bounds = [(None, None)] * n_var + [(0.0, None)]
     res = linprog(cost, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
                   bounds=bounds, method="highs")
-    if not res.success or res.fun > eta - _FIT_MARGIN:
+    if not res.success:
         return None
     full = np.zeros(degree + 1)
     full[1::2] = res.x[:n_var]
-    return full
+    return float(res.fun), tuple(full)
+
+
+def _lp_odd_fit(delta, eta, degree):
+    """Minimax coefficients when t* fits under eta with margin, else None.
+
+    The minimax LP does not depend on eta, so _lp_minimax solves it once
+    per (delta, degree).  The array returned is a fresh copy, so callers
+    cannot change the cached fit.
+    """
+    fit = _lp_minimax(delta, degree)
+    if fit is None or fit[0] > eta - _FIT_MARGIN:
+        return None
+    return np.array(fit[1])
 
 
 def _lp_path(search, limit):
@@ -345,7 +362,7 @@ def _lp_path(search, limit):
             lo = mid
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _build_cached(delta, eta, max_degree):
     spec = StepSpec(delta, eta)
     search = _Search(spec)
@@ -389,7 +406,9 @@ def min_eta_for_degree(delta, degree, tol=1e-4):
     """Smallest eta (to bisection tolerance) feasible at the given degree.
 
     Feasibility is monotone in eta: any polynomial certified for eta also
-    certifies every larger eta, so plain bisection applies.
+    certifies every larger eta, so plain bisection applies.  The minimax LP
+    behind each probe does not depend on eta, so it is solved once per
+    (delta, degree) and every later probe reuses it.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from qsvtsim import chebpoly
 from qsvtsim.chebpoly import (CapacityError, ChebPoly, StepSpec,
                               build_step_approx, degree_constant, from_text,
                               min_eta_for_degree, to_text, verify_bounds,
@@ -171,6 +172,38 @@ def test_min_eta_degree_one_boundary():
 def test_min_eta_nonincreasing_in_degree():
     values = [min_eta_for_degree(0.2, d) for d in (1, 3, 7)]
     assert values[0] >= values[1] >= values[2]
+
+
+def test_frontier_solves_each_minimax_lp_once(monkeypatch):
+    """The eta bisection reuses one LP per odd degree instead of re-solving."""
+    solves = []
+    real_linprog = chebpoly.linprog
+
+    def counting_linprog(*args, **kwargs):
+        solves.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(chebpoly, "linprog", counting_linprog)
+    chebpoly._build_cached.cache_clear()
+    chebpoly._lp_minimax.cache_clear()
+    min_eta_for_degree(0.2, 21)
+    min_eta_for_degree(0.2, 15)
+    # at most one solve per odd degree 3..21, however many eta probes ran
+    assert 0 < len(solves) <= 10
+    assert len(solves) == chebpoly._lp_minimax.cache_info().currsize
+    solves.clear()
+    min_eta_for_degree(0.2, 15)  # infeasible probes rerun the LP path
+    assert not solves
+
+
+def test_lp_fit_eta_gate_and_cache_safety():
+    t_star = chebpoly._lp_minimax(0.2, 21)[0]
+    assert chebpoly._lp_odd_fit(0.2, t_star, 21) is None
+    coeffs = chebpoly._lp_odd_fit(0.2, t_star + 2e-8, 21)
+    assert coeffs is not None and coeffs.shape == (22,)
+    kept = coeffs.copy()
+    coeffs[:] = 0.0
+    assert np.array_equal(chebpoly._lp_odd_fit(0.2, t_star + 2e-8, 21), kept)
 
 
 def test_text_round_trip():

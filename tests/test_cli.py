@@ -50,15 +50,17 @@ def test_poly_tight_case_with_artifacts(capsys, tmp_path):
 
 
 def test_poly_min_eta_mode(capsys):
+    """The printed eta frontier is frozen digit for digit."""
     rc, out, _ = run_cli(capsys, ["poly", "--delta", "0.2",
-                                  "--degree", "1,3,7"])
+                                  "--degree", "1,3,7,15,21"])
     assert rc == 0
-    lines = out.splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("degree 1 min_eta ")
-    etas = [float(ln.split()[-1]) for ln in lines]
-    assert abs(etas[0] - 0.8) <= 1e-4
-    assert etas[0] > etas[1] > etas[2]
+    assert out.splitlines() == [
+        "degree 1 min_eta 0.80004882752490225",
+        "degree 3 min_eta 0.54846191396557609",
+        "degree 7 min_eta 0.23248291069128418",
+        "degree 15 min_eta 0.038146973579956056",
+        "degree 21 min_eta 0.0099487314488525408",
+    ]
 
 
 def test_poly_needs_eta_or_degree(capsys):
