@@ -53,6 +53,54 @@ def _classify_parity(coeffs):
     return "none"
 
 
+def _split_halves(coeffs):
+    """Even-index and odd-index halves of a Chebyshev series as float lists.
+
+    Exact trailing zeros are trimmed from each half; the even half keeps at
+    least its constant term, so an evaluation always has the shape of x.
+    """
+    even = [float(c) for c in coeffs[0::2]] or [0.0]
+    odd = [float(c) for c in coeffs[1::2]]
+    while len(even) > 1 and even[-1] == 0.0:
+        even.pop()
+    while odd and odd[-1] == 0.0:
+        odd.pop()
+    return even, odd
+
+
+def _clenshaw_y(y, coeffs):
+    """(b_0, b_1) of the recurrence b_j = c_j + 2y b_{j+1} - b_{j+2}."""
+    y2 = y + y
+    b0, b1 = coeffs[-1], 0.0
+    for c in coeffs[-2::-1]:
+        # (c + 2y b_{j+1}) - b_{j+2}, updated in place on one temporary
+        b2 = y2 * b0
+        b2 += c
+        b2 -= b1
+        b0, b1 = b2, b0
+    return b0, b1
+
+
+def _clenshaw_split(x, even, odd):
+    """Sum over j of e_j T_{2j}(x) + o_j T_{2j+1}(x), x a float or an array.
+
+    T_{k+2} = 2 T_2 T_k - T_{k-2} turns each half into a series in
+    y = T_2(x) = 2x^2 - 1 with its own Clenshaw recurrence: T_{2j}(x) =
+    T_j(y), and T_{2j+1}(x) runs through the same three-term recurrence in
+    y from T_{-1}(x) = T_1(x) = x.  So the even half sums to b_0 - y b_1 and
+    the odd half to x (b_0 - b_1), which is exactly odd in floating point.
+    Only Python arithmetic operators are used, so a float x and an array x
+    take the same rounding steps.
+    """
+    y = 2.0 * x * x - 1.0
+    b0, b1 = _clenshaw_y(y, even)
+    total = b0 - y * b1
+    if odd:
+        b0, b1 = _clenshaw_y(y, odd)
+        total = total + x * (b0 - b1)
+    return total
+
+
 @dataclass(frozen=True)
 class ChebPoly:
     """Polynomial in the Chebyshev basis, bounded by 1 on [-1, 1].
@@ -77,10 +125,9 @@ class ChebPoly:
             raise ValueError("parity 'even' requires zero odd-index coefficients")
         if self.parity == "odd" and any(c != 0.0 for c in self.coeffs[0::2]):
             raise ValueError("parity 'odd' requires zero even-index coefficients")
-        arr = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "_arr", arr)
+        object.__setattr__(self, "_halves", _split_halves(self.coeffs))
         xs = np.linspace(-1.0, 1.0, BOX_GRID_POINTS)
-        if np.max(np.abs(npcheb.chebval(xs, arr))) > 1.0 + GRID_TOL:
+        if np.max(np.abs(_clenshaw_split(xs, *self._halves))) > 1.0 + GRID_TOL:
             raise ValueError("|P(x)| exceeds 1 beyond tolerance on [-1, 1]")
 
     @classmethod
@@ -96,15 +143,28 @@ class ChebPoly:
                    parity=_classify_parity(coeffs))
 
     def eval(self, x):
-        """Clenshaw-style evaluation of P at x (scalar or array) in [-1, 1]."""
-        xs = np.asarray(x, dtype=float)
-        if np.any(np.abs(xs) > 1.0 + EVAL_DOMAIN_SLACK):
+        """Evaluate P at x in [-1, 1] by the parity-split Clenshaw recurrence.
+
+        The even-index and odd-index halves of the series each run their own
+        recurrence in y = T_2(x) (see _clenshaw_split), so a step polynomial
+        (1 + q)/2 costs half a full-length recurrence.  A scalar x (Python
+        or numpy number, 0-d array) gives a float computed in float
+        arithmetic; anything else gives an array of x's shape, bit for bit
+        equal to the scalar results.  Points within EVAL_DOMAIN_SLACK of
+        [-1, 1] are clipped onto it; any other point, NaN and infinities
+        included, raises ValueError.
+        """
+        if np.ndim(x) == 0:
+            xs = float(x)
+            inside = abs(xs) <= 1.0 + EVAL_DOMAIN_SLACK
+            xs = min(max(xs, -1.0), 1.0)
+        else:
+            xs = np.asarray(x, dtype=float)
+            inside = np.all(np.abs(xs) <= 1.0 + EVAL_DOMAIN_SLACK)
+            xs = np.clip(xs, -1.0, 1.0)
+        if not inside:
             raise ValueError("evaluation point outside [-1, 1]")
-        xs = np.clip(xs, -1.0, 1.0)
-        out = npcheb.chebval(xs, self._arr)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out)
-        return out
+        return _clenshaw_split(xs, *self._halves)
 
 
 @dataclass(frozen=True)
@@ -187,13 +247,15 @@ def _rescale_grid(delta, degree):
 def _step_from_odd(odd_coeffs, delta):
     """Map an odd sign-like polynomial q to the step (1 + q)/2, renormalised.
 
-    The rescale guarantees |q| <= 1 on a grid at least as fine as the one
-    the ChebPoly constructor checks, so construction cannot fail on the
-    box bound.
+    q is evaluated by the parity-split recurrence, which is exactly odd,
+    on |x| of the constructor's box grid (and on the plateau, window and
+    edge grids), so the rescale guarantees |q| <= 1 at every point the
+    ChebPoly constructor checks and construction cannot fail on the box
+    bound.
     """
     d = len(odd_coeffs) - 1
     grid = _rescale_grid(delta, d)
-    peak = float(np.max(np.abs(npcheb.chebval(grid, odd_coeffs))))
+    peak = float(np.max(np.abs(_clenshaw_split(grid, *_split_halves(odd_coeffs)))))
     scale = 1.0 if peak <= 1.0 else (1.0 - 1e-13) / peak
     step = np.zeros(d + 1)
     step[0] = 0.5

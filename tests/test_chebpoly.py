@@ -6,9 +6,12 @@ multiplication) so the two code paths share no arithmetic.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsvtsim import chebpoly
 from qsvtsim.chebpoly import (CapacityError, ChebPoly, StepSpec,
@@ -93,10 +96,67 @@ def test_box_bound_enforced_on_construction():
 
 def test_eval_outside_domain_rejected():
     poly = ChebPoly.from_coeffs([0.5, 0.5])
-    with pytest.raises(ValueError):
-        poly.eval(1.01)
-    # a hair beyond 1.0 is tolerated and clipped
+    # NaN compares false with any bound, so it needs rejecting explicitly
+    for bad in (1.01, -1.01, math.nan, math.inf, -math.inf, np.float64("nan"),
+                np.array(math.nan), [0.1, math.nan], np.array([0.0, 1.01]),
+                np.array([[0.0, 0.5], [math.inf, 0.2]])):
+        with pytest.raises(ValueError, match="outside"):
+            poly.eval(bad)
+    # rounding slack beyond +-1 is tolerated and clipped onto the domain
     assert poly.eval(1.0) == pytest.approx(1.0)
+    assert poly.eval(1.0 + 5e-13) == poly.eval(1.0)
+    assert poly.eval(-1.0 - 5e-13) == poly.eval(-1.0)
+    assert np.array_equal(poly.eval(np.array([1.0 + 5e-13])),
+                          poly.eval(np.array([1.0])))
+
+
+def test_eval_input_contract():
+    poly = ChebPoly.from_coeffs([0.1, 0.3, 0.2, -0.25])
+    for x in (0.25, 0, np.float64(0.25), np.array(0.25), np.int64(1)):
+        out = poly.eval(x)
+        assert type(out) is float
+        assert out == poly.eval(float(x))
+    for x in ([0.1, -0.7], np.linspace(-1.0, 1.0, 5),
+              np.linspace(-1.0, 1.0, 6).reshape(2, 3)):
+        out = poly.eval(x)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == np.shape(x)
+        flat = np.ravel(x)
+        assert [poly.eval(float(v)) for v in flat] == list(out.ravel())
+    # a constant still answers with the shape of its input
+    assert ChebPoly.from_coeffs([0.25]).eval(np.zeros((2, 3))).shape == (2, 3)
+
+
+@st.composite
+def bounded_series(draw):
+    """Dense, pure-odd or pure-even normal coefficients of degree <= 400,
+    scaled to sum |c_k| = 1 so the box check holds by |T_k| <= 1."""
+    degree = draw(st.integers(0, 400))
+    kind = draw(st.sampled_from(("dense", "odd", "even")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    coeffs = np.random.default_rng(seed).normal(size=degree + 1)
+    if kind == "odd":
+        coeffs[0::2] = 0.0
+    elif kind == "even":
+        coeffs[1::2] = 0.0
+    total = np.sum(np.abs(coeffs))
+    return kind, coeffs / total if total > 0.0 else coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_series(), st.floats(-1.0, 1.0))
+def test_eval_properties(series, x):
+    kind, coeffs = series
+    poly = ChebPoly.from_coeffs(coeffs)
+    value = poly.eval(x)
+    # an independent cosine sum: T_k(cos t) = cos(k t)
+    theta = math.acos(x)
+    cosine = math.fsum(c * math.cos(k * theta) for k, c in enumerate(coeffs))
+    assert abs(value - cosine) <= 1e-12 * (1.0 + np.sum(np.abs(coeffs)))
+    # the scalar and the array path round identically
+    assert struct.pack("<d", value) == struct.pack("<d", poly.eval(np.array([x]))[0])
+    if kind == "odd":
+        assert poly.eval(-x) == -value
 
 
 def test_step_spec_validation():

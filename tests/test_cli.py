@@ -1,5 +1,6 @@
 """End-to-end command line tests, all driven through main(argv)."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -158,6 +159,20 @@ def test_sweep_rows_and_ledger_identity(capsys, tmp_path):
     rc, _, _ = run_cli(capsys, argv)
     assert rc == 0
     assert out_path.read_bytes() == first
+
+
+def test_sweep_acceptance_grid_bytes_frozen(capsys, tmp_path):
+    """The seed-0 5x5 acceptance sweep CSV is frozen byte for byte."""
+    out_path = tmp_path / "grid.csv"
+    rc, _, _ = run_cli(capsys, [
+        "sweep", "--builtin", "diag:0.5,-0.25",
+        "--alphas", "0", "0.25", "0.5", "0.75", "1",
+        "--eps-list", "0.2", "0.1", "0.05", "0.025", "0.0125",
+        "--seed", "0", "--out", str(out_path)])
+    assert rc == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == ("854bfb1d9ec7def5d6a76664cd62f1de"
+                      "2e6890d6df5eb944494f5ea548f0a5bd")
 
 
 def test_sweep_stdout_header(capsys):
