@@ -101,13 +101,29 @@ def test_apply_poly_t2_on_diagonal():
     assert top.query_count == 2
 
 
+@pytest.mark.parametrize("k", range(10))
+def test_apply_poly_pure_chebyshev_term(k):
+    # Degrees 0 to 9 cross every slice boundary of the index doubling.
+    vals = np.array([0.95, 0.4, 0.0, -0.3, -1.0])
+    top = apply_poly(HermitianOp.from_matrix(np.diag(vals)),
+                     ChebPoly.from_coeffs([0.0] * k + [1.0]))
+    assert np.max(np.abs(top.matrix - np.diag(np.cos(k * np.arccos(vals))))) <= 1e-13
+    assert top.query_count == k
+
+
 def test_apply_poly_matches_eigendecomposition():
     rng = np.random.default_rng(23)
-    poly = build_step_approx(StepSpec(0.2, 0.5))
-    for n in (2, 3, 5):
-        h = random_hermitian(rng, n)
-        top = apply_poly(h, poly)
-        assert np.max(np.abs(top.matrix - eig_transform(h, poly))) <= 1e-9
+    # The degree-337 step of alpha = 0, eps = 0.0125 overshoots 1 near
+    # x = 0.0102, where apply_poly rightly refuses the operator.
+    cases = [(build_step_approx(StepSpec(0.2, 0.5)), (2, 3, 5)),
+             (build_step_approx(StepSpec(0.003125, 0.5)), (2, 5))]
+    assert cases[1][0].degree == 337
+    for poly, dims in cases:
+        for n in dims:
+            h = random_hermitian(rng, n)
+            assert np.min(np.abs(np.linalg.eigvalsh(h.matrix) - 0.0102)) > 1e-3
+            top = apply_poly(h, poly)
+            assert np.max(np.abs(top.matrix - eig_transform(h, poly))) <= 1e-9
 
 
 def test_apply_poly_is_linear_in_coefficients():
@@ -212,6 +228,24 @@ def test_hermitian_op_validation():
         HermitianOp.from_matrix([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         HermitianOp.from_matrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_hermitian_op_rejects_non_finite_entries(bad):
+    # NaN slips past the Hermitian check, and the norm would read 0.
+    m = np.eye(2, dtype=complex)
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="row 1, column 1 is not finite"):
+        HermitianOp.from_matrix(m)
+
+
+def test_spectral_norm_is_computed_once(monkeypatch):
+    h = HermitianOp.from_matrix(np.diag([0.5, -0.75]))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    assert [h.spectral_norm() for _ in range(3)] == [0.75] * 3
+    assert len(calls) == 1
 
 
 def test_block_encoding_validation():

@@ -132,6 +132,19 @@ def test_estimate_rejects_bad_matrix_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("source", ["builtin", "matrix"])
+def test_estimate_rejects_non_finite_matrix(capsys, tmp_path, source):
+    if source == "builtin":
+        args = ["--builtin", "diag:nan,0.2"]
+    else:
+        path = tmp_path / "nan.mat"
+        path.write_text("dim 2\nnan+0j 0+0j\n0+0j 1+0j\n")
+        args = ["--matrix", str(path)]
+    rc, _, err = run_cli(capsys, ["estimate", *args, "--eps", "0.1", "--alpha", "0.5"])
+    assert rc == 2
+    assert err.startswith("error: matrix entry at row 0, column 0 is not finite: (nan+0j)")
+
+
 def test_estimate_capacity_exit_code(capsys):
     rc, _, err = run_cli(capsys, [
         "estimate", "--builtin", "diag:0.5,-0.25",

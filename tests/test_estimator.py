@@ -208,10 +208,20 @@ def test_bisection_with_error_free_decisions():
 
 def test_statevector_path_matches_fast_path():
     inst = diag_instance([0.5, -0.25])
-    fast = estimate_ee(inst, 0.1, 0.5, RngStream(4, 0))
-    slow = estimate_ee(inst, 0.1, 0.5, RngStream(4, 0), use_statevector=True)
-    assert fast[0] == slow[0]
-    assert fast[1] == slow[1]
+    # degree 7, then degree 337 on five seeds
+    for alpha, eps, seed in [(0.5, 0.1, 4)] + [(0.0, 0.0125, s) for s in range(5)]:
+        fast = estimate_ee(inst, eps, alpha, RngStream(seed, 0))
+        slow = estimate_ee(inst, eps, alpha, RngStream(seed, 0), use_statevector=True)
+        assert fast[0] == slow[0]
+        assert fast[1] == slow[1]
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="the degree-337 step overshoots 1 near x = 0.01024, "
+                          "so the transformed operator fails its radius check")
+def test_statevector_path_accepts_overshoot_eigenvalue():
+    inst = diag_instance([0.010239567, -0.5])
+    estimate_ee(inst, 0.0125, 0.0, RngStream(0, 0), use_statevector=True)
 
 
 def test_sharp_alpha_depth_scales_like_inverse_eps():
