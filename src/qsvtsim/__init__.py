@@ -8,19 +8,16 @@ from phase and amplitude estimation (reductions), and a CLI (cli).
 """
 
 from .chebpoly import (BoundReport, CapacityError, ChebPoly, StepSpec,
-                       build_step_approx, degree_constant, from_text,
-                       min_eta_for_degree, to_text, verify_bounds,
-                       write_curve_csv)
+                       build_step_approx, degree_constant, min_eta_for_degree,
+                       to_text, verify_bounds, write_curve_csv)
 from .blockenc import (BlockEncoding, HermitianOp, MatrixFormatError,
-                       TransformedOp, apply_poly, dilate, read_matrix,
-                       right_probability, shift_and_scale, write_matrix)
+                       TransformedOp, apply_poly, read_matrix,
+                       right_probability, shift_and_scale)
 from .sampler import (Outcome, ResourceLedger, RngStream, bernoulli_trials,
-                      merge_ledgers, record_shots)
-from .estimator import (THRESHOLD_MIDPOINT, THRESHOLD_SKEWED, AlphaSchedule,
-                        EEInstance, IpeStep, SearchState, alpha_schedule,
-                        decide_ee, diag_instance, estimate_ee,
-                        hadamard_test_baseline, ipe_baseline,
-                        ipe_step_probability, threshold_for)
+                      record_shots)
+from .estimator import (AlphaSchedule, EEInstance, SearchState,
+                        alpha_schedule, decide_ee, diag_instance, estimate_ee,
+                        hadamard_test_baseline, ipe_baseline, threshold_for)
 from .reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
                          PE_TO_AE_DEPTH_MULT, PE_TO_AE_TIME_MULT, AEInstance,
                          GroverOp, PEInstance, ae_block_encoding,
@@ -31,17 +28,15 @@ from .reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
 
 __all__ = [
     "BoundReport", "CapacityError", "ChebPoly", "StepSpec",
-    "build_step_approx", "degree_constant", "from_text",
-    "min_eta_for_degree", "to_text", "verify_bounds", "write_curve_csv",
+    "build_step_approx", "degree_constant", "min_eta_for_degree", "to_text",
+    "verify_bounds", "write_curve_csv",
     "BlockEncoding", "HermitianOp", "MatrixFormatError", "TransformedOp",
-    "apply_poly", "dilate", "read_matrix", "right_probability",
-    "shift_and_scale", "write_matrix",
+    "apply_poly", "read_matrix", "right_probability", "shift_and_scale",
     "Outcome", "ResourceLedger", "RngStream", "bernoulli_trials",
-    "merge_ledgers", "record_shots",
-    "THRESHOLD_MIDPOINT", "THRESHOLD_SKEWED", "AlphaSchedule", "EEInstance",
-    "IpeStep", "SearchState", "alpha_schedule", "decide_ee", "diag_instance",
-    "estimate_ee", "hadamard_test_baseline", "ipe_baseline",
-    "ipe_step_probability", "threshold_for",
+    "record_shots",
+    "AlphaSchedule", "EEInstance", "SearchState", "alpha_schedule",
+    "decide_ee", "diag_instance", "estimate_ee", "hadamard_test_baseline",
+    "ipe_baseline", "threshold_for",
     "AE_TO_EE_DEPTH_MULT", "AE_TO_EE_TIME_MULT", "PE_TO_AE_DEPTH_MULT",
     "PE_TO_AE_TIME_MULT", "AEInstance", "GroverOp", "PEInstance",
     "ae_block_encoding", "ae_instance_from_amplitude", "ae_to_ee",

@@ -1,8 +1,9 @@
 """Dense block-encodings of Hermitian operators and polynomial transforms.
 
-Everything here is explicit matrix arithmetic on small operators: unitary
-dilations, spectral shifts, and the Chebyshev recurrence that applies a
-bounded polynomial to an encoded operator's eigenvalues.
+Everything here is explicit matrix arithmetic on small operators: the
+validated Hermitian and block-encoding types, spectral shifts, the
+Chebyshev recurrence that applies a bounded polynomial to an encoded
+operator's eigenvalues, and the reader for the matrix file format.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ UNITARY_TOL = 1e-12
 ENCODING_TOL = 1e-10
 TRANSFORM_HERMITIAN_TOL = 1e-10
 RADIUS_TOL = 1e-9
-STATE_NORM_TOL = 1e-10
+# State norms and eigenstate residuals, here and in estimator and reductions.
+STATE_TOL = 1e-10
 
 # Dense constructions only; guard against accidentally huge inputs.
 DEFAULT_DIM_CAP = 64
@@ -25,6 +27,12 @@ DEFAULT_DIM_CAP = 64
 
 class MatrixFormatError(ValueError):
     """Raised when a matrix file does not parse."""
+
+
+def _check_unitary(u, what):
+    eye = np.eye(u.shape[0])
+    if np.max(np.abs(u.conj().T @ u - eye)) > UNITARY_TOL:
+        raise ValueError(f"{what} is not unitary within tolerance")
 
 
 def _as_matrix(m):
@@ -91,9 +99,7 @@ class BlockEncoding:
         n = self.encoded.dim
         if u.shape[0] % n != 0 or u.shape[0] <= n:
             raise ValueError("unitary dimension incompatible with encoded operator")
-        eye = np.eye(u.shape[0])
-        if np.max(np.abs(u.conj().T @ u - eye)) > UNITARY_TOL:
-            raise ValueError("block-encoding matrix is not unitary within tolerance")
+        _check_unitary(u, "block-encoding matrix")
         block = self.gamma * u[:n, :n]
         if np.max(np.abs(block - self.encoded.matrix)) > ENCODING_TOL:
             raise ValueError("top-left block does not reproduce the encoded operator")
@@ -118,26 +124,6 @@ class TransformedOp:
             raise ValueError("transformed operator has spectral radius above 1")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
-
-
-def dilate(h, gamma):
-    """Standard unitary dilation of H/gamma using sqrt(I - (H/gamma)^2).
-
-    The square root is taken in H's own eigenbasis so both blocks commute
-    and the dilation is exactly unitary up to rounding.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if h.spectral_norm() > gamma * (1.0 + 1e-12):
-        raise ValueError("spectral norm exceeds gamma")
-    a = h.matrix / gamma
-    w, v = np.linalg.eigh(a)
-    s2 = 1.0 - w * w
-    if np.min(s2) < -1e-12:
-        raise ValueError("eigenvalue outside [-1, 1] after normalisation")
-    s = (v * np.sqrt(np.clip(s2, 0.0, None))) @ v.conj().T
-    u = np.block([[a, s], [s, -a]])
-    return BlockEncoding(unitary=u, gamma=float(gamma), ancillas=1, encoded=h)
 
 
 def shift_and_scale(h, mu0, gamma):
@@ -195,7 +181,7 @@ def right_probability(top, psi):
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     if vec.shape[0] != top.matrix.shape[0]:
         raise ValueError("state dimension does not match operator")
-    if abs(np.linalg.norm(vec) - 1.0) > STATE_NORM_TOL:
+    if abs(np.linalg.norm(vec) - 1.0) > STATE_TOL:
         raise ValueError("state is not normalised within tolerance")
     out = top.matrix @ vec
     p = float(np.real(np.vdot(out, out)))
@@ -204,17 +190,6 @@ def right_probability(top, psi):
 
 # ---------------------------------------------------------------------------
 # Matrix file format: "dim n" header, then n rows of n entries like 0.5-0.25j.
-
-
-def _fmt_complex(z):
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
-def write_matrix(path, h):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"dim {h.dim}\n")
-        for row in h.matrix:
-            fh.write(" ".join(_fmt_complex(z) for z in row) + "\n")
 
 
 def read_matrix(path):

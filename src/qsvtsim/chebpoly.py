@@ -43,16 +43,6 @@ class CapacityError(RuntimeError):
         self.report = report
 
 
-def _classify_parity(coeffs):
-    odd_all_zero = all(c == 0.0 for c in coeffs[1::2])
-    even_all_zero = all(c == 0.0 for c in coeffs[0::2])
-    if odd_all_zero:
-        return "even"
-    if even_all_zero:
-        return "odd"
-    return "none"
-
-
 def _split_halves(coeffs):
     """Even-index and odd-index halves of a Chebyshev series as float lists.
 
@@ -105,42 +95,42 @@ def _clenshaw_split(x, even, odd):
 class ChebPoly:
     """Polynomial in the Chebyshev basis, bounded by 1 on [-1, 1].
 
-    coeffs holds (c_0, ..., c_d) for P(x) = sum_k c_k T_k(x).  The parity
-    flag is only ever "even" or "odd" when the complementary coefficients
-    are exactly zero; anything else is "none".
+    coeffs holds (c_0, ..., c_d) for P(x) = sum_k c_k T_k(x); the degree
+    and the parity are read off it.
     """
 
     coeffs: tuple
-    degree: int
-    parity: str
 
     def __post_init__(self):
-        if self.degree < 0 or len(self.coeffs) != self.degree + 1:
-            raise ValueError("degree must match len(coeffs) - 1")
-        if self.degree > 0 and self.coeffs[-1] == 0.0:
+        if not self.coeffs:
+            raise ValueError("need at least one coefficient")
+        if len(self.coeffs) > 1 and self.coeffs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
-        if self.parity not in ("even", "odd", "none"):
-            raise ValueError(f"unknown parity flag {self.parity!r}")
-        if self.parity == "even" and any(c != 0.0 for c in self.coeffs[1::2]):
-            raise ValueError("parity 'even' requires zero odd-index coefficients")
-        if self.parity == "odd" and any(c != 0.0 for c in self.coeffs[0::2]):
-            raise ValueError("parity 'odd' requires zero even-index coefficients")
         object.__setattr__(self, "_halves", _split_halves(self.coeffs))
         xs = np.linspace(-1.0, 1.0, BOX_GRID_POINTS)
         if np.max(np.abs(_clenshaw_split(xs, *self._halves))) > 1.0 + GRID_TOL:
             raise ValueError("|P(x)| exceeds 1 beyond tolerance on [-1, 1]")
 
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def parity(self):
+        """'even' or 'odd' when the other half is exactly zero, else 'none'."""
+        if all(c == 0.0 for c in self.coeffs[1::2]):
+            return "even"
+        if all(c == 0.0 for c in self.coeffs[0::2]):
+            return "odd"
+        return "none"
+
     @classmethod
     def from_coeffs(cls, coeffs):
         """Build from a coefficient sequence, trimming exact trailing zeros."""
         arr = [float(c) for c in coeffs]
-        if not arr:
-            raise ValueError("need at least one coefficient")
         while len(arr) > 1 and arr[-1] == 0.0:
             arr.pop()
-        coeffs = tuple(arr)
-        return cls(coeffs=coeffs, degree=len(coeffs) - 1,
-                   parity=_classify_parity(coeffs))
+        return cls(coeffs=tuple(arr))
 
     def eval(self, x):
         """Evaluate P at x in [-1, 1] by the parity-split Clenshaw recurrence.
@@ -505,35 +495,14 @@ def min_eta_for_degree(delta, degree, tol=1e-4):
 
 
 def to_text(poly):
-    """Plain-text form: a degree line, a parity line, then one c_k per line."""
+    """Plain-text form: a degree line, a parity line, then one c_k per line.
+
+    This is what `qsvtsim poly --save` writes; nothing reads it back.
+    """
     lines = [f"degree {poly.degree}", f"parity {poly.parity}"]
     for k, c in enumerate(poly.coeffs):
         lines.append(f"c_{k} {c:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def from_text(text):
-    """Inverse of to_text; validates the header and coefficient indices."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 3:
-        raise ValueError("truncated polynomial text")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "degree":
-        raise ValueError("first line must be 'degree <d>'")
-    degree = int(head[1])
-    par = lines[1].split()
-    if len(par) != 2 or par[0] != "parity":
-        raise ValueError("second line must be 'parity <even|odd|none>'")
-    parity = par[1]
-    coeffs = []
-    for k, ln in enumerate(lines[2:]):
-        fields = ln.split()
-        if len(fields) != 2 or fields[0] != f"c_{k}":
-            raise ValueError(f"expected 'c_{k} <value>', got {ln!r}")
-        coeffs.append(float(fields[1]))
-    if len(coeffs) != degree + 1:
-        raise ValueError("coefficient count does not match degree")
-    return ChebPoly(coeffs=tuple(coeffs), degree=degree, parity=parity)
 
 
 def write_curve_csv(poly, path, rows=1000):

@@ -47,6 +47,10 @@ class SweepConfig:
     seed: int
     max_degree: int = 4096
 
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ValueError(f"runs must be at least 1, got {self.runs}")
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -426,7 +430,14 @@ def main(argv=None):
     try:
         return args.func(args)
     except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
+        msg = f"capacity: {exc}"
+        report = exc.report
+        if report is not None:
+            msg += (f"; least-bad candidate: max_low_violation "
+                    f"{_fmt(report.max_low_violation)} max_high_violation "
+                    f"{_fmt(report.max_high_violation)} max_abs_excess "
+                    f"{_fmt(report.max_abs_excess)}")
+        print(msg, file=sys.stderr)
         return 1
     except (MatrixFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,8 +4,9 @@ The alpha parameter trades circuit depth against sample count: alpha = 0
 uses a sharp step polynomial (deep, few shots per decision), alpha = 1
 degenerates to the affine ramp (depth 1, many shots).  A binary search
 over candidate eigenvalues drives one thresholded decision per bisection
-step.  Hadamard-test and iterative-phase-estimation baselines sit at the
-two classical endpoints for comparison.
+step, cut at the midpoint of the achievable outcome window.
+Hadamard-test and iterative-phase-estimation baselines sit at the two
+classical endpoints for comparison.
 """
 
 from __future__ import annotations
@@ -15,18 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import HermitianOp, apply_poly, right_probability, shift_and_scale
+from .blockenc import (STATE_TOL, HermitianOp, apply_poly, right_probability,
+                       shift_and_scale)
 from .chebpoly import StepSpec, build_step_approx
 from .sampler import Outcome, ResourceLedger, bernoulli_trials, record_shots
 
-EIGENSTATE_TOL = 1e-10
 
-# Decision threshold rules for decide_ee.  "midpoint" centres the cut in
-# the achievable window ((eta/2)^2, (1 - eta/2)^2); "skewed" is the cut
-# (1 - eta + 2 eta^2)/2, which leaves that window once eta > (sqrt(7)-1)/3
-# and is retained only for side-by-side comparison.
-THRESHOLD_MIDPOINT = "midpoint"
-THRESHOLD_SKEWED = "skewed"
+def _check_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -40,33 +39,31 @@ class AlphaSchedule:
     eta: float
     n_samples: int
     threshold: float
-    degree: int
     poly: "ChebPoly"
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if self.degree != self.poly.degree:
-            raise ValueError("degree does not match the attached polynomial")
+
+    @property
+    def degree(self):
+        return self.poly.degree
 
 
-def threshold_for(eta, rule=THRESHOLD_MIDPOINT):
-    """Decision cut on the observed RIGHT frequency for a given eta."""
-    if rule == THRESHOLD_MIDPOINT:
-        return 0.5 * (1.0 - eta + 0.5 * eta * eta)
-    if rule == THRESHOLD_SKEWED:
-        return 0.5 * (1.0 - eta + 2.0 * eta * eta)
-    raise ValueError(f"unknown threshold rule {rule!r}")
+def threshold_for(eta):
+    """Decision cut on the observed RIGHT frequency for a given eta: the
+    midpoint of the achievable window ((eta/2)^2, (1 - eta/2)^2)."""
+    return 0.5 * (1.0 - eta + 0.5 * eta * eta)
 
 
-def alpha_schedule(alpha, eps, gamma, max_degree=4096,
-                   threshold_rule=THRESHOLD_MIDPOINT):
+def alpha_schedule(alpha, eps, gamma, max_degree=4096):
     """Build the schedule: window, budget, polynomial, samples, threshold.
 
     delta = eps/(4 gamma), eta = 1 - (1/2) delta^alpha, and the per-decision
     sample count is ceil(20 * (4 gamma/eps)^(2 alpha) * ceil(log2(4 gamma/eps))).
-    Requires eps < 4 gamma so that delta < 1.
+    Requires eps < 4 gamma (delta < 1) and a sample count that fits a float.
     """
+    _check_finite(alpha=alpha, eps=eps, gamma=gamma)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if gamma <= 0:
@@ -76,12 +73,15 @@ def alpha_schedule(alpha, eps, gamma, max_degree=4096,
     delta = eps / (4.0 * gamma)
     eta = 1.0 - 0.5 * delta ** alpha
     ratio = 4.0 * gamma / eps
-    n_samples = math.ceil(20.0 * ratio ** (2.0 * alpha) * math.ceil(math.log2(ratio)))
+    try:
+        n_samples = math.ceil(20.0 * ratio ** (2.0 * alpha) * math.ceil(math.log2(ratio)))
+    except OverflowError:  # ratio itself may already be inf
+        raise ValueError(f"the sample count overflows a float at gamma={gamma}, "
+                         f"eps={eps}, alpha={alpha}") from None
     poly = build_step_approx(StepSpec(delta, eta), max_degree)
     return AlphaSchedule(alpha=alpha, eps=eps, gamma=gamma, delta=delta,
                          eta=eta, n_samples=n_samples,
-                         threshold=threshold_for(eta, threshold_rule),
-                         degree=poly.degree, poly=poly)
+                         threshold=threshold_for(eta), poly=poly)
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,18 @@ class EEInstance:
     true_mu: float
 
     def __post_init__(self):
+        _check_finite(gamma=self.gamma, true_mu=self.true_mu)
         vec = np.asarray(self.psi, dtype=complex).reshape(-1)
+        if not np.isfinite(vec).all():
+            raise ValueError("psi must be finite")
         if vec.shape[0] != self.H.dim:
             raise ValueError("state dimension does not match operator")
-        if abs(np.linalg.norm(vec) - 1.0) > EIGENSTATE_TOL:
+        if abs(np.linalg.norm(vec) - 1.0) > STATE_TOL:
             raise ValueError("psi is not normalised within tolerance")
         if self.gamma <= 0 or self.H.spectral_norm() > self.gamma * (1.0 + 1e-12):
             raise ValueError("gamma must bound the spectral norm")
         resid = self.H.matrix @ vec - self.true_mu * vec
-        if np.linalg.norm(resid) > EIGENSTATE_TOL:
+        if np.linalg.norm(resid) > STATE_TOL:
             raise ValueError("psi is not an eigenstate of H for true_mu")
         vec.setflags(write=False)
         object.__setattr__(self, "psi", vec)
@@ -163,29 +166,23 @@ def decide_ee(inst, mu0, sched, rng, ledger, use_statevector=False):
 
 
 def estimate_ee(inst, eps, alpha, rng, *, max_degree=4096,
-                threshold_rule=THRESHOLD_MIDPOINT, use_statevector=False,
-                decider=None):
+                use_statevector=False):
     """Binary search for the eigenvalue of inst.psi to precision ~eps.
 
-    Each bisection step consults one thresholded decision on a child
-    stream (stream offset step_index * 2**16).  Returns (mu_hat, ledger);
-    the ledger satisfies total = iterations * n_samples * degree and
-    max_depth = degree exactly.  The decider hook replaces decide_ee for
-    oracle-driven tests.
+    Each bisection step consults one thresholded decision (decide_ee) on a
+    child stream (stream offset step_index * 2**16).  Returns (mu_hat,
+    ledger); the ledger satisfies total = iterations * n_samples * degree
+    and max_depth = degree exactly.
     """
-    sched = alpha_schedule(alpha, eps, inst.gamma, max_degree=max_degree,
-                           threshold_rule=threshold_rule)
+    sched = alpha_schedule(alpha, eps, inst.gamma, max_degree=max_degree)
     ledger = ResourceLedger()
     state = SearchState(-inst.gamma, inst.gamma)
     mu_hat = state.mu0
     step = 0
     while state.R - state.L > eps:
         stream = rng.child(step << 16)
-        if decider is not None:
-            out = decider(inst, state.mu0, sched, stream, ledger)
-        else:
-            out = decide_ee(inst, state.mu0, sched, stream, ledger,
-                            use_statevector=use_statevector)
+        out = decide_ee(inst, state.mu0, sched, stream, ledger,
+                        use_statevector=use_statevector)
         mu_hat = state.mu0
         if out is Outcome.RIGHT:
             state = SearchState(mu_hat, state.R)
@@ -211,23 +208,6 @@ def hadamard_test_baseline(p, eps, rng):
     return hits / n, ledger
 
 
-@dataclass(frozen=True)
-class IpeStep:
-    """One iterative-phase-estimation round: oracle power and phase offset."""
-
-    M: int
-    theta: float
-
-    def __post_init__(self):
-        if self.M < 1 or self.M & (self.M - 1):
-            raise ValueError("M must be a power of two")
-
-
-def ipe_step_probability(phi, M, theta):
-    """Pr[E = 1] for one round: (1 - cos(M phi + theta)) / 2."""
-    return 0.5 * (1.0 - math.cos(M * phi + theta))
-
-
 def ipe_baseline(phi, m, shots_per_bit, rng):
     """Estimate phi = 2 pi (0.b1 b2 ... bm) one bit at a time, LSB first.
 
@@ -249,12 +229,11 @@ def ipe_baseline(phi, m, shots_per_bit, rng):
     for j in range(1, m + 1):
         power = 2 ** (m - j)
         comp_turns = -sum(bits[k] * 2.0 ** (m - j - k) for k in range(m - j + 2, m + 1))
-        step = IpeStep(M=power, theta=2.0 * math.pi * comp_turns)
         frac = (power * phi_turns + comp_turns) % 1.0
         p1 = 0.5 * (1.0 - math.cos(2.0 * math.pi * frac))
         p1 = min(max(p1, 0.0), 1.0)
         ones = bernoulli_trials(p1, shots_per_bit, rng.child((j - 1) << 16))
         bits[m - j + 1] = 1 if 2 * ones > shots_per_bit else 0
-        record_shots(ledger, step.M, shots_per_bit)
+        record_shots(ledger, power, shots_per_bit)
     phi_hat = 2.0 * math.pi * sum(bits[j] * 2.0 ** (-j) for j in range(1, m + 1))
     return phi_hat, ledger

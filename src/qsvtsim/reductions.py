@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockenc import BlockEncoding, HermitianOp
+from .blockenc import STATE_TOL, BlockEncoding, HermitianOp, _check_unitary
 from .estimator import EEInstance, estimate_ee
 from .sampler import ResourceLedger
 
-STATE_TOL = 1e-10
-UNITARY_TOL = 1e-12
 PROJECTOR_TOL = 1e-12
 
 # Cost multipliers attached by the reductions, in units of the source
@@ -32,12 +30,6 @@ AE_TO_EE_TIME_MULT = 6
 AE_TO_EE_DEPTH_MULT = 6
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-
-def _check_unitary(u, what):
-    eye = np.eye(u.shape[0])
-    if np.max(np.abs(u.conj().T @ u - eye)) > UNITARY_TOL:
-        raise ValueError(f"{what} is not unitary within tolerance")
 
 
 @dataclass(frozen=True)

@@ -75,9 +75,3 @@ def record_shots(ledger, depth, n):
     ledger.shots += n
     return ledger
 
-
-def merge_ledgers(a, b):
-    """Deterministic fold of two ledgers from disjoint trial blocks."""
-    return ResourceLedger(total_queries=a.total_queries + b.total_queries,
-                          max_depth=max(a.max_depth, b.max_depth),
-                          shots=a.shots + b.shots)

@@ -1,4 +1,4 @@
-"""Block-encoding, dilation, and polynomial eigenvalue transform tests.
+"""Block-encoding, spectral shift, and polynomial eigenvalue transform tests.
 
 The transform oracle is a direct eigendecomposition: diagonalise, apply
 the polynomial to the eigenvalues with an independent evaluator, and
@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from qsvtsim.blockenc import (BlockEncoding, HermitianOp, MatrixFormatError,
-                              apply_poly, dilate, read_matrix,
-                              right_probability, shift_and_scale, write_matrix)
+                              apply_poly, read_matrix, right_probability,
+                              shift_and_scale)
 from qsvtsim.chebpoly import ChebPoly, StepSpec, build_step_approx
 
 
@@ -25,38 +25,6 @@ def eig_transform(h, poly):
     """Oracle: P applied through the eigendecomposition of h."""
     w, v = np.linalg.eigh(h.matrix)
     return (v * poly.eval(w)) @ v.conj().T
-
-
-def test_dilate_scalar_zero():
-    be = dilate(HermitianOp.from_matrix([[0.0]]), 1.0)
-    assert np.allclose(be.unitary, [[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_dilate_identity():
-    be = dilate(HermitianOp.from_matrix(np.eye(2)), 1.0)
-    assert np.allclose(be.unitary, np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_dilate_random_is_unitary_and_encodes():
-    rng = np.random.default_rng(11)
-    h = random_hermitian(rng, 4)
-    be = dilate(h, 1.0)
-    u = be.unitary
-    assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-10
-    assert np.max(np.abs(u[:4, :4] - h.matrix)) <= 1e-10
-
-
-def test_dilate_rejects_small_gamma():
-    h = HermitianOp.from_matrix(np.diag([0.9, -0.4]))
-    with pytest.raises(ValueError):
-        dilate(h, 0.5)
-
-
-def test_dilate_with_larger_gamma_scales_block():
-    h = HermitianOp.from_matrix(np.diag([0.9, -0.4]))
-    be = dilate(h, 2.0)
-    assert be.gamma == 2.0
-    assert np.allclose(be.gamma * be.unitary[:2, :2], h.matrix)
 
 
 def test_shift_zero_is_plain_rescale():
@@ -252,13 +220,16 @@ def test_block_encoding_validation():
     h = HermitianOp.from_matrix(np.diag([0.5]))
     with pytest.raises(ValueError):
         BlockEncoding(unitary=np.eye(2), gamma=1.0, ancillas=1, encoded=h)
+    with pytest.raises(ValueError, match="block-encoding matrix is not unitary"):
+        BlockEncoding(unitary=0.5 * np.eye(2), gamma=1.0, ancillas=1, encoded=h)
 
 
 def test_matrix_io_round_trip(tmp_path):
     rng = np.random.default_rng(41)
     h = random_hermitian(rng, 3)
     path = tmp_path / "h.mat"
-    write_matrix(path, h)
+    rows = [" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in h.matrix]
+    path.write_text("\n".join(["dim 3", *rows]) + "\n")
     again = read_matrix(path)
     assert np.max(np.abs(again.matrix - h.matrix)) == 0.0
 

@@ -3,11 +3,8 @@
 import hashlib
 import math
 
-import numpy as np
 import pytest
 
-from qsvtsim.blockenc import HermitianOp, write_matrix
-from qsvtsim.chebpoly import from_text
 from qsvtsim.cli import (CSV_HEADER, SweepRow, main, read_sweep_csv,
                          write_sweep_csv)
 
@@ -47,7 +44,7 @@ def test_poly_tight_case_with_artifacts(capsys, tmp_path):
     assert kv["certified"] == "1"
     assert float(kv["constant_C"]) <= 1.2
     assert len(curve.read_text().splitlines()) == 1001
-    assert from_text(coeffs.read_text()).degree == 71
+    assert coeffs.read_text().splitlines()[0] == "degree 71"
 
 
 def test_poly_min_eta_mode(capsys):
@@ -104,7 +101,7 @@ def test_estimate_output_is_deterministic(capsys):
 
 def test_estimate_matrix_file_matches_builtin(capsys, tmp_path):
     path = tmp_path / "h.mat"
-    write_matrix(path, HermitianOp.from_matrix(np.diag([0.5, -0.25])))
+    path.write_text("dim 2\n0.5+0j 0+0j\n0+0j -0.25+0j\n")
     rc, out, _ = run_cli(capsys, [
         "estimate", "--matrix", str(path), "--gamma", "1",
         "--eig-index", "1", "--eps", "0.05", "--alpha", "1", "--seed", "0"])
@@ -145,12 +142,34 @@ def test_estimate_rejects_non_finite_matrix(capsys, tmp_path, source):
     assert err.startswith("error: matrix entry at row 0, column 0 is not finite: (nan+0j)")
 
 
+@pytest.mark.parametrize("args, names", [
+    (["--gamma", "1e308", "--eps", "0.1", "--alpha", "0.5"], "gamma=1e+308"),
+    (["--eps", "1e-300", "--alpha", "1"], "eps=1e-300"),
+    (["--gamma", "nan", "--eps", "0.1", "--alpha", "0.5"], "gamma must be finite"),
+    (["--gamma", "inf", "--eps", "0.1", "--alpha", "0.5"], "gamma must be finite"),
+    (["--eps", "nan", "--alpha", "0.5"], "eps must be finite"),
+], ids=["gamma-1e308", "eps-1e-300", "gamma-nan", "gamma-inf", "eps-nan"])
+def test_estimate_rejects_extreme_floats(capsys, args, names):
+    rc, _, err = run_cli(capsys, ["estimate", "--builtin", "diag:0.5,0.2", *args])
+    assert rc == 2
+    assert err.startswith("error:")
+    assert names in err
+    assert "Traceback" not in err
+
+
 def test_estimate_capacity_exit_code(capsys):
     rc, _, err = run_cli(capsys, [
         "estimate", "--builtin", "diag:0.5,-0.25",
         "--eps", "0.05", "--alpha", "0", "--max-degree", "9"])
     assert rc == 1
     assert err.startswith("capacity:")
+    # the least-bad candidate's BoundReport follows the builder's message
+    head, _, report = err.strip().partition("; least-bad candidate: ")
+    assert head.endswith("for delta=0.0125, eta=0.5")
+    fields = report.split()
+    assert fields[0::2] == ["max_low_violation", "max_high_violation", "max_abs_excess"]
+    assert min(float(v) for v in fields[1::2]) >= 0.0
+    assert max(float(v) for v in fields[1::2]) > 1e-9
 
 
 def test_sweep_rows_and_ledger_identity(capsys, tmp_path):
@@ -188,6 +207,17 @@ def test_sweep_acceptance_grid_bytes_frozen(capsys, tmp_path):
                       "2e6890d6df5eb944494f5ea548f0a5bd")
 
 
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_sweep_rejects_runs_below_one(capsys, tmp_path, runs):
+    out_path = tmp_path / "none.csv"
+    rc, _, err = run_cli(capsys, [
+        "sweep", "--builtin", "diag:0.5,-0.25", "--alphas", "1",
+        "--eps-list", "0.25", "--runs", runs, "--out", str(out_path)])
+    assert rc == 2
+    assert err.startswith("error: runs must be at least 1")
+    assert not out_path.exists()
+
+
 def test_sweep_stdout_header(capsys):
     rc, out, _ = run_cli(capsys, [
         "sweep", "--builtin", "diag:0.5,-0.25", "--alphas", "1",
@@ -207,6 +237,9 @@ def test_sweep_capacity_cells_are_error_rows(capsys, tmp_path):
     rows = read_sweep_csv(out_path)
     assert len(rows) == 1
     assert rows[0].error != ""
+    # the CSV cell carries the builder's message alone, without the report
+    assert rows[0].error == ("no certified step polynomial of degree <= 9 "
+                             "for delta=0.05; eta=0.5")
     assert rows[0].success == 0
     assert rows[0].T == 0
     assert math.isnan(rows[0].mu_hat)

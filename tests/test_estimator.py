@@ -5,21 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from qsvtsim import estimator
 from qsvtsim.chebpoly import StepSpec, verify_bounds
-from qsvtsim.estimator import (THRESHOLD_MIDPOINT, THRESHOLD_SKEWED,
-                               EEInstance, alpha_schedule, decide_ee,
+from qsvtsim.estimator import (EEInstance, alpha_schedule, decide_ee,
                                diag_instance, estimate_ee,
                                hadamard_test_baseline, ipe_baseline,
-                               ipe_step_probability, threshold_for)
+                               threshold_for)
 from qsvtsim.blockenc import HermitianOp
 from qsvtsim.sampler import Outcome, ResourceLedger, RngStream, record_shots
 
 
 def test_threshold_values_at_half():
     assert threshold_for(0.5) == pytest.approx(0.3125, abs=1e-15)
-    assert threshold_for(0.5, THRESHOLD_SKEWED) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        threshold_for(0.5, "nonsense")
 
 
 def test_default_threshold_sits_inside_decision_window():
@@ -30,13 +27,6 @@ def test_default_threshold_sits_inside_decision_window():
             lo = (sched.eta / 2.0) ** 2
             hi = (1.0 - sched.eta / 2.0) ** 2
             assert lo < sched.threshold < hi
-
-
-def test_skewed_threshold_leaves_window_at_large_eta():
-    # the alternative cut is unusable once eta gets close to 1, which is
-    # exactly the regime the larger alphas live in
-    eta = 1.0 - 0.5 * 0.0125 ** 0.5
-    assert threshold_for(eta, THRESHOLD_SKEWED) > (1.0 - eta / 2.0) ** 2
 
 
 def test_schedule_window_and_budget():
@@ -83,6 +73,16 @@ def test_schedule_validation():
         alpha_schedule(0.5, 4.0, 1.0)
     with pytest.raises(ValueError):
         alpha_schedule(0.5, 0.1, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name, args in (("alpha", (bad, 0.1, 1.0)), ("eps", (0.5, bad, 1.0)),
+                           ("gamma", (0.5, 0.1, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                alpha_schedule(*args)
+    # 4*gamma/eps, then the sample count, overflow a float
+    with pytest.raises(ValueError, match="sample count overflows.*gamma=1e\\+308"):
+        alpha_schedule(0.5, 0.1, 1e308)
+    with pytest.raises(ValueError, match="sample count overflows.*eps=1e-300"):
+        alpha_schedule(1.0, 1e-300, 1.0)
 
 
 def test_plateau_separation_identity():
@@ -103,6 +103,14 @@ def test_instance_validation():
         EEInstance(H=h, gamma=1.0, psi=good, true_mu=0.25)
     with pytest.raises(ValueError):
         EEInstance(H=h, gamma=0.4, psi=good, true_mu=0.5)
+    # NaN fails every comparison, so each field is checked for finiteness
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            EEInstance(H=h, gamma=bad, psi=good, true_mu=0.5)
+        with pytest.raises(ValueError, match="true_mu must be finite"):
+            EEInstance(H=h, gamma=1.0, psi=good, true_mu=bad)
+        with pytest.raises(ValueError, match="psi must be finite"):
+            EEInstance(H=h, gamma=1.0, psi=np.array([1.0, bad]), true_mu=0.5)
     inst = EEInstance(H=h, gamma=1.0, psi=good, true_mu=0.5)
     assert inst.true_mu == 0.5
 
@@ -185,20 +193,20 @@ def test_estimate_depth_equals_schedule_degree():
         assert depth == sched.degree
 
 
-def perfect_decider(inst, mu0, sched, stream, ledger):
+def error_free_decide(inst, mu0, sched, stream, ledger, use_statevector=False):
     record_shots(ledger, sched.degree, sched.n_samples)
     return Outcome.RIGHT if inst.true_mu > mu0 else Outcome.LEFT
 
 
-def test_bisection_with_error_free_decisions():
+def test_bisection_with_error_free_decisions(monkeypatch):
     """Noiseless decisions pin the iteration count and the final error."""
+    monkeypatch.setattr(estimator, "decide_ee", error_free_decide)
     rng_mu = np.random.default_rng(13)
     for gamma in (1.0, 2.0):
         for eps in (0.3, 0.25, 0.1, 0.05):
             mu = float(rng_mu.uniform(-0.9, 0.9)) * gamma
             inst = diag_instance([mu, -0.1 * gamma], gamma=gamma)
-            mu_hat, led = estimate_ee(inst, eps, 0.5, RngStream(0, 0),
-                                      decider=perfect_decider)
+            mu_hat, led = estimate_ee(inst, eps, 0.5, RngStream(0, 0))
             sched = alpha_schedule(0.5, eps, gamma)
             iters = led.shots // sched.n_samples
             assert iters == math.ceil(math.log2(2.0 * gamma / eps))
@@ -262,24 +270,6 @@ def test_hadamard_baseline_validation():
         hadamard_test_baseline(1.2, 0.1, RngStream(0, 0))
     with pytest.raises(ValueError):
         hadamard_test_baseline(0.5, 0.0, RngStream(0, 0))
-
-
-def circuit_round_probability(phi, M, theta):
-    """Oracle: simulate the one-ancilla round as explicit 2x2 unitaries."""
-    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    phase = np.diag([1.0, np.exp(1j * (M * phi + theta))])
-    vec = had @ phase @ had @ np.array([1.0, 0.0])
-    return float(np.abs(vec[1]) ** 2)
-
-
-def test_ipe_round_probability_matches_circuit():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        M = 2 ** int(rng.integers(0, 7))
-        theta = float(rng.uniform(-math.pi, math.pi))
-        assert ipe_step_probability(phi, M, theta) == pytest.approx(
-            circuit_round_probability(phi, M, theta), abs=1e-12)
 
 
 def test_ipe_zero_phase():

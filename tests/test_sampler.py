@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from qsvtsim.sampler import (Outcome, ResourceLedger, RngStream,
-                             bernoulli_trials, merge_ledgers, record_shots)
+                             bernoulli_trials, record_shots)
 
 
 def test_stream_is_deterministic():
@@ -80,15 +80,6 @@ def test_ledger_totals_are_order_invariant():
             record_shots(led, depth, n)
         results.add((led.total_queries, led.max_depth, led.shots))
     assert results == {(44, 9, 14)}
-
-
-def test_merge_ledgers():
-    a = record_shots(ResourceLedger(), 4, 2)
-    b = record_shots(ResourceLedger(), 7, 1)
-    m = merge_ledgers(a, b)
-    assert (m.total_queries, m.max_depth, m.shots) == (15, 7, 3)
-    # inputs untouched
-    assert (a.total_queries, b.total_queries) == (8, 7)
 
 
 def test_ledger_rejects_negative():
