@@ -35,6 +35,22 @@ def _check_unitary(u, what):
         raise ValueError(f"{what} is not unitary within tolerance")
 
 
+def _check_hermitian(m, what, tol=HERMITIAN_TOL):
+    if np.max(np.abs(m - m.conj().T)) > tol:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
+
+
+def _as_state(psi, dim, what):
+    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{what} must be finite")
+    if vec.shape[0] != dim:
+        raise ValueError("state dimension does not match operator")
+    if abs(np.linalg.norm(vec) - 1.0) > STATE_TOL:
+        raise ValueError(f"{what} is not normalised within tolerance")
+    return vec
+
+
 def _as_matrix(m):
     arr = np.array(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -58,8 +74,7 @@ class HermitianOp:
         if not np.isfinite(arr).all():
             i, j = np.argwhere(~np.isfinite(arr))[0]
             raise ValueError(f"matrix entry at row {i}, column {j} is not finite: {arr[i, j]}")
-        if np.max(np.abs(arr - arr.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
+        _check_hermitian(arr, "matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -118,8 +133,7 @@ class TransformedOp:
         arr = _as_matrix(self.matrix)
         if self.query_count < 0:
             raise ValueError("query_count must be nonnegative")
-        if np.max(np.abs(arr - arr.conj().T)) > TRANSFORM_HERMITIAN_TOL:
-            raise ValueError("transformed operator is not Hermitian within tolerance")
+        _check_hermitian(arr, "transformed operator", TRANSFORM_HERMITIAN_TOL)
         if np.max(np.abs(np.linalg.eigvalsh(arr))) > 1.0 + RADIUS_TOL:
             raise ValueError("transformed operator has spectral radius above 1")
         arr.setflags(write=False)
@@ -178,12 +192,7 @@ def apply_poly(hp, poly):
 
 def right_probability(top, psi):
     """Probability ||P(H') psi||^2 of the post-transform success outcome."""
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    if vec.shape[0] != top.matrix.shape[0]:
-        raise ValueError("state dimension does not match operator")
-    if abs(np.linalg.norm(vec) - 1.0) > STATE_TOL:
-        raise ValueError("state is not normalised within tolerance")
-    out = top.matrix @ vec
+    out = top.matrix @ _as_state(psi, top.matrix.shape[0], "state")
     p = float(np.real(np.vdot(out, out)))
     return min(max(p, 0.0), 1.0)
 

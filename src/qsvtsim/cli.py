@@ -16,14 +16,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .blockenc import HermitianOp, MatrixFormatError, read_matrix
-from .chebpoly import (CapacityError, StepSpec, build_step_approx,
-                       degree_constant, min_eta_for_degree, to_text,
-                       verify_bounds, write_curve_csv)
+from .blockenc import (DEFAULT_DIM_CAP, HermitianOp, MatrixFormatError,
+                       read_matrix)
+from .chebpoly import (DEFAULT_MAX_DEGREE, CapacityError, StepSpec,
+                       build_step_approx, degree_constant, min_eta_for_degree,
+                       to_text, verify_bounds, write_curve_csv)
 from .estimator import EEInstance, alpha_schedule, estimate_ee
 from .reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
                          PE_TO_AE_TIME_MULT, ae_instance_from_amplitude,
@@ -31,12 +32,14 @@ from .reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
                          pe_to_ae, solve_ae_via_ee)
 from .sampler import RngStream
 
-CSV_HEADER = ("alpha,eps,gamma,seed,run_index,mu_hat,true_mu,abs_error,"
-              "success,T,D,degree,n_samples,iterations,error")
-
 
 def _fmt(x):
     return f"{float(x):.17g}"
+
+
+# (parser, formatter) of a sweep CSV cell, by SweepRow field annotation.
+_CSV_CELLS = {"float": (float, _fmt), "int": (int, str),
+              "str": (str, lambda s: s.replace(",", ";").replace("\n", " "))}
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class SweepConfig:
     eps_list: tuple
     runs: int
     seed: int
-    max_degree: int = 4096
+    max_degree: int = DEFAULT_MAX_DEGREE
 
     def __post_init__(self):
         if self.runs < 1:
@@ -71,26 +74,20 @@ class SweepRow:
     error: str = ""
 
     def to_csv_line(self):
-        parts = [_fmt(self.alpha), _fmt(self.eps), _fmt(self.gamma),
-                 str(self.seed), str(self.run_index), _fmt(self.mu_hat),
-                 _fmt(self.true_mu), _fmt(self.abs_error), str(self.success),
-                 str(self.T), str(self.D), str(self.degree),
-                 str(self.n_samples), str(self.iterations),
-                 self.error.replace(",", ";").replace("\n", " ")]
-        return ",".join(parts)
+        return ",".join(_CSV_CELLS[f.type][1](getattr(self, f.name))
+                        for f in fields(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def row_from_csv_line(line):
     parts = line.rstrip("\n").split(",")
-    if len(parts) != 15:
-        raise ValueError(f"expected 15 fields, got {len(parts)}")
-    return SweepRow(alpha=float(parts[0]), eps=float(parts[1]),
-                    gamma=float(parts[2]), seed=int(parts[3]),
-                    run_index=int(parts[4]), mu_hat=float(parts[5]),
-                    true_mu=float(parts[6]), abs_error=float(parts[7]),
-                    success=int(parts[8]), T=int(parts[9]), D=int(parts[10]),
-                    degree=int(parts[11]), n_samples=int(parts[12]),
-                    iterations=int(parts[13]), error=parts[14])
+    cols = fields(SweepRow)
+    if len(parts) != len(cols):
+        raise ValueError(f"expected {len(cols)} fields, got {len(parts)}")
+    return SweepRow(**{f.name: _CSV_CELLS[f.type][0](part)
+                       for f, part in zip(cols, parts)})
 
 
 def read_sweep_csv(path):
@@ -320,6 +317,8 @@ def cmd_reduce(args):
         if not 0.0 <= args.phi <= math.pi:
             raise ValueError("--phi must lie in [0, pi] (the reduction "
                              "recovers phases on that branch)")
+        if not 1 <= args.dim <= DEFAULT_DIM_CAP // 2:  # the EE operator is 2 * dim
+            raise ValueError(f"--dim must lie in [1, {DEFAULT_DIM_CAP // 2}]")
         pe = pe_instance_from_phase(args.phi, dim=args.dim)
         ae, recover_phase = pe_to_ae(pe)
         p_hat, ledger = solve_ae_via_ee(ae, args.eps, args.alpha, rng,
@@ -376,7 +375,7 @@ def build_parser():
     p_poly.add_argument("--degree", nargs="+",
                         help="report minimal eta at these degrees instead "
                              "(space or comma separated)")
-    p_poly.add_argument("--max-degree", type=int, default=4096)
+    p_poly.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     p_poly.add_argument("--emit", help="write x,P(x) samples to this CSV")
     p_poly.add_argument("--save", help="write coefficients to this file")
     p_poly.set_defaults(func=cmd_poly)
@@ -393,7 +392,7 @@ def build_parser():
     p_est.add_argument("--eps", type=float, required=True)
     p_est.add_argument("--alpha", type=float, required=True)
     p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--max-degree", type=int, default=4096)
+    p_est.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     p_est.set_defaults(func=cmd_estimate)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs, CSV output")
@@ -403,7 +402,7 @@ def build_parser():
     p_sweep.add_argument("--runs", type=int, default=1)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", default="-", help="CSV path, - for stdout")
-    p_sweep.add_argument("--max-degree", type=int, default=4096)
+    p_sweep.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fit = sub.add_parser("fit", help="slope report for a sweep CSV")
@@ -418,7 +417,7 @@ def build_parser():
     p_red.add_argument("--eps", type=float, required=True)
     p_red.add_argument("--alpha", type=float, required=True)
     p_red.add_argument("--seed", type=int, default=0)
-    p_red.add_argument("--max-degree", type=int, default=4096)
+    p_red.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     p_red.set_defaults(func=cmd_reduce)
 
     return parser

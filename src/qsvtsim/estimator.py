@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import (STATE_TOL, HermitianOp, apply_poly, right_probability,
-                       shift_and_scale)
-from .chebpoly import StepSpec, build_step_approx
+from .blockenc import (STATE_TOL, HermitianOp, _as_state, apply_poly,
+                       right_probability, shift_and_scale)
+from .chebpoly import DEFAULT_MAX_DEGREE, StepSpec, build_step_approx
 from .sampler import Outcome, ResourceLedger, bernoulli_trials, record_shots
 
 
@@ -56,7 +56,7 @@ def threshold_for(eta):
     return 0.5 * (1.0 - eta + 0.5 * eta * eta)
 
 
-def alpha_schedule(alpha, eps, gamma, max_degree=4096):
+def alpha_schedule(alpha, eps, gamma, max_degree=DEFAULT_MAX_DEGREE):
     """Build the schedule: window, budget, polynomial, samples, threshold.
 
     delta = eps/(4 gamma), eta = 1 - (1/2) delta^alpha, and the per-decision
@@ -95,13 +95,7 @@ class EEInstance:
 
     def __post_init__(self):
         _check_finite(gamma=self.gamma, true_mu=self.true_mu)
-        vec = np.asarray(self.psi, dtype=complex).reshape(-1)
-        if not np.isfinite(vec).all():
-            raise ValueError("psi must be finite")
-        if vec.shape[0] != self.H.dim:
-            raise ValueError("state dimension does not match operator")
-        if abs(np.linalg.norm(vec) - 1.0) > STATE_TOL:
-            raise ValueError("psi is not normalised within tolerance")
+        vec = _as_state(self.psi, self.H.dim, "psi")
         if self.gamma <= 0 or self.H.spectral_norm() > self.gamma * (1.0 + 1e-12):
             raise ValueError("gamma must bound the spectral norm")
         resid = self.H.matrix @ vec - self.true_mu * vec
@@ -165,7 +159,7 @@ def decide_ee(inst, mu0, sched, rng, ledger, use_statevector=False):
     return Outcome.RIGHT if hits / sched.n_samples > sched.threshold else Outcome.LEFT
 
 
-def estimate_ee(inst, eps, alpha, rng, *, max_degree=4096,
+def estimate_ee(inst, eps, alpha, rng, *, max_degree=DEFAULT_MAX_DEGREE,
                 use_statevector=False):
     """Binary search for the eigenvalue of inst.psi to precision ~eps.
 

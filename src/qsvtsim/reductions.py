@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockenc import STATE_TOL, BlockEncoding, HermitianOp, _check_unitary
+from .blockenc import (HERMITIAN_TOL, STATE_TOL, BlockEncoding, HermitianOp,
+                       _check_hermitian, _check_unitary)
 from .estimator import EEInstance, estimate_ee
 from .sampler import ResourceLedger
-
-PROJECTOR_TOL = 1e-12
 
 # Cost multipliers attached by the reductions, in units of the source
 # problem's oracle calls.  One A application consumes one state-prep
@@ -79,8 +78,8 @@ class AEInstance:
         proj = np.array(self.good_projector, dtype=complex)
         orac = np.array(self.oracle_OA, dtype=complex)
         _check_unitary(a, "A")
-        if np.max(np.abs(proj @ proj - proj)) > PROJECTOR_TOL \
-                or np.max(np.abs(proj - proj.conj().T)) > PROJECTOR_TOL:
+        _check_hermitian(proj, "good_projector")
+        if np.max(np.abs(proj @ proj - proj)) > HERMITIAN_TOL:
             raise ValueError("good_projector is not an orthogonal projector")
         eye = np.eye(proj.shape[0])
         if np.max(np.abs(orac - (eye - 2.0 * proj))) > STATE_TOL:

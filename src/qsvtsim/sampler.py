@@ -30,8 +30,8 @@ class RngStream:
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        self._gen = np.random.Generator(
-            np.random.Philox(key=[self.seed, self.stream_id]))
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     @property
     def generator(self):

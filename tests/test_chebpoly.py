@@ -7,6 +7,7 @@ multiplication) so the two code paths share no arithmetic.
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsvtsim import chebpoly
+from qsvtsim.blockenc import HermitianOp, apply_poly
 from qsvtsim.chebpoly import (CapacityError, ChebPoly, StepSpec,
                               build_step_approx, degree_constant,
                               min_eta_for_degree, to_text, verify_bounds,
                               write_curve_csv)
+from qsvtsim.estimator import alpha_schedule
 
 
 def power_basis(cheb_coeffs):
@@ -89,9 +92,47 @@ def test_parity_classification():
     assert ChebPoly.from_coeffs([1.0]).parity == "even"
 
 
-def test_box_bound_enforced_on_construction():
-    with pytest.raises(ValueError):
-        ChebPoly.from_coeffs([0.0, 1.2])
+def test_box_bound_certified_not_enforced_on_construction():
+    poly = ChebPoly.from_coeffs([0.0, 1.2])
+    report = verify_bounds(poly, StepSpec(0.2, 0.5))
+    assert report.max_abs_excess == pytest.approx(0.2)
+    assert not report.passes
+    h = HermitianOp.from_matrix(np.diag([1.0, -0.5]))
+    with pytest.raises(ValueError, match="spectral radius above 1"):
+        apply_poly(h, poly)
+
+
+def test_candidates_are_evaluated_once_before_certification(monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(chebpoly, "_clenshaw_split",
+                        counted("evals", chebpoly._clenshaw_split))
+    ChebPoly.from_coeffs([0.5, 0.5])
+    ChebPoly.from_coeffs([0.0, 1.2])
+    assert counts["evals"] == 0
+
+    verify = chebpoly.verify_bounds
+
+    def verify_counted(poly, spec):
+        before = counts["evals"]
+        report = verify(poly, spec)
+        counts["certify_evals"] += counts["evals"] - before
+        return report
+
+    monkeypatch.setattr(chebpoly, "verify_bounds", verify_counted)
+    monkeypatch.setattr(chebpoly, "_step_from_odd",
+                        counted("candidates", chebpoly._step_from_odd))
+    chebpoly._build_cached.cache_clear()
+    chebpoly._lp_minimax.cache_clear()
+    alpha_schedule(0.5, 0.05, 1.0)
+    assert counts["candidates"] > 0
+    assert counts["evals"] == counts["candidates"] + counts["certify_evals"]
 
 
 def test_eval_outside_domain_rejected():

@@ -2,11 +2,14 @@
 
 import hashlib
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsvtsim.cli import (CSV_HEADER, SweepRow, main, read_sweep_csv,
-                         write_sweep_csv)
+                         row_from_csv_line, write_sweep_csv)
 
 
 def run_cli(capsys, argv):
@@ -224,6 +227,22 @@ def test_sweep_stdout_header(capsys):
         "--eps-list", "0.25", "--runs", "1", "--out", "-"])
     assert rc == 0
     assert out.splitlines()[0] == CSV_HEADER
+    assert CSV_HEADER == ("alpha,eps,gamma,seed,run_index,mu_hat,true_mu,"
+                          "abs_error,success,T,D,degree,n_samples,iterations,"
+                          "error")
+
+
+_CELLS = {"float": st.floats(), "int": st.integers(),
+          "str": st.text(st.characters() | st.sampled_from(",\n"))}
+
+
+@given(st.builds(SweepRow, **{f.name: _CELLS[f.type] for f in fields(SweepRow)}))
+@example(SweepRow(0.5, 0.1, 1.0, -3, 0, math.nan, 0.5, math.nan, 0, 0, 0, 0,
+                  0, 0, "no polynomial,\nfor delta=0.05, eta=0.5\n"))
+@settings(max_examples=200, deadline=None)
+def test_csv_line_round_trip(row):
+    line = row.to_csv_line()
+    assert row_from_csv_line(line).to_csv_line() == line
 
 
 def test_sweep_capacity_cells_are_error_rows(capsys, tmp_path):
@@ -338,6 +357,15 @@ def test_reduce_pe_rejects_phase_past_pi(capsys):
         "reduce", "pe", "--phi", "3.5", "--eps", "0.05", "--alpha", "0.5"])
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("dim", ["33", "65"])
+def test_reduce_pe_rejects_dim_beyond_cap(capsys, dim):
+    rc, _, err = run_cli(capsys, [
+        "reduce", "pe", "--phi", "1.0", "--dim", dim, "--eps", "0.05",
+        "--alpha", "0.5"])
+    assert rc == 2
+    assert err == "error: --dim must lie in [1, 32]\n"
 
 
 def test_reduce_missing_arguments(capsys):

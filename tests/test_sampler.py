@@ -1,6 +1,7 @@
 """Random stream determinism and resource ledger accounting."""
 
 import itertools
+import warnings
 
 import pytest
 
@@ -27,6 +28,14 @@ def test_child_offsets_stream_id():
 def test_distinct_streams_disagree():
     draws = {RngStream(9, sid).generator.integers(2**40) for sid in range(8)}
     assert len(draws) == 8
+
+
+def test_seeds_past_2_63_get_their_own_streams():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((-1, 0), (2**63, 2**63 + 7)):
+            assert RngStream(a, 0).generator.integers(2**62) \
+                != RngStream(b, 0).generator.integers(2**62)
 
 
 def test_bernoulli_frozen_count():
