@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from scipy.optimize import linprog
-from scipy.special import erf, erfcinv
+from scipy.special import erfcinv, ive
 
 # Certification tolerance applied to every bound violation.
 GRID_TOL = 1e-9
@@ -284,10 +284,40 @@ class _Search:
 
 
 def _erf_odd_coeffs(k, n_terms):
-    """Chebyshev coefficients of erf(k x) up to degree n_terms."""
-    coeffs = npcheb.chebinterpolate(lambda x: erf(k * x), n_terms)
-    coeffs[0::2] = 0.0  # erf is odd; the even terms are rounding dust
+    """Chebyshev coefficients c_0 .. c_{n_terms} of erf(k x), in closed form.
+
+    The Low-Chuang expansion (arXiv:1707.05391) gives, with z = k^2/2,
+    c_{2m+1} = (2k/sqrt(pi)) (-1)^m (e^{-z} I_m(z) + e^{-z} I_{m+1}(z)) / (2m+1)
+    and c_{2m} = 0.  scipy's ive is e^{-z} I_m(z) itself, so nothing
+    overflows, and the work and memory are O(n_terms).
+    """
+    m = np.arange((n_terms + 1) // 2)
+    scaled = ive(np.arange(m.size + 1), 0.5 * k * k)  # e^{-z} I_j(z), j <= m.size
+    sign = np.where(m % 2, -1.0, 1.0)
+    coeffs = np.zeros(n_terms + 1)
+    coeffs[1::2] = 2.0 * k / math.sqrt(math.pi) * sign * (scaled[:-1] + scaled[1:]) / (2 * m + 1)
     return coeffs
+
+
+def _gallop_down(search, coeffs, hi):
+    """Search below the certified odd truncation degree hi for a smaller one.
+
+    Steps down by 2, 4, 8, ... from the last pass until a truncation fails
+    or the degree would drop below 1, then bisects the odd degrees between
+    the last failure and the last pass.  search keeps the smallest pass.
+    """
+    lo, step = -1, 2  # -1: no failure seen, so degree 1 is still open
+    while hi - step >= 1:
+        if not search.try_odd(coeffs[:hi - step + 1]):
+            lo = hi - step
+            break
+        hi, step = hi - step, 2 * step
+    while hi - lo > 2:
+        mid = lo + 2 * ((hi - lo) // 4)
+        if search.try_odd(coeffs[:mid + 1]):
+            hi = mid
+        else:
+            lo = mid
 
 
 def _erf_path(search, limit):
@@ -295,14 +325,16 @@ def _erf_path(search, limit):
 
     For each k the plateau already loses erfc(k*delta), so the Chebyshev
     tail of the truncation must fit in the remaining eta budget; the tail
-    sums give a sharp starting degree which a short certification walk
-    then refines.
+    sums give a starting degree, about 1.6x too high, which a galloping
+    certification search then lowers.
     """
     spec = search.spec
     delta, eta = spec.delta, spec.eta
-    for frac in np.geomspace(0.98, 1e-6, 24):
+    for frac in np.geomspace(0.98, 1e-6, 24).tolist():
         plateau_err = eta * frac
         budget = eta - plateau_err
+        if budget <= 0.0:  # a subnormal eta: eta * frac rounds back to eta
+            continue
         k = float(erfcinv(plateau_err)) / delta
         rough = 2.0 * k * math.sqrt(max(math.log(4.0 / budget), 1.0))
         cap = limit if search.best_degree is None else min(limit, search.best_degree - 2)
@@ -321,9 +353,7 @@ def _erf_path(search, limit):
         if d0 > cap:
             continue
         if search.try_odd(coeffs[:d0 + 1]):
-            d = d0
-            while d - 2 >= 1 and search.try_odd(coeffs[:d - 1]):
-                d -= 2
+            _gallop_down(search, coeffs, d0)
         else:
             for d in (d0 + 2, d0 + 4):
                 if d <= cap and search.try_odd(coeffs[:d + 1]):

@@ -146,14 +146,22 @@ def fit_slopes(rows):
 
     T is first divided by ceil(log2(4 gamma / eps)) squared to strip the
     logarithmic factors from the sample schedule and the bisection count.
-    Only completed rows contribute.  Returns a dict mapping alpha to
-    (t_slope, d_slope, t_resid, d_resid, n_eps) where the residuals are the
-    largest absolute deviations from the fitted lines.
+    Only completed rows contribute; each needs 0 < eps < 4 gamma with a
+    finite 4 gamma/eps, and 1 <= D <= T <= the largest float, else
+    ValueError.  Returns a dict mapping alpha to (t_slope, d_slope,
+    t_resid, d_resid, n_eps) where the residuals are the largest absolute
+    deviations from the fitted lines.
     """
     groups = {}
     for row in rows:
         if row.error:
             continue
+        ratio = 4.0 * row.gamma / row.eps if row.eps > 0.0 else 0.0
+        if not (1.0 < ratio < math.inf and 1 <= row.D <= row.T <= sys.float_info.max):
+            raise ValueError(
+                f"sweep row alpha={row.alpha}, eps={row.eps}: fit needs "
+                f"0 < eps < 4*gamma, a finite 4*gamma/eps and "
+                f"1 <= D <= T <= {sys.float_info.max:.3g}")
         groups.setdefault(row.alpha, {}).setdefault(row.eps, []).append(row)
 
     def regress(xs, ys):
@@ -219,11 +227,15 @@ def _instance_from_args(args):
 
 def _parse_degree_list(tokens):
     out = []
-    for tok in tokens:
-        for part in tok.split(","):
-            if part:
-                out.append(int(part))
-    if not out or any(d < 1 for d in out):
+    for part in filter(None, ",".join(tokens).split(",")):
+        try:
+            degree = int(part)
+        except ValueError:
+            degree = 0
+        if degree < 1:
+            raise ValueError(f"--degree wants positive integers, got {part!r}")
+        out.append(degree)
+    if not out:
         raise ValueError("--degree wants positive integers")
     return out
 
@@ -292,7 +304,7 @@ def cmd_sweep(args):
             write_sweep_csv(rows, fh)
     failed = sum(1 for r in rows if r.error)
     if failed:
-        print(f"{failed} of {len(rows)} cells hit builder capacity",
+        print(f"capacity: {failed} of {len(rows)} cells hit builder capacity",
               file=sys.stderr)
         return 1
     return 0

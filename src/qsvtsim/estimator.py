@@ -19,7 +19,8 @@ import numpy as np
 from .blockenc import (STATE_TOL, HermitianOp, _as_state, apply_poly,
                        right_probability, shift_and_scale)
 from .chebpoly import DEFAULT_MAX_DEGREE, StepSpec, build_step_approx
-from .sampler import Outcome, ResourceLedger, bernoulli_trials, record_shots
+from .sampler import (MAX_TRIALS, Outcome, ResourceLedger, bernoulli_trials,
+                      record_shots)
 
 
 def _check_finite(**values):
@@ -61,7 +62,8 @@ def alpha_schedule(alpha, eps, gamma, max_degree=DEFAULT_MAX_DEGREE):
 
     delta = eps/(4 gamma), eta = 1 - (1/2) delta^alpha, and the per-decision
     sample count is ceil(20 * (4 gamma/eps)^(2 alpha) * ceil(log2(4 gamma/eps))).
-    Requires eps < 4 gamma (delta < 1) and a sample count that fits a float.
+    Requires eps < 4 gamma (delta < 1) and a sample count of at most
+    MAX_TRIALS, the most one binomial draw takes.
     """
     _check_finite(alpha=alpha, eps=eps, gamma=gamma)
     if not 0.0 <= alpha <= 1.0:
@@ -76,8 +78,10 @@ def alpha_schedule(alpha, eps, gamma, max_degree=DEFAULT_MAX_DEGREE):
     try:
         n_samples = math.ceil(20.0 * ratio ** (2.0 * alpha) * math.ceil(math.log2(ratio)))
     except OverflowError:  # ratio itself may already be inf
-        raise ValueError(f"the sample count overflows a float at gamma={gamma}, "
-                         f"eps={eps}, alpha={alpha}") from None
+        n_samples = math.inf
+    if n_samples > MAX_TRIALS:
+        raise ValueError(f"the sample count overflows the sampler's 2**63 - 1 at "
+                         f"gamma={gamma}, eps={eps}, alpha={alpha}")
     poly = build_step_approx(StepSpec(delta, eta), max_degree)
     return AlphaSchedule(alpha=alpha, eps=eps, gamma=gamma, delta=delta,
                          eta=eta, n_samples=n_samples,

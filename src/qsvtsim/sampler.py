@@ -15,6 +15,8 @@ from enum import Enum
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# numpy's binomial takes its trial count as a signed 64-bit integer.
+MAX_TRIALS = (1 << 63) - 1
 
 
 class Outcome(Enum):

@@ -7,12 +7,15 @@ multiplication) so the two code paths share no arithmetic.
 
 import math
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as npcheb
+from scipy.special import erf
 
 from qsvtsim import chebpoly
 from qsvtsim.blockenc import HermitianOp, apply_poly
@@ -263,6 +266,70 @@ def test_capacity_error_carries_report():
         build_step_approx(StepSpec(0.05, 0.02), max_degree=15)
     assert info.value.report is not None
     assert not info.value.report.passes
+
+
+def erf_terms(k):
+    """The series length the builder's erf path uses at steepness k."""
+    return max(int(math.ceil(12.2 * k)) + 96, 192)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.floats(0.5, 25.0), st.floats(0.5, 400.0)))
+def test_erf_closed_form_matches_erf_and_interpolation(k):
+    n_terms = erf_terms(k)
+    coeffs = chebpoly._erf_odd_coeffs(k, n_terms)
+    assert coeffs.shape == (n_terms + 1,)
+    assert not coeffs[0::2].any()
+    xs = np.linspace(-1.0, 1.0, 20_001)
+    assert np.max(np.abs(npcheb.chebval(xs, coeffs) - erf(k * xs))) <= 1e-13
+    if n_terms <= 400:  # the (n+1)^2 interpolation oracle stays under 1.3 MB
+        oracle = npcheb.chebinterpolate(lambda x: erf(k * x), n_terms)
+        assert np.max(np.abs(coeffs[1::2] - oracle[1::2])) <= 1e-12
+
+
+def test_erf_coefficients_take_linear_memory():
+    tracemalloc.start()
+    try:
+        chebpoly._erf_odd_coeffs(300.0, 3756)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_high_degree_builds_are_small_and_search_short(monkeypatch):
+    """alpha = 0 steps of degree 675 and 1349, with the memory bound first:
+    a build that regresses to a quadratic-memory construction fails it at
+    a few hundred MB, before the larger build could ask for gigabytes."""
+    chebpoly._build_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        sched = alpha_schedule(0.0, 0.00625, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert sched.degree == 675
+
+    calls = []
+    verify = chebpoly.verify_bounds
+
+    def counting(poly, spec):
+        calls.append(poly.degree)
+        return verify(poly, spec)
+
+    monkeypatch.setattr(chebpoly, "verify_bounds", counting)
+    chebpoly._build_cached.cache_clear()
+    assert alpha_schedule(0.0, 0.003125, 1.0).degree == 1349
+    assert len(calls) <= 40
+
+
+def test_subnormal_eta_ends_in_capacity_without_warnings():
+    # eta * frac rounds back to eta, leaving the erf path no budget; the
+    # suite turns any RuntimeWarning from the division into an error
+    for delta, eta in ((5e-324, 5e-324), (2.5e-310, 2.5e-310)):
+        with pytest.raises(CapacityError):
+            build_step_approx(StepSpec(delta, eta), max_degree=25)
 
 
 def test_min_eta_degree_one_boundary():

@@ -2,10 +2,15 @@
 
 import hashlib
 import math
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qsvtsim.cli import (CSV_HEADER, SweepRow, main, read_sweep_csv,
@@ -62,6 +67,16 @@ def test_poly_min_eta_mode(capsys):
         "degree 15 min_eta 0.038146973579956056",
         "degree 21 min_eta 0.0099487314488525408",
     ]
+
+
+@pytest.mark.parametrize("degrees, bad", [
+    ("nan", "nan"), ("3,0", "0"), ("-1", "-1"), ("1e308", "1e308"), ("3,x,7", "x"),
+])
+def test_poly_degree_list_names_the_bad_token(capsys, degrees, bad):
+    rc, out, err = run_cli(capsys, ["poly", "--delta", "0.2", "--degree", degrees])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --degree wants positive integers, got {bad!r}\n"
 
 
 def test_poly_needs_eta_or_degree(capsys):
@@ -151,7 +166,9 @@ def test_estimate_rejects_non_finite_matrix(capsys, tmp_path, source):
     (["--gamma", "nan", "--eps", "0.1", "--alpha", "0.5"], "gamma must be finite"),
     (["--gamma", "inf", "--eps", "0.1", "--alpha", "0.5"], "gamma must be finite"),
     (["--eps", "nan", "--alpha", "0.5"], "eps must be finite"),
-], ids=["gamma-1e308", "eps-1e-300", "gamma-nan", "gamma-inf", "eps-nan"])
+    (["--eps", "1e-15", "--alpha", "1"], "2**63 - 1 at gamma=1.0, eps=1e-15"),
+], ids=["gamma-1e308", "eps-1e-300", "gamma-nan", "gamma-inf", "eps-nan",
+        "samples-past-int64"])
 def test_estimate_rejects_extreme_floats(capsys, args, names):
     rc, _, err = run_cli(capsys, ["estimate", "--builtin", "diag:0.5,0.2", *args])
     assert rc == 2
@@ -252,7 +269,7 @@ def test_sweep_capacity_cells_are_error_rows(capsys, tmp_path):
         "--eps-list", "0.2", "--runs", "1", "--max-degree", "9",
         "--out", str(out_path)])
     assert rc == 1
-    assert "capacity" in err
+    assert err == "capacity: 1 of 1 cells hit builder capacity\n"
     rows = read_sweep_csv(out_path)
     assert len(rows) == 1
     assert rows[0].error != ""
@@ -297,6 +314,22 @@ def test_fit_needs_three_eps(capsys, tmp_path):
     rc, _, err = run_cli(capsys, ["fit", str(out_path)])
     assert rc == 2
     assert "3 distinct eps" in err
+
+
+@pytest.mark.parametrize("eps, gamma, T, D", [
+    ("0.1", "inf", "10", "1"), ("5e-324", "1e308", "10", "1"), ("8", "1", "10", "1"),
+    ("0.1", "nan", "10", "1"), ("0.1", "1", "0", "1"), ("0.1", "1", "10", "0"),
+    ("0.1", "1", "1", "2"), ("0.1", "1", str(10**400), "1"),
+], ids=["gamma-inf", "ratio-inf", "eps-past-4gamma", "gamma-nan", "T-0", "D-0",
+        "D-above-T", "T-past-float"])
+def test_fit_rejects_rows_it_cannot_take_logs_of(capsys, tmp_path, eps, gamma, T, D):
+    path = tmp_path / "bad.csv"
+    good = [f"0.5,{e},1,0,0,0.1,0.1,0,1,10,1,1,1,1," for e in ("0.05", "0.025")]
+    bad = f"0.5,{eps},{gamma},0,0,0.1,0.1,0,1,{T},{D},1,1,1,"
+    path.write_text("\n".join([CSV_HEADER, bad, *good]) + "\n")
+    rc, _, err = run_cli(capsys, ["fit", str(path)])
+    assert rc == 2
+    assert err.startswith(f"error: sweep row alpha=0.5, eps={float(eps)!r}: fit needs")
 
 
 def test_fit_endpoint_alphas_on_real_sweep(capsys, tmp_path):
@@ -375,3 +408,118 @@ def test_reduce_missing_arguments(capsys):
     rc, _, err = run_cli(capsys, [
         "reduce", "ae", "--eps", "0.05", "--alpha", "0.5"])
     assert rc == 2
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_estimate_far_past_capacity_exits_one_in_small_memory():
+    """eps = 0.00078125 at alpha = 0 is valid input that no step of degree
+    <= 4096 meets.  Its first erf step has k ~ 2,507, whose series an
+    (n+1)^2 interpolation matrix would hold in about 7.5 GB; the child runs
+    under a 3 GiB address-space cap, so such a regression fails fast."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys; from qsvtsim.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "estimate", "--builtin", "diag:0.5,-0.25",
+         "--eps", "0.00078125", "--alpha", "0"],
+        preexec_fn=_cap_address_space, env=env, capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("capacity: no certified step polynomial "
+                                  "of degree <= 4096")
+    assert "Traceback" not in proc.stderr
+
+
+# argv fuzzing: extreme floats everywhere, small integers where a large one
+# only costs time, --max-degree <= 64 and --degree <= 7 so that every
+# example stays cheap, and files only under tmp_path.
+_EXTREME = ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "-1e308",
+            "1e-308", "5e-324", "2.5e-310", "-1e-300"]
+_FLOAT = st.one_of(st.sampled_from(_EXTREME),
+                   st.floats(-1.5, 1.5).map(repr))
+_SEED = st.one_of(st.integers(-2**70, 2**70), st.integers(-3, 3)).map(str)
+_MAX_DEGREE = ["--max-degree", st.integers(-2, 64).map(str)]
+
+
+def _argv(*parts):
+    """An argv strategy from literal strings, strategies and lists of them."""
+    return st.tuples(*[_argv(*p) if isinstance(p, list) else
+                       p if isinstance(p, st.SearchStrategy) else st.just(p)
+                       for p in parts]).map(_flatten)
+
+
+def _flatten(parts):
+    out = []
+    for p in parts:
+        out.extend(_flatten(p) if isinstance(p, (list, tuple)) else [p])
+    return out
+
+
+def _maybe(*parts):
+    return st.one_of(st.just([]), _argv(*parts))
+
+
+def _instance(tmp):
+    diag = st.lists(_FLOAT, min_size=1, max_size=3).map(
+        lambda vs: "diag:" + ",".join(vs))
+    source = st.one_of(_argv("--builtin", diag),
+                       st.just(["--matrix", str(tmp / "missing.mat")]))
+    return _argv(source, _maybe("--gamma", _FLOAT),
+                 _maybe("--eig-index", st.integers(-2, 3).map(str)))
+
+
+def _commands(tmp):
+    degree = st.lists(st.one_of(st.integers(-1, 7).map(str),
+                                st.sampled_from(["nan", "inf", "1e308", ""])),
+                      min_size=1, max_size=3).map(",".join)
+    poly = _argv("poly", "--delta", _FLOAT,
+                 st.one_of(_argv("--eta", _FLOAT), _argv("--degree", degree),
+                           st.just([])),
+                 _MAX_DEGREE, _maybe("--emit", str(tmp / "curve.csv")),
+                 _maybe("--save", str(tmp / "poly.txt")))
+    estimate = _argv("estimate", _instance(tmp), "--eps", _FLOAT,
+                     "--alpha", _FLOAT, _maybe("--seed", _SEED), _MAX_DEGREE)
+    sweep = _argv("sweep", _instance(tmp),
+                  "--alphas", st.lists(_FLOAT, min_size=1, max_size=2),
+                  "--eps-list", st.lists(_FLOAT, min_size=1, max_size=3),
+                  "--runs", st.integers(-1, 2).map(str), _maybe("--seed", _SEED),
+                  "--out", st.sampled_from(["-", str(tmp / "sweep.csv")]),
+                  _MAX_DEGREE)
+    cell = st.one_of(_FLOAT, st.integers(0, 2**1100).map(str))
+    row = st.lists(cell, min_size=len(fields(SweepRow)),
+                   max_size=len(fields(SweepRow))).map(",".join)
+    fit_csv = st.lists(row, max_size=4).map(
+        lambda rows: "\n".join([CSV_HEADER, *rows]) + "\n")
+    reduce = _argv("reduce", st.sampled_from(["pe", "ae"]),
+                   _maybe("--phi", _FLOAT), _maybe("--amp", _FLOAT),
+                   _maybe("--dim", st.integers(-1, 40).map(str)),
+                   "--eps", _FLOAT, "--alpha", _FLOAT, _maybe("--seed", _SEED),
+                   _MAX_DEGREE)
+    return st.one_of(poly, estimate, sweep,
+                     st.tuples(st.just(["fit", str(tmp / "fit.csv")]), fit_csv),
+                     reduce)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_argv_fuzz_exits_cleanly(capsys, tmp_path, data):
+    drawn = data.draw(_commands(tmp_path))
+    if isinstance(drawn, tuple):  # fit: write the CSV first
+        argv, text = drawn
+        (tmp_path / "fit.csv").write_text(text)
+    else:
+        argv = drawn
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    if rc:
+        assert any(line.startswith(("error:", "capacity:", "usage:"))
+                   for line in err.splitlines()), err

@@ -83,6 +83,9 @@ def test_schedule_validation():
         alpha_schedule(0.5, 0.1, 1e308)
     with pytest.raises(ValueError, match="sample count overflows.*eps=1e-300"):
         alpha_schedule(1.0, 1e-300, 1.0)
+    # a finite count past what one binomial draw takes
+    with pytest.raises(ValueError, match="sample count overflows.*2\\*\\*63 - 1.*eps=1e-15"):
+        alpha_schedule(1.0, 1e-15, 1.0)
 
 
 def test_plateau_separation_identity():
