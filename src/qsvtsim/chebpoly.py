@@ -365,8 +365,18 @@ def _lp_minimax(delta, degree):
     """Discrete minimax fit of an odd polynomial on a Chebyshev-refined grid.
 
     Minimises the worst plateau shortfall t = max(1 - q) on [delta, 1]
-    subject to |q| <= 1 on [0, 1]; returns the immutable pair
-    (t*, coeffs), or None when the solver fails.
+    subject to |q| <= 1 - 1e-9 on [0, 1], over every point of the grid
+    below; returns the immutable pair (t*, coeffs), or None when the solver
+    fails.
+
+    Only about one row per coefficient is active at the optimum, so the LP
+    is solved by constraint generation on that same grid.  Each round
+    solves it on a working set of grid points, evaluates the fit on the
+    whole grid and adds the points that violate a row the most.  A
+    working-set LP keeps a subset of the full LP's rows, so it relaxes the
+    full LP: once its optimum violates no row at any grid point, that
+    optimum is feasible for the full LP and so optimal for it.  Every round
+    adds at least one new point of a finite grid, so the loop ends.
     """
     xs = np.unique(np.concatenate([
         np.linspace(0.0, 1.0, 2501),
@@ -377,27 +387,36 @@ def _lp_minimax(delta, degree):
     vander = npcheb.chebvander(xs, degree)[:, 1::2]
     n_var = vander.shape[1]
     plateau = xs >= delta
-    vp = vander[plateau]
-
-    rows = []
-    rhs = []
-    # 1 - q(x) <= t on the plateau
-    rows.append(np.hstack([-vp, -np.ones((vp.shape[0], 1))]))
-    rhs.append(np.full(vp.shape[0], -1.0))
-    # |q(x)| <= 1 - margin everywhere on [0, 1]
     box = 1.0 - 1e-9
-    rows.append(np.hstack([vander, np.zeros((vander.shape[0], 1))]))
-    rhs.append(np.full(vander.shape[0], box))
-    rows.append(np.hstack([-vander, np.zeros((vander.shape[0], 1))]))
-    rhs.append(np.full(vander.shape[0], box))
-
     cost = np.zeros(n_var + 1)
     cost[-1] = 1.0
     bounds = [(None, None)] * n_var + [(0.0, None)]
-    res = linprog(cost, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                  bounds=bounds, method="highs")
-    if not res.success:
-        return None
+    # Start from evenly spaced points plus the plateau's inner edge.
+    working = np.zeros(xs.size, dtype=bool)
+    working[np.linspace(0, xs.size - 1, 8 * n_var + 8).astype(int)] = True
+    working[np.searchsorted(xs, delta)] = True
+    while True:
+        vp = vander[working & plateau]
+        vw = vander[working]
+        zeros = np.zeros((vw.shape[0], 1))
+        # 1 - q(x) <= t on the plateau, |q(x)| <= 1 - margin on [0, 1]
+        a_ub = np.vstack([np.hstack([-vp, -np.ones((vp.shape[0], 1))]),
+                          np.hstack([vw, zeros]), np.hstack([-vw, zeros])])
+        b_ub = np.concatenate([np.full(vp.shape[0], -1.0),
+                               np.full(2 * vw.shape[0], box)])
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        if not res.success:
+            return None
+        q = vander @ res.x[:n_var]
+        excess = np.abs(q) - box
+        excess[plateau] = np.maximum(excess[plateau], 1.0 - q[plateau] - res.x[-1])
+        excess[working] = 0.0
+        new = np.flatnonzero(excess > 0.0)
+        if new.size == 0:
+            break
+        if new.size > 4 * n_var:
+            new = new[np.argpartition(excess[new], -4 * n_var)[-4 * n_var:]]
+        working[new] = True
     full = np.zeros(degree + 1)
     full[1::2] = res.x[:n_var]
     return float(res.fun), tuple(full)

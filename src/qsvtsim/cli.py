@@ -25,7 +25,8 @@ from .blockenc import (DEFAULT_DIM_CAP, HermitianOp, MatrixFormatError,
 from .chebpoly import (DEFAULT_MAX_DEGREE, CapacityError, StepSpec,
                        build_step_approx, degree_constant, min_eta_for_degree,
                        to_text, verify_bounds, write_curve_csv)
-from .estimator import EEInstance, alpha_schedule, estimate_ee
+from .estimator import (EEInstance, alpha_schedule, estimate_ee,
+                        schedule_targets)
 from .reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
                          PE_TO_AE_TIME_MULT, ae_instance_from_amplitude,
                          composed_phase_tolerance, pe_instance_from_phase,
@@ -331,6 +332,12 @@ def cmd_reduce(args):
                              "recovers phases on that branch)")
         if not 1 <= args.dim <= DEFAULT_DIM_CAP // 2:  # the EE operator is 2 * dim
             raise ValueError(f"--dim must lie in [1, {DEFAULT_DIM_CAP // 2}]")
+    elif args.amp is None:
+        raise ValueError("reduce ae needs --amp")
+    # Reject a bad --alpha or --eps before any encoding is built; the
+    # reduced eigenvalue problem has gamma = 1.
+    schedule_targets(args.alpha, args.eps, 1.0)
+    if args.mode == "pe":
         pe = pe_instance_from_phase(args.phi, dim=args.dim)
         ae, recover_phase = pe_to_ae(pe)
         p_hat, ledger = solve_ae_via_ee(ae, args.eps, args.alpha, rng,
@@ -350,8 +357,6 @@ def cmd_reduce(args):
         print(f"within_tolerance {int(abs(phi_hat - pe.true_phi) <= tol)}")
         print(f"pe_time_multiplier {PE_TO_AE_TIME_MULT}")
     else:
-        if args.amp is None:
-            raise ValueError("reduce ae needs --amp")
         ae = ae_instance_from_amplitude(args.amp)
         p_hat, ledger = solve_ae_via_ee(ae, args.eps, args.alpha, rng,
                                         max_degree=args.max_degree)

@@ -57,13 +57,14 @@ def threshold_for(eta):
     return 0.5 * (1.0 - eta + 0.5 * eta * eta)
 
 
-def alpha_schedule(alpha, eps, gamma, max_degree=DEFAULT_MAX_DEGREE):
-    """Build the schedule: window, budget, polynomial, samples, threshold.
+def schedule_targets(alpha, eps, gamma):
+    """Check a schedule's inputs and return its (delta, eta, n_samples).
 
     delta = eps/(4 gamma), eta = 1 - (1/2) delta^alpha, and the per-decision
     sample count is ceil(20 * (4 gamma/eps)^(2 alpha) * ceil(log2(4 gamma/eps))).
     Requires eps < 4 gamma (delta < 1) and a sample count of at most
-    MAX_TRIALS, the most one binomial draw takes.
+    MAX_TRIALS, the most one binomial draw takes.  Builds no polynomial, so
+    callers can reject bad inputs before any expensive set-up.
     """
     _check_finite(alpha=alpha, eps=eps, gamma=gamma)
     if not 0.0 <= alpha <= 1.0:
@@ -82,6 +83,16 @@ def alpha_schedule(alpha, eps, gamma, max_degree=DEFAULT_MAX_DEGREE):
     if n_samples > MAX_TRIALS:
         raise ValueError(f"the sample count overflows the sampler's 2**63 - 1 at "
                          f"gamma={gamma}, eps={eps}, alpha={alpha}")
+    return delta, eta, n_samples
+
+
+def alpha_schedule(alpha, eps, gamma, max_degree=DEFAULT_MAX_DEGREE):
+    """Build the schedule: window, budget, polynomial, samples, threshold.
+
+    The inputs are checked, and delta, eta and the sample count derived, by
+    schedule_targets.
+    """
+    delta, eta, n_samples = schedule_targets(alpha, eps, gamma)
     poly = build_step_approx(StepSpec(delta, eta), max_degree)
     return AlphaSchedule(alpha=alpha, eps=eps, gamma=gamma, delta=delta,
                          eta=eta, n_samples=n_samples,

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
+from scipy.optimize import linprog
 from scipy.special import erf
 
 from qsvtsim import chebpoly
@@ -342,26 +343,56 @@ def test_min_eta_nonincreasing_in_degree():
     assert values[0] >= values[1] >= values[2]
 
 
-def test_frontier_solves_each_minimax_lp_once(monkeypatch):
-    """The eta bisection reuses one LP per odd degree instead of re-solving."""
-    solves = []
-    real_linprog = chebpoly.linprog
-
-    def counting_linprog(*args, **kwargs):
-        solves.append(1)
-        return real_linprog(*args, **kwargs)
-
-    monkeypatch.setattr(chebpoly, "linprog", counting_linprog)
+def test_frontier_solves_each_minimax_lp_once():
+    """The eta bisection reuses one LP fit per odd degree instead of refitting."""
     chebpoly._build_cached.cache_clear()
     chebpoly._lp_minimax.cache_clear()
     min_eta_for_degree(0.2, 21)
     min_eta_for_degree(0.2, 15)
-    # at most one solve per odd degree 3..21, however many eta probes ran
-    assert 0 < len(solves) <= 10
-    assert len(solves) == chebpoly._lp_minimax.cache_info().currsize
-    solves.clear()
+    fits = chebpoly._lp_minimax.cache_info().misses
+    # at most one fit per odd degree 3..21, however many eta probes ran
+    assert 0 < fits <= 10
+    assert fits == chebpoly._lp_minimax.cache_info().currsize
     min_eta_for_degree(0.2, 15)  # infeasible probes rerun the LP path
-    assert not solves
+    assert chebpoly._lp_minimax.cache_info().misses == fits
+
+
+def _full_grid_lp(delta, degree):
+    """Every row of the minimax LP on its whole grid, and one dense solve.
+
+    Returns (A_ub, b_ub, t*) over the variables (odd coefficients, t).
+    """
+    xs = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, 2501), np.linspace(delta, 1.0, 1500),
+        chebpoly._edge_grid(degree), [delta]]))
+    vander = npcheb.chebvander(xs, degree)[:, 1::2]
+    n_var = vander.shape[1]
+    plateau = vander[xs >= delta]
+    zeros = np.zeros((xs.size, 1))
+    a_ub = np.vstack([np.hstack([-plateau, -np.ones((plateau.shape[0], 1))]),
+                      np.hstack([vander, zeros]), np.hstack([-vander, zeros])])
+    b_ub = np.concatenate([np.full(plateau.shape[0], -1.0),
+                           np.full(2 * xs.size, 1.0 - 1e-9)])
+    cost = np.zeros(n_var + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * n_var + [(0.0, None)], method="highs")
+    assert res.success
+    return a_ub, b_ub, res.fun
+
+
+@pytest.mark.parametrize("delta, degree",
+                         [(0.2, d) for d in range(3, 22, 2)]
+                         + [(0.05, 41), (0.05, 81)])
+def test_lp_minimax_matches_full_grid_lp(delta, degree):
+    """Constraint generation reaches the full-grid optimum, within the 1e-7
+    feasibility tolerance of HiGHS, and its fit meets every grid row."""
+    a_ub, b_ub, t_full = _full_grid_lp(delta, degree)
+    t_star, coeffs = chebpoly._lp_minimax(delta, degree)
+    assert abs(t_star - t_full) <= 1e-7
+    x = np.concatenate([np.asarray(coeffs)[1::2], [t_star]])
+    assert not any(coeffs[0::2])
+    assert np.max(a_ub @ x - b_ub) <= 1e-7
 
 
 def test_lp_fit_eta_gate_and_cache_safety():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from qsvtsim import cli
 from qsvtsim.cli import (CSV_HEADER, SweepRow, main, read_sweep_csv,
                          row_from_csv_line, write_sweep_csv)
 
@@ -399,6 +400,25 @@ def test_reduce_pe_rejects_dim_beyond_cap(capsys, dim):
         "--alpha", "0.5"])
     assert rc == 2
     assert err == "error: --dim must lie in [1, 32]\n"
+
+
+@pytest.mark.parametrize("eps, alpha", [("0.3", "-1"), ("4", "0.5")])
+def test_reduce_pe_rejects_schedule_before_encoding(capsys, monkeypatch, eps,
+                                                    alpha):
+    calls = []
+    real_pe_to_ae = cli.pe_to_ae
+
+    def counted_pe_to_ae(pe):
+        calls.append(pe)
+        return real_pe_to_ae(pe)
+
+    monkeypatch.setattr(cli, "pe_to_ae", counted_pe_to_ae)
+    rc, _, err = run_cli(capsys, [
+        "reduce", "pe", "--phi", "0.5", "--dim", "23", "--eps", eps,
+        "--alpha", alpha])
+    assert rc == 2
+    assert err.startswith("error:")
+    assert not calls
 
 
 def test_reduce_missing_arguments(capsys):
