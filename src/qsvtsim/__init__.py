@@ -15,9 +15,9 @@ from .blockenc import (BlockEncoding, HermitianOp, MatrixFormatError,
                        right_probability, shift_and_scale)
 from .sampler import (Outcome, ResourceLedger, RngStream, bernoulli_trials,
                       record_shots)
-from .estimator import (AlphaSchedule, EEInstance, SearchState,
-                        alpha_schedule, decide_ee, diag_instance, estimate_ee,
-                        hadamard_test_baseline, ipe_baseline, threshold_for)
+from .estimator import (AlphaSchedule, EEInstance, alpha_schedule, decide_ee,
+                        diag_instance, estimate_ee, hadamard_test_baseline,
+                        ipe_baseline, threshold_for)
 from .reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
                          PE_TO_AE_DEPTH_MULT, PE_TO_AE_TIME_MULT, AEInstance,
                          GroverOp, PEInstance, ae_block_encoding,
@@ -34,7 +34,7 @@ __all__ = [
     "apply_poly", "read_matrix", "right_probability", "shift_and_scale",
     "Outcome", "ResourceLedger", "RngStream", "bernoulli_trials",
     "record_shots",
-    "AlphaSchedule", "EEInstance", "SearchState", "alpha_schedule",
+    "AlphaSchedule", "EEInstance", "alpha_schedule",
     "decide_ee", "diag_instance", "estimate_ee", "hadamard_test_baseline",
     "ipe_baseline", "threshold_for",
     "AE_TO_EE_DEPTH_MULT", "AE_TO_EE_TIME_MULT", "PE_TO_AE_DEPTH_MULT",

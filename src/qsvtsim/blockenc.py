@@ -18,6 +18,8 @@ UNITARY_TOL = 1e-12
 ENCODING_TOL = 1e-10
 TRANSFORM_HERMITIAN_TOL = 1e-10
 RADIUS_TOL = 1e-9
+# Relative slack on gamma when gamma is checked to bound a spectral norm.
+NORM_TOL = 1e-12
 # State norms and eigenstate residuals, here and in estimator and reductions.
 STATE_TOL = 1e-10
 
@@ -140,15 +142,30 @@ class TransformedOp:
         object.__setattr__(self, "matrix", arr)
 
 
+def _check_norm_bound(h, gamma):
+    """Reject gamma unless it is positive and bounds h's spectral norm."""
+    if gamma <= 0 or h.spectral_norm() > gamma * (1.0 + NORM_TOL):
+        raise ValueError("gamma must bound the spectral norm")
+
+
+def _shift_denominator(mu0, gamma):
+    """gamma + |mu0|, which maps [-gamma, gamma] - mu0 into [-1, 1].
+
+    Requires gamma > 0 and |mu0| <= gamma; the negated comparisons reject
+    NaN as well.
+    """
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    if not abs(mu0) <= gamma:
+        raise ValueError("|mu0| must not exceed gamma")
+    return gamma + abs(mu0)
+
+
 def shift_and_scale(h, mu0, gamma):
     """Return (H - mu0 I) / (gamma + |mu0|), spectrum mapped into [-1, 1]."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if abs(mu0) > gamma:
-        raise ValueError("|mu0| must not exceed gamma")
-    if h.spectral_norm() > gamma * (1.0 + 1e-12):
-        raise ValueError("spectral norm exceeds gamma")
-    shifted = (h.matrix - mu0 * np.eye(h.dim)) / (gamma + abs(mu0))
+    denom = _shift_denominator(mu0, gamma)
+    _check_norm_bound(h, gamma)
+    shifted = (h.matrix - mu0 * np.eye(h.dim)) / denom
     return HermitianOp.from_matrix(shifted)
 
 

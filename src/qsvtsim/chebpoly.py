@@ -258,7 +258,6 @@ class _Search:
     def __init__(self, spec):
         self.spec = spec
         self.best = None
-        self.best_report = None
         self.closest_fail = None
 
     @property
@@ -274,7 +273,6 @@ class _Search:
         if report.passes:
             if self.best is None or poly.degree < self.best.degree:
                 self.best = poly
-                self.best_report = report
             return True
         badness = max(report.max_low_violation, 0.0) \
             + max(report.max_high_violation, 0.0) + max(report.max_abs_excess, 0.0)
@@ -299,6 +297,20 @@ def _erf_odd_coeffs(k, n_terms):
     return coeffs
 
 
+def _bisect_odd(feasible, lo, hi):
+    """Bisect the odd degrees between an infeasible odd lo and a feasible odd hi.
+
+    lo + 2 * ((hi - lo) // 4) keeps every probe odd; the caller's search
+    object records which probes certified.
+    """
+    while hi - lo > 2:
+        mid = lo + 2 * ((hi - lo) // 4)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def _gallop_down(search, coeffs, hi):
     """Search below the certified odd truncation degree hi for a smaller one.
 
@@ -312,12 +324,7 @@ def _gallop_down(search, coeffs, hi):
             lo = hi - step
             break
         hi, step = hi - step, 2 * step
-    while hi - lo > 2:
-        mid = lo + 2 * ((hi - lo) // 4)
-        if search.try_odd(coeffs[:mid + 1]):
-            hi = mid
-        else:
-            lo = mid
+    _bisect_odd(lambda d: search.try_odd(coeffs[:d + 1]), lo, hi)
 
 
 def _erf_path(search, limit):
@@ -349,7 +356,6 @@ def _erf_path(search, limit):
         d0 = int(ok[0])
         if d0 % 2 == 0:
             d0 += 1
-        d0 = max(d0, 1)
         if d0 > cap:
             continue
         if search.try_odd(coeffs[:d0 + 1]):
@@ -422,44 +428,32 @@ def _lp_minimax(delta, degree):
     return float(res.fun), tuple(full)
 
 
-def _lp_odd_fit(delta, eta, degree):
-    """Minimax coefficients when t* fits under eta with margin, else None.
-
-    The minimax LP does not depend on eta, so _lp_minimax solves it once
-    per (delta, degree).  The array returned is a fresh copy, so callers
-    cannot change the cached fit.
-    """
-    fit = _lp_minimax(delta, degree)
-    if fit is None or fit[0] > eta - _FIT_MARGIN:
-        return None
-    return np.array(fit[1])
-
-
 def _lp_path(search, limit):
-    """Bisect the smallest odd degree whose minimax fit certifies."""
+    """Bisect the smallest odd degree whose minimax fit certifies.
+
+    The odd part q of a step bounded by 1 has |q'(x)| <= d / sqrt(1 - x^2)
+    (Bernstein's inequality), so it rises at most d asin(delta) from
+    q(0) = 0 to q(delta) >= 1 - eta.  No degree up to hi can certify when
+    hi asin(delta) < (1 - eta) / 2, and then no fit is solved; the factor 2
+    leaves room for candidates that certify on the grids yet overshoot 1
+    between grid points.
+    """
     spec = search.spec
-    hi_limit = min(limit, _LP_MAX_DEGREE)
+    hi = min(limit, _LP_MAX_DEGREE)
     if search.best_degree is not None:
-        hi_limit = min(hi_limit, search.best_degree - 2)
-    if hi_limit < 3:
+        hi = min(hi, search.best_degree - 2)
+    if hi % 2 == 0:
+        hi -= 1
+    if hi < 3 or hi * math.asin(spec.delta) < (1.0 - spec.eta) / 2.0:
         return
 
     def feasible(d):
-        coeffs = _lp_odd_fit(spec.delta, spec.eta, d)
-        return coeffs is not None and search.try_odd(coeffs)
+        fit = _lp_minimax(spec.delta, d)
+        return (fit is not None and fit[0] <= spec.eta - _FIT_MARGIN
+                and search.try_odd(fit[1]))
 
-    hi = hi_limit if hi_limit % 2 == 1 else hi_limit - 1
-    if not feasible(hi):
-        return
-    lo = 1  # degree 1 is handled separately and is known infeasible here
-    while hi - lo > 2:
-        mid = lo + 2 * ((hi - lo) // 4)
-        if mid % 2 == 0:
-            mid += 1
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
+    if feasible(hi):
+        _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

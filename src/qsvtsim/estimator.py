@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import (STATE_TOL, HermitianOp, _as_state, apply_poly,
-                       right_probability, shift_and_scale)
+from .blockenc import (STATE_TOL, HermitianOp, _as_state, _check_norm_bound,
+                       _shift_denominator, apply_poly, right_probability,
+                       shift_and_scale)
 from .chebpoly import DEFAULT_MAX_DEGREE, StepSpec, build_step_approx
 from .sampler import (MAX_TRIALS, Outcome, ResourceLedger, bernoulli_trials,
                       record_shots)
@@ -111,8 +112,7 @@ class EEInstance:
     def __post_init__(self):
         _check_finite(gamma=self.gamma, true_mu=self.true_mu)
         vec = _as_state(self.psi, self.H.dim, "psi")
-        if self.gamma <= 0 or self.H.spectral_norm() > self.gamma * (1.0 + 1e-12):
-            raise ValueError("gamma must bound the spectral norm")
+        _check_norm_bound(self.H, self.gamma)
         resid = self.H.matrix @ vec - self.true_mu * vec
         if np.linalg.norm(resid) > STATE_TOL:
             raise ValueError("psi is not an eigenstate of H for true_mu")
@@ -129,20 +129,6 @@ def diag_instance(values, gamma=1.0):
     return EEInstance(H=h, gamma=float(gamma), psi=psi, true_mu=vals[0])
 
 
-@dataclass(frozen=True)
-class SearchState:
-    """Bisection interval with its midpoint."""
-
-    L: float
-    R: float
-    mu0: float = None
-
-    def __post_init__(self):
-        if not self.L < self.R:
-            raise ValueError("interval must have L < R")
-        object.__setattr__(self, "mu0", 0.5 * (self.L + self.R))
-
-
 def _right_prob(inst, mu0, sched, use_statevector):
     """RIGHT-outcome probability for one decision at threshold mu0.
 
@@ -154,7 +140,7 @@ def _right_prob(inst, mu0, sched, use_statevector):
         hp = shift_and_scale(inst.H, mu0, inst.gamma)
         top = apply_poly(hp, sched.poly)
         return right_probability(top, inst.psi)
-    x = (inst.true_mu - mu0) / (inst.gamma + abs(mu0))
+    x = (inst.true_mu - mu0) / _shift_denominator(mu0, inst.gamma)
     val = sched.poly.eval(min(max(x, -1.0), 1.0))
     return min(max(val * val, 0.0), 1.0)
 
@@ -166,8 +152,6 @@ def decide_ee(inst, mu0, sched, rng, ledger, use_statevector=False):
     them in the ledger, and returns RIGHT when the observed frequency
     exceeds the schedule threshold.
     """
-    if abs(mu0) > inst.gamma:
-        raise ValueError("|mu0| must not exceed gamma")
     p = _right_prob(inst, mu0, sched, use_statevector)
     hits = bernoulli_trials(p, sched.n_samples, rng)
     record_shots(ledger, sched.degree, sched.n_samples)
@@ -185,18 +169,17 @@ def estimate_ee(inst, eps, alpha, rng, *, max_degree=DEFAULT_MAX_DEGREE,
     """
     sched = alpha_schedule(alpha, eps, inst.gamma, max_degree=max_degree)
     ledger = ResourceLedger()
-    state = SearchState(-inst.gamma, inst.gamma)
-    mu_hat = state.mu0
+    lo, hi = -inst.gamma, inst.gamma
+    mu_hat = 0.5 * (lo + hi)
     step = 0
-    while state.R - state.L > eps:
-        stream = rng.child(step << 16)
-        out = decide_ee(inst, state.mu0, sched, stream, ledger,
+    while hi - lo > eps:
+        mu_hat = 0.5 * (lo + hi)
+        out = decide_ee(inst, mu_hat, sched, rng.child(step << 16), ledger,
                         use_statevector=use_statevector)
-        mu_hat = state.mu0
         if out is Outcome.RIGHT:
-            state = SearchState(mu_hat, state.R)
+            lo = mu_hat
         else:
-            state = SearchState(state.L, mu_hat)
+            hi = mu_hat
         step += 1
     return mu_hat, ledger
 

@@ -51,6 +51,10 @@ def test_shift_rejects_mu_outside_gamma():
     h = HermitianOp.from_matrix(np.diag([0.5]))
     with pytest.raises(ValueError):
         shift_and_scale(h, 1.5, 1.0)
+    with pytest.raises(ValueError, match="mu0"):
+        shift_and_scale(h, np.nan, 1.0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        shift_and_scale(h, 0.0, np.nan)
 
 
 def test_apply_poly_identity_polynomial():

@@ -395,14 +395,53 @@ def test_lp_minimax_matches_full_grid_lp(delta, degree):
     assert np.max(a_ub @ x - b_ub) <= 1e-7
 
 
+def _lp_candidates(eta):
+    """The odd parts _lp_path hands to certification at delta 0.2, degree <= 21."""
+    search = chebpoly._Search(StepSpec(0.2, eta))
+    tried = []
+    try_odd = search.try_odd
+
+    def recording(odd_coeffs):
+        tried.append(odd_coeffs)
+        return try_odd(odd_coeffs)
+
+    search.try_odd = recording
+    chebpoly._lp_path(search, 21)
+    return tried
+
+
 def test_lp_fit_eta_gate_and_cache_safety():
-    t_star = chebpoly._lp_minimax(0.2, 21)[0]
-    assert chebpoly._lp_odd_fit(0.2, t_star, 21) is None
-    coeffs = chebpoly._lp_odd_fit(0.2, t_star + 2e-8, 21)
-    assert coeffs is not None and coeffs.shape == (22,)
-    kept = coeffs.copy()
-    coeffs[:] = 0.0
-    assert np.array_equal(chebpoly._lp_odd_fit(0.2, t_star + 2e-8, 21), kept)
+    """A fit is tried only when t* fits under eta with margin, and handing
+    the cached fit to certification leaves it as it was."""
+    fit = chebpoly._lp_minimax(0.2, 21)
+    t_star, coeffs = fit
+    assert _lp_candidates(t_star) == []
+    tried = _lp_candidates(t_star + 2e-8)
+    assert tried and tried[0] is coeffs and len(coeffs) == 22
+    assert chebpoly._lp_minimax(0.2, 21) == fit
+
+
+def test_lp_path_skips_fits_no_degree_under_cap_can_reach_eta():
+    """delta = 1.95e-4, eta = 0.5: even degree 159 rises only
+    159 asin(delta) = 0.031 from q(0), far below the 1 - eta it needs."""
+    chebpoly._lp_minimax.cache_clear()
+    with pytest.raises(CapacityError):
+        build_step_approx(StepSpec(0.0001953125, 0.5))
+    assert chebpoly._lp_minimax.cache_info().misses == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.05, 0.5), st.sampled_from(range(1, 22, 2)),
+       st.sampled_from((0.05, 0.2, 0.5, 0.8, 0.95)))
+def test_certified_degree_meets_bernstein_rise(delta, degree, eta):
+    """Every certified step rises from 1/2 at 0 to 1 - eta/2 at delta, which
+    by Bernstein's inequality takes degree * asin(delta) >= 1 - eta up to
+    the overshoot between grid points; the LP path prunes on half of that."""
+    try:
+        poly = build_step_approx(StepSpec(delta, eta), max_degree=degree)
+    except CapacityError:
+        return
+    assert poly.degree * math.asin(delta) >= (1.0 - eta) / 2.0
 
 
 def test_text_round_trip():

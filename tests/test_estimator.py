@@ -146,8 +146,10 @@ def test_decide_updates_ledger():
 def test_decide_rejects_mu_outside_gamma():
     inst = diag_instance([0.5, -0.25])
     sched = alpha_schedule(0.0, 0.05, 1.0)
-    with pytest.raises(ValueError):
-        decide_ee(inst, 1.5, sched, RngStream(0, 0), ResourceLedger())
+    for use_statevector in (False, True):
+        with pytest.raises(ValueError, match="mu0"):
+            decide_ee(inst, 1.5, sched, RngStream(0, 0), ResourceLedger(),
+                      use_statevector=use_statevector)
 
 
 def test_decide_split_exactly_at_eigenvalue():
