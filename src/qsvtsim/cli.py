@@ -25,8 +25,7 @@ from .blockenc import (DEFAULT_DIM_CAP, HermitianOp, MatrixFormatError,
 from .chebpoly import (DEFAULT_MAX_DEGREE, CapacityError, StepSpec,
                        build_step_approx, degree_constant, min_eta_for_degree,
                        to_text, verify_bounds, write_curve_csv)
-from .estimator import (EEInstance, alpha_schedule, estimate_ee,
-                        schedule_targets)
+from .estimator import EEInstance, estimate_ee, schedule_targets
 from .reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
                          PE_TO_AE_TIME_MULT, ae_instance_from_amplitude,
                          composed_phase_tolerance, pe_instance_from_phase,
@@ -87,16 +86,28 @@ def row_from_csv_line(line):
     cols = fields(SweepRow)
     if len(parts) != len(cols):
         raise ValueError(f"expected {len(cols)} fields, got {len(parts)}")
-    return SweepRow(**{f.name: _CSV_CELLS[f.type][0](part)
-                       for f, part in zip(cols, parts)})
+    values = {}
+    for f, part in zip(cols, parts):
+        try:
+            values[f.name] = _CSV_CELLS[f.type][0](part)
+        except ValueError as exc:
+            raise ValueError(f"column {f.name}: {exc}") from None
+    return SweepRow(**values)
 
 
 def read_sweep_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("not a sweep CSV (bad header)")
-    return [row_from_csv_line(ln) for ln in lines[1:] if ln]
+        raise ValueError(f"{path}: not a sweep CSV (bad header)")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if line:
+            try:
+                rows.append(row_from_csv_line(line))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
+    return rows
 
 
 def run_sweep(inst, config):
@@ -111,8 +122,6 @@ def run_sweep(inst, config):
                 rng = RngStream(config.seed, cell << 32)
                 cell += 1
                 try:
-                    sched = alpha_schedule(alpha, eps, inst.gamma,
-                                           max_degree=config.max_degree)
                     mu_hat, ledger = estimate_ee(
                         inst, eps, alpha, rng, max_degree=config.max_degree)
                 except CapacityError as exc:
@@ -124,14 +133,14 @@ def run_sweep(inst, config):
                         iterations=0, error=str(exc)))
                     continue
                 err = abs(mu_hat - inst.true_mu)
-                iters = ledger.shots // sched.n_samples
                 rows.append(SweepRow(
                     alpha=alpha, eps=eps, gamma=inst.gamma, seed=config.seed,
                     run_index=run, mu_hat=mu_hat, true_mu=inst.true_mu,
                     abs_error=err, success=int(err <= eps),
                     T=ledger.total_queries, D=ledger.max_depth,
-                    degree=sched.degree, n_samples=sched.n_samples,
-                    iterations=iters))
+                    degree=ledger.schedule.degree,
+                    n_samples=ledger.schedule.n_samples,
+                    iterations=ledger.iterations))
     rows.sort(key=lambda r: (r.alpha, r.eps, r.run_index))
     return rows
 
@@ -273,8 +282,6 @@ def cmd_poly(args):
 
 def cmd_estimate(args):
     inst = _instance_from_args(args)
-    sched = alpha_schedule(args.alpha, args.eps, inst.gamma,
-                           max_degree=args.max_degree)
     rng = RngStream(args.seed, 0)
     mu_hat, ledger = estimate_ee(inst, args.eps, args.alpha, rng,
                                  max_degree=args.max_degree)
@@ -284,9 +291,9 @@ def cmd_estimate(args):
     print(f"eps {_fmt(args.eps)}")
     print(f"alpha {_fmt(args.alpha)}")
     print(f"gamma {_fmt(inst.gamma)}")
-    print(f"degree {sched.degree}")
-    print(f"n_samples {sched.n_samples}")
-    print(f"iterations {ledger.shots // sched.n_samples}")
+    print(f"degree {ledger.schedule.degree}")
+    print(f"n_samples {ledger.schedule.n_samples}")
+    print(f"iterations {ledger.iterations}")
     print(f"T {ledger.total_queries}")
     print(f"D {ledger.max_depth}")
     return 0
@@ -340,32 +347,27 @@ def cmd_reduce(args):
     if args.mode == "pe":
         pe = pe_instance_from_phase(args.phi, dim=args.dim)
         ae, recover_phase = pe_to_ae(pe)
-        p_hat, ledger = solve_ae_via_ee(ae, args.eps, args.alpha, rng,
-                                        max_degree=args.max_degree)
+        head = [f"phi {_fmt(pe.true_phi)}", f"dim {args.dim}",
+                f"true_amp {_fmt(ae.true_amp)}"]
+    else:
+        ae = ae_instance_from_amplitude(args.amp)
+        head = [f"amp {_fmt(ae.true_amp)}"]
+    p_hat, ledger = solve_ae_via_ee(ae, args.eps, args.alpha, rng,
+                                    max_degree=args.max_degree)
+    print(f"mode {args.mode}", *head, sep="\n")
+    print(f"mu {_fmt(1.0 - 2.0 * ae.true_amp ** 2)}")
+    print(f"mu_hat {_fmt(1.0 - 2.0 * p_hat)}")
+    print(f"p_hat {_fmt(p_hat)}")
+    if args.mode == "pe":
         phi_hat = recover_phase(math.sqrt(p_hat))
         tol = composed_phase_tolerance(p_hat, args.eps)
-        print("mode pe")
-        print(f"phi {_fmt(pe.true_phi)}")
-        print(f"dim {args.dim}")
-        print(f"true_amp {_fmt(ae.true_amp)}")
-        print(f"mu {_fmt(1.0 - 2.0 * ae.true_amp ** 2)}")
-        print(f"mu_hat {_fmt(1.0 - 2.0 * p_hat)}")
-        print(f"p_hat {_fmt(p_hat)}")
         print(f"phi_hat {_fmt(phi_hat)}")
         print(f"abs_phase_error {_fmt(abs(phi_hat - pe.true_phi))}")
         print(f"phase_tolerance {_fmt(tol)}")
         print(f"within_tolerance {int(abs(phi_hat - pe.true_phi) <= tol)}")
         print(f"pe_time_multiplier {PE_TO_AE_TIME_MULT}")
     else:
-        ae = ae_instance_from_amplitude(args.amp)
-        p_hat, ledger = solve_ae_via_ee(ae, args.eps, args.alpha, rng,
-                                        max_degree=args.max_degree)
         amp_hat = math.sqrt(p_hat)
-        print("mode ae")
-        print(f"amp {_fmt(ae.true_amp)}")
-        print(f"mu {_fmt(1.0 - 2.0 * ae.true_amp ** 2)}")
-        print(f"mu_hat {_fmt(1.0 - 2.0 * p_hat)}")
-        print(f"p_hat {_fmt(p_hat)}")
         print(f"amp_hat {_fmt(amp_hat)}")
         print(f"abs_amp_error {_fmt(abs(amp_hat - ae.true_amp))}")
     print(f"time_multiplier {AE_TO_EE_TIME_MULT}")

@@ -34,9 +34,6 @@ def _check_finite(**values):
 class AlphaSchedule:
     """Derived parameters for one choice of (alpha, eps, gamma)."""
 
-    alpha: float
-    eps: float
-    gamma: float
     delta: float
     eta: float
     n_samples: int
@@ -95,8 +92,7 @@ def alpha_schedule(alpha, eps, gamma, max_degree=DEFAULT_MAX_DEGREE):
     """
     delta, eta, n_samples = schedule_targets(alpha, eps, gamma)
     poly = build_step_approx(StepSpec(delta, eta), max_degree)
-    return AlphaSchedule(alpha=alpha, eps=eps, gamma=gamma, delta=delta,
-                         eta=eta, n_samples=n_samples,
+    return AlphaSchedule(delta=delta, eta=eta, n_samples=n_samples,
                          threshold=threshold_for(eta), poly=poly)
 
 
@@ -158,29 +154,37 @@ def decide_ee(inst, mu0, sched, rng, ledger, use_statevector=False):
     return Outcome.RIGHT if hits / sched.n_samples > sched.threshold else Outcome.LEFT
 
 
+@dataclass
+class EstimateLedger(ResourceLedger):
+    """Ledger of one estimate_ee run, with the schedule it ran and its
+    number of bisection steps."""
+
+    schedule: AlphaSchedule = None
+    iterations: int = 0
+
+
 def estimate_ee(inst, eps, alpha, rng, *, max_degree=DEFAULT_MAX_DEGREE,
                 use_statevector=False):
     """Binary search for the eigenvalue of inst.psi to precision ~eps.
 
     Each bisection step consults one thresholded decision (decide_ee) on a
     child stream (stream offset step_index * 2**16).  Returns (mu_hat,
-    ledger); the ledger satisfies total = iterations * n_samples * degree
+    ledger), an EstimateLedger; total = iterations * n_samples * degree
     and max_depth = degree exactly.
     """
     sched = alpha_schedule(alpha, eps, inst.gamma, max_degree=max_degree)
-    ledger = ResourceLedger()
+    ledger = EstimateLedger(schedule=sched)
     lo, hi = -inst.gamma, inst.gamma
     mu_hat = 0.5 * (lo + hi)
-    step = 0
     while hi - lo > eps:
         mu_hat = 0.5 * (lo + hi)
-        out = decide_ee(inst, mu_hat, sched, rng.child(step << 16), ledger,
-                        use_statevector=use_statevector)
+        out = decide_ee(inst, mu_hat, sched, rng.child(ledger.iterations << 16),
+                        ledger, use_statevector=use_statevector)
         if out is Outcome.RIGHT:
             lo = mu_hat
         else:
             hi = mu_hat
-        step += 1
+        ledger.iterations += 1
     return mu_hat, ledger
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qsvtsim import cli
-from qsvtsim.cli import (CSV_HEADER, SweepRow, main, read_sweep_csv,
-                         row_from_csv_line, write_sweep_csv)
+from qsvtsim import cli, estimator
+from qsvtsim.cli import (CSV_HEADER, SweepConfig, SweepRow, main,
+                         read_sweep_csv, row_from_csv_line, run_sweep,
+                         write_sweep_csv)
 
 
 def run_cli(capsys, argv):
@@ -228,6 +230,29 @@ def test_sweep_acceptance_grid_bytes_frozen(capsys, tmp_path):
                       "2e6890d6df5eb944494f5ea548f0a5bd")
 
 
+def test_sweep_builds_one_schedule_per_cell(monkeypatch):
+    """Each row's degree, n_samples and iterations come from the ledger of
+    the estimate that ran, not from a second schedule build."""
+    calls = []
+    real_schedule = estimator.alpha_schedule
+
+    def counted_schedule(*args, **kwargs):
+        calls.append(args)
+        return real_schedule(*args, **kwargs)
+
+    for mod in (estimator, cli):  # every binding, "from" imports included
+        if vars(mod).get("alpha_schedule") is real_schedule:
+            monkeypatch.setattr(mod, "alpha_schedule", counted_schedule)
+    rows = run_sweep(estimator.diag_instance([0.5, -0.25]),
+                     SweepConfig(alphas=(0.5, 1.0), eps_list=(0.2, 0.1),
+                                 runs=2, seed=0))
+    assert len(calls) == len(rows) == 8
+    for row in rows:
+        sched = real_schedule(row.alpha, row.eps, row.gamma)
+        assert (row.degree, row.n_samples) == (sched.degree, sched.n_samples)
+        assert row.iterations == math.ceil(math.log2(2.0 / row.eps))
+
+
 @pytest.mark.parametrize("runs", ["0", "-1"])
 def test_sweep_rejects_runs_below_one(capsys, tmp_path, runs):
     out_path = tmp_path / "none.csv"
@@ -333,6 +358,24 @@ def test_fit_rejects_rows_it_cannot_take_logs_of(capsys, tmp_path, eps, gamma, T
     assert err.startswith(f"error: sweep row alpha=0.5, eps={float(eps)!r}: fit needs")
 
 
+@pytest.mark.parametrize("lines, where", [
+    ([CSV_HEADER, "0.5,0.1,1,nan,0,0.1,0.1,0,1,10,1,1,1,1,"],
+     " line 2: column seed: invalid literal for int() with base 10: 'nan'"),
+    ([CSV_HEADER, "", "0.5,0.1,1,0,0,0.1,0.1,0,1,10,1,1,1,x,"],
+     " line 3: column iterations: invalid literal"),
+    ([CSV_HEADER, "0.5,0.1,1,0,0,0.1,0.1,0,1,10,1,1,1"],
+     " line 2: expected 15 fields, got 13"),
+    (["alpha,eps"], ": not a sweep CSV (bad header)"),
+], ids=["int-nan", "after-blank-line", "short-row", "bad-header"])
+def test_fit_names_the_file_line_and_column_it_cannot_read(capsys, tmp_path,
+                                                           lines, where):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc, out, err = run_cli(capsys, ["fit", str(path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {path}{where}")
+
+
 def test_fit_endpoint_alphas_on_real_sweep(capsys, tmp_path):
     """Deterministic T and D columns give deterministic endpoint slopes."""
     out_path = tmp_path / "ends.csv"
@@ -384,6 +427,74 @@ def test_reduce_ae_near_half_probability(capsys):
     assert kv["D"] == "6"  # degree-1 ramp times the encoding depth factor
     assert (kv["calls_A"], kv["calls_A_dagger"], kv["calls_O_A"]) \
         == ("2", "2", "2")
+
+
+# Whole stdout of one estimate and one reduce per mode, byte for byte.
+_PINNED_STDOUT = {
+    "estimate": (
+        ["estimate", "--builtin", "diag:0.3,-0.25", "--eps", "0.0125",
+         "--alpha", "0", "--seed", "11"],
+        "mu_hat 0.3046875\n"
+        "true_mu 0.29999999999999999\n"
+        "abs_error 0.0046875000000000111\n"
+        "eps 0.012500000000000001\n"
+        "alpha 0\n"
+        "gamma 1\n"
+        "degree 337\n"
+        "n_samples 180\n"
+        "iterations 8\n"
+        "T 485280\n"
+        "D 337\n"),
+    "reduce-pe": (
+        ["reduce", "pe", "--phi", "2.0", "--dim", "3", "--eps", "0.05",
+         "--alpha", "0.25", "--seed", "1"],
+        "mode pe\n"
+        "phi 2\n"
+        "dim 3\n"
+        "true_amp 0.8414709848078965\n"
+        "mu -0.41614683654714235\n"
+        "mu_hat -0.40625\n"
+        "p_hat 0.703125\n"
+        "phi_hat 1.989142713238365\n"
+        "abs_phase_error 0.010857286761634999\n"
+        "phase_tolerance 0.055430051188107843\n"
+        "within_tolerance 1\n"
+        "pe_time_multiplier 2\n"
+        "time_multiplier 6\n"
+        "depth_multiplier 6\n"
+        "calls_A 2\n"
+        "calls_A_dagger 2\n"
+        "calls_O_A 2\n"
+        "T 1488564\n"
+        "D 198\n"
+        "shots 7518\n"),
+    "reduce-ae": (
+        ["reduce", "ae", "--amp", "0.3", "--eps", "0.0125",
+         "--alpha", "0", "--seed", "2"],
+        "mode ae\n"
+        "amp 0.29999999999999999\n"
+        "mu 0.82000000000000006\n"
+        "mu_hat 0.8203125\n"
+        "p_hat 0.08984375\n"
+        "amp_hat 0.29973947020704494\n"
+        "abs_amp_error 0.0002605297929550443\n"
+        "time_multiplier 6\n"
+        "depth_multiplier 6\n"
+        "calls_A 2\n"
+        "calls_A_dagger 2\n"
+        "calls_O_A 2\n"
+        "T 2911680\n"
+        "D 2022\n"
+        "shots 1440\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_STDOUT))
+def test_stdout_pinned_byte_for_byte(capsys, name):
+    argv, expected = _PINNED_STDOUT[name]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert out == expected
 
 
 def test_reduce_pe_rejects_phase_past_pi(capsys):
@@ -543,3 +654,25 @@ def test_argv_fuzz_exits_cleanly(capsys, tmp_path, data):
     if rc:
         assert any(line.startswith(("error:", "capacity:", "usage:"))
                    for line in err.splitlines()), err
+    for line in err.splitlines():
+        if line.startswith("error:"):
+            names = _citable_names(argv, tmp_path)
+            message = line[len("error:"):]
+            assert any(re.search(r"(?<!\w)" + re.escape(name), message)
+                       for name in names), (line, names)
+
+
+def _citable_names(argv, tmp):
+    """What an "error:" message for this argv may name, at the start of a
+    word ("amp" cites as "amplitude"): the subcommand's arguments, dashes
+    stripped, in "_" and "-" spelling or singular ("alphas" and "eps_list"
+    cite as "alpha" and "eps"); a path in the argv; and for fit, a sweep
+    CSV column.  main reports "error:" only after argv parsed, so parsing
+    it again succeeds."""
+    dests = set(vars(cli.build_parser().parse_args(argv))) - {"command", "func"}
+    names = dests | {d.replace("_", "-") for d in dests}
+    names |= {re.sub("(s|_list)$", "", d) for d in dests}
+    names |= {tok for tok in argv if tok.startswith(str(tmp))}
+    if argv[0] == "fit":
+        names |= {f.name for f in fields(SweepRow)}
+    return names

@@ -190,12 +190,16 @@ def test_estimate_frozen_ramp_alpha():
 
 
 def test_estimate_depth_equals_schedule_degree():
+    """The ledger also carries the schedule the estimate ran."""
     inst = diag_instance([0.5, -0.25])
     for alpha, depth in ((0.0, 85), (0.5, 9), (1.0, 1)):
         _, led = estimate_ee(inst, 0.05, alpha, RngStream(0, 0))
         assert led.max_depth == depth
         sched = alpha_schedule(alpha, 0.05, 1.0)
         assert depth == sched.degree
+        assert (led.schedule.degree, led.schedule.n_samples) == (
+            sched.degree, sched.n_samples)
+        assert led.schedule.poly.coeffs == sched.poly.coeffs
 
 
 def error_free_decide(inst, mu0, sched, stream, ledger, use_statevector=False):
@@ -213,9 +217,11 @@ def test_bisection_with_error_free_decisions(monkeypatch):
             inst = diag_instance([mu, -0.1 * gamma], gamma=gamma)
             mu_hat, led = estimate_ee(inst, eps, 0.5, RngStream(0, 0))
             sched = alpha_schedule(0.5, eps, gamma)
-            iters = led.shots // sched.n_samples
+            iters = led.iterations
             assert iters == math.ceil(math.log2(2.0 * gamma / eps))
             assert abs(mu_hat - mu) <= eps
+            # each decision records n_samples shots: one iteration per decision
+            assert led.shots == iters * sched.n_samples
             assert led.total_queries == iters * sched.n_samples * sched.degree
 
 

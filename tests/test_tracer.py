@@ -32,7 +32,7 @@ def test_tracer_installs_records_and_restores():
     tracer = mod.Tracer()
     try:
         tracer.install()
-        assert cli.alpha_schedule is not functions["qsvtsim.estimator", "alpha_schedule"]
+        assert cli.estimate_ee is not functions["qsvtsim.estimator", "estimate_ee"]
         _, ledger = estimator.estimate_ee(estimator.diag_instance([0.5, -0.25]),
                                           0.25, 1.0, RngStream(0, 0))
         ChebPoly.from_coeffs([0.5, 0.5])
@@ -47,6 +47,6 @@ def test_tracer_installs_records_and_restores():
     assert summary["chebpoly.ChebPoly"][0] >= 1
     for (m, a), fn in functions.items():
         assert getattr(sys.modules[m], a) is fn
-    assert cli.alpha_schedule is functions["qsvtsim.estimator", "alpha_schedule"]
+    assert cli.estimate_ee is functions["qsvtsim.estimator", "estimate_ee"]
     for (m, c, meth), fn in methods.items():
         assert vars(getattr(sys.modules[m], c))[meth] is fn
