@@ -35,6 +35,10 @@ _FIT_MARGIN = 1e-8
 # Entries kept by each builder memo.  The eta frontier at degrees up to 21
 # leaves 48 builds and 10 LP fits, the 5x5 acceptance sweep 25 builds.
 _CACHE_SIZE = 256
+# Deltas whose certification and rescale grids are kept, about 2.8 MB.
+_GRID_CACHE_SIZE = 16
+# Width of the eta interval at which min_eta_for_degree stops bisecting.
+_ETA_TOL = 1e-4
 
 
 class CapacityError(RuntimeError):
@@ -51,8 +55,9 @@ def _split_halves(coeffs):
     Exact trailing zeros are trimmed from each half; the even half keeps at
     least its constant term, so an evaluation always has the shape of x.
     """
-    even = [float(c) for c in coeffs[0::2]] or [0.0]
-    odd = [float(c) for c in coeffs[1::2]]
+    arr = np.asarray(coeffs, dtype=float)
+    even = arr[0::2].tolist() or [0.0]
+    odd = arr[1::2].tolist()
     while len(even) > 1 and even[-1] == 0.0:
         even.pop()
     while odd and odd[-1] == 0.0:
@@ -190,25 +195,28 @@ class BoundReport:
                 and self.max_abs_excess <= GRID_TOL)
 
 
-def _cert_grids(delta):
-    left = np.linspace(-1.0, -delta, 4000)
-    mid = np.linspace(-delta, delta, 2001)
-    right = np.linspace(delta, 1.0, 4000)
-    return left, mid, right
+# Points of the certification grid on each plateau; the window gets 2001.
+_PLATEAU_POINTS = 4000
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _cert_grid(delta):
+    """Read-only left plateau, window and right plateau grids, in that order."""
+    grid = np.concatenate([np.linspace(-1.0, -delta, _PLATEAU_POINTS),
+                           np.linspace(-delta, delta, 2001),
+                           np.linspace(delta, 1.0, _PLATEAU_POINTS)])
+    grid.flags.writeable = False
+    return grid
 
 
 def verify_bounds(poly, spec):
-    """Certify the step bounds for poly on dense grids over [-1, 1]."""
-    left, mid, right = _cert_grids(spec.delta)
-    pl = poly.eval(left)
-    pm = poly.eval(mid)
-    pr = poly.eval(right)
-    low = float(np.max(pl) - spec.eta / 2.0)
-    high = float((1.0 - spec.eta / 2.0) - np.min(pr))
-    all_vals = np.concatenate([pl, pm, pr])
-    excess = float(np.max(np.abs(all_vals)) - 1.0)
+    """Certify the step bounds for poly with one evaluation on _cert_grid."""
+    vals = poly.eval(_cert_grid(spec.delta))
+    low = float(np.max(vals[:_PLATEAU_POINTS]) - spec.eta / 2.0)
+    high = float((1.0 - spec.eta / 2.0) - np.min(vals[-_PLATEAU_POINTS:]))
+    excess = float(np.max(np.abs(vals)) - 1.0)
     return BoundReport(max_low_violation=low, max_high_violation=high,
-                       max_abs_excess=excess, grid_size=left.size + mid.size + right.size)
+                       max_abs_excess=excess, grid_size=vals.size)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +231,16 @@ def _edge_grid(degree):
     return np.cos(np.linspace(0.0, math.pi / 2.0, n))
 
 
-def _rescale_grid(delta, degree):
-    pieces = [
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _rescale_grid(delta):
+    """Read-only distinct points of the box, plateau and window grids."""
+    grid = np.unique(np.concatenate([
         np.abs(np.linspace(-1.0, 1.0, BOX_GRID_POINTS)),
-        np.linspace(delta, 1.0, 4000),
+        np.linspace(delta, 1.0, _PLATEAU_POINTS),
         np.linspace(0.0, delta, 201),
-        _edge_grid(degree),
-    ]
-    return np.unique(np.concatenate(pieces))
+    ]))
+    grid.flags.writeable = False
+    return grid
 
 
 def _step_from_odd(odd_coeffs, delta):
@@ -240,10 +250,12 @@ def _step_from_odd(odd_coeffs, delta):
     on |x| of a uniform BOX_GRID_POINTS grid over [-1, 1] and on the
     plateau, window and edge grids; the rescale makes |q| <= 1 at every
     one of those points.  This is the candidate's only evaluation before
-    verify_bounds certifies it.
+    verify_bounds certifies it.  Only the edge grid depends on the degree,
+    and is appended to the per-delta points as it is: a point it repeats
+    cannot change the peak.
     """
     d = len(odd_coeffs) - 1
-    grid = _rescale_grid(delta, d)
+    grid = np.concatenate([_rescale_grid(delta), _edge_grid(d)])
     peak = float(np.max(np.abs(_clenshaw_split(grid, *_split_halves(odd_coeffs)))))
     scale = 1.0 if peak <= 1.0 else (1.0 - 1e-13) / peak
     step = np.zeros(d + 1)
@@ -496,8 +508,8 @@ def degree_constant(poly, spec):
     return poly.degree * spec.delta / math.log(4.0 / spec.eta)
 
 
-def min_eta_for_degree(delta, degree, tol=1e-4):
-    """Smallest eta (to bisection tolerance) feasible at the given degree.
+def min_eta_for_degree(delta, degree):
+    """Smallest eta, to within _ETA_TOL, feasible at the given degree.
 
     Feasibility is monotone in eta: any polynomial certified for eta also
     certifies every larger eta, so plain bisection applies.  The minimax LP
@@ -521,7 +533,7 @@ def min_eta_for_degree(delta, degree, tol=1e-4):
     lo = 1e-9
     if feasible(lo):
         return lo
-    while hi - lo > tol:
+    while hi - lo > _ETA_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid

@@ -24,6 +24,18 @@ class Outcome(Enum):
     RIGHT = 1
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Philox's key as a seed sequence: Philox asks it for generate_state(2,
+    uint64) and gets the two key words.  Philox(key=...) would first draw a
+    throwaway SeedSequence from OS entropy."""
+
+    def __init__(self, *words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.words, dtype=np.uint64)
+
+
 class RngStream:
     """Deterministic stream of draws identified by (seed, stream_id)."""
 
@@ -32,8 +44,8 @@ class RngStream:
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        key = _PhiloxKey(self.seed, self.stream_id)
+        self._gen = np.random.Generator(np.random.Philox(key))
 
     @property
     def generator(self):

@@ -126,6 +126,7 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     def verify_counted(poly, spec):
         before = counts["evals"]
         report = verify(poly, spec)
+        counts["certifications"] += 1
         counts["certify_evals"] += counts["evals"] - before
         return report
 
@@ -137,6 +138,91 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     alpha_schedule(0.5, 0.05, 1.0)
     assert counts["candidates"] > 0
     assert counts["evals"] == counts["candidates"] + counts["certify_evals"]
+    # one evaluation covers all three certification grids
+    assert counts["certify_evals"] == counts["certifications"] > 0
+
+
+def _verify_bounds_three_grids(poly, spec):
+    """verify_bounds as three evaluations, one per plateau or window grid."""
+    left = np.linspace(-1.0, -spec.delta, 4000)
+    mid = np.linspace(-spec.delta, spec.delta, 2001)
+    right = np.linspace(spec.delta, 1.0, 4000)
+    pl, pm, pr = poly.eval(left), poly.eval(mid), poly.eval(right)
+    return chebpoly.BoundReport(
+        max_low_violation=float(np.max(pl) - spec.eta / 2.0),
+        max_high_violation=float((1.0 - spec.eta / 2.0) - np.min(pr)),
+        max_abs_excess=float(np.max(np.abs(np.concatenate([pl, pm, pr]))) - 1.0),
+        grid_size=left.size + mid.size + right.size)
+
+
+def _step_over_unique_grid(odd_coeffs, delta):
+    """The rescale to (1 + q)/2 over np.unique of all four grid pieces,
+    with the halves converted one float() at a time."""
+    d = len(odd_coeffs) - 1
+    grid = np.unique(np.concatenate([
+        np.abs(np.linspace(-1.0, 1.0, 10_000)), np.linspace(delta, 1.0, 4000),
+        np.linspace(0.0, delta, 201), chebpoly._edge_grid(d)]))
+    even = [float(c) for c in odd_coeffs[0::2]] or [0.0]
+    odd = [float(c) for c in odd_coeffs[1::2]]
+    while len(even) > 1 and even[-1] == 0.0:
+        even.pop()
+    while odd and odd[-1] == 0.0:
+        odd.pop()
+    peak = float(np.max(np.abs(chebpoly._clenshaw_split(grid, even, odd))))
+    scale = 1.0 if peak <= 1.0 else (1.0 - 1e-13) / peak
+    step = np.zeros(d + 1)
+    step[0] = 0.5
+    step[1::2] = 0.5 * scale * np.asarray(odd_coeffs)[1::2]
+    return step
+
+
+def _assert_certification_unchanged(odd_coeffs, spec):
+    poly = chebpoly._step_from_odd(odd_coeffs, spec.delta)
+    assert poly.coeffs == ChebPoly.from_coeffs(
+        _step_over_unique_grid(odd_coeffs, spec.delta)).coeffs
+    assert verify_bounds(poly, spec) == _verify_bounds_three_grids(poly, spec)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_certification_on_per_delta_grids_is_exact_for_seeded_candidates(seed):
+    """Random odd series of degree <= 400, half of them erf truncations that
+    overshoot 1 slightly, certify with the same floats as three separate
+    evaluations and a per-candidate np.unique would give."""
+    rng = np.random.default_rng(seed)
+    delta = float(rng.choice([0.2, 0.05, rng.uniform(0.002, 0.9)]))
+    degree = 2 * int(rng.integers(0, 200)) + 1
+    if seed % 2:
+        odd = chebpoly._erf_odd_coeffs(float(rng.uniform(2.0, 60.0)), degree)
+    else:
+        odd = np.zeros(degree + 1)
+        odd[1::2] = rng.normal(size=(degree + 1) // 2) / np.arange(1, degree + 1, 2)
+        odd *= rng.uniform(0.5, 3.0) / np.sum(np.abs(odd))
+    eta = float(rng.choice([1e-3, 0.05, 0.5]))
+    _assert_certification_unchanged(odd, StepSpec(delta, eta))
+    raw = ChebPoly.from_coeffs(odd)
+    assert verify_bounds(raw, StepSpec(delta, eta)) \
+        == _verify_bounds_three_grids(raw, StepSpec(delta, eta))
+
+
+@pytest.mark.parametrize("alpha", (0.0, 0.25, 0.5, 0.75, 1.0))
+def test_certification_on_per_delta_grids_is_exact_for_sweep_schedules(alpha):
+    for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
+        sched = alpha_schedule(alpha, eps, 1.0)
+        spec = StepSpec(sched.delta, sched.eta)
+        assert verify_bounds(sched.poly, spec) \
+            == _verify_bounds_three_grids(sched.poly, spec)
+        odd = 2.0 * np.asarray(sched.poly.coeffs)
+        odd[0::2] = 0.0
+        _assert_certification_unchanged(odd, spec)
+
+
+def test_per_delta_grids_are_shared_and_read_only():
+    assert chebpoly._cert_grid(0.2) is chebpoly._cert_grid(0.2)
+    assert chebpoly._cert_grid(0.2).size == verify_bounds(
+        ChebPoly.from_coeffs([0.5, 0.5]), StepSpec(0.2, 0.5)).grid_size == 10_001
+    for grid in (chebpoly._cert_grid(0.2), chebpoly._rescale_grid(0.2)):
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
 
 
 def test_eval_outside_domain_rejected():
@@ -336,6 +422,12 @@ def test_subnormal_eta_ends_in_capacity_without_warnings():
 def test_min_eta_degree_one_boundary():
     eta = min_eta_for_degree(0.2, 1)
     assert 0.8 - 1e-4 <= eta <= 0.8 + 1e-4
+
+
+def test_min_eta_takes_no_tolerance():
+    # tol=0.0 used to bisect forever and tol=nan returned 1 - 1e-9
+    with pytest.raises(TypeError):
+        min_eta_for_degree(0.2, 3, tol=0.0)
 
 
 def test_min_eta_nonincreasing_in_degree():

@@ -3,6 +3,7 @@
 import itertools
 import warnings
 
+import numpy as np
 import pytest
 
 from qsvtsim.sampler import (Outcome, ResourceLedger, RngStream,
@@ -36,6 +37,22 @@ def test_seeds_past_2_63_get_their_own_streams():
         for a, b in ((-1, 0), (2**63, 2**63 + 7)):
             assert RngStream(a, 0).generator.integers(2**62) \
                 != RngStream(b, 0).generator.integers(2**62)
+
+
+@pytest.mark.parametrize("seed", (0, 12345, 2**63 + 5, 2**64 - 1, -1))
+def test_stream_matches_philox_keyed_by_seed_and_id(seed):
+    """The stream's Philox has the key and counter, and so the draws, of one
+    built with key=[seed, stream_id] mod 2**64 as a uint64 array."""
+    for stream_id in (0, 1, 2**32 + 3, 2**63, 2**64 - 1):
+        ours = RngStream(seed, stream_id).generator
+        key = np.array([seed % 2**64, stream_id % 2**64], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        got, want = ours.bit_generator.state["state"], ref.bit_generator.state["state"]
+        assert got["key"].tolist() == want["key"].tolist() == key.tolist()
+        assert got["counter"].tolist() == want["counter"].tolist() == [0, 0, 0, 0]
+        assert ours.random(4).tolist() == ref.random(4).tolist()
+        assert ours.binomial(10**6, 0.3, size=4).tolist() \
+            == ref.binomial(10**6, 0.3, size=4).tolist()
 
 
 def test_bernoulli_frozen_count():
