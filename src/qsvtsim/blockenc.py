@@ -62,16 +62,13 @@ def _as_matrix(m):
 
 @dataclass(frozen=True)
 class HermitianOp:
-    """A validated Hermitian matrix with its dimension."""
+    """A validated Hermitian matrix, stored read-only."""
 
     matrix: np.ndarray
-    dim: int
 
     def __post_init__(self):
         arr = _as_matrix(self.matrix)
-        if arr.shape[0] != self.dim:
-            raise ValueError("dim does not match matrix shape")
-        if self.dim < 1 or self.dim > DEFAULT_DIM_CAP:
+        if not 1 <= arr.shape[0] <= DEFAULT_DIM_CAP:
             raise ValueError(f"dimension must be in [1, {DEFAULT_DIM_CAP}]")
         if not np.isfinite(arr).all():
             i, j = np.argwhere(~np.isfinite(arr))[0]
@@ -82,8 +79,11 @@ class HermitianOp:
 
     @classmethod
     def from_matrix(cls, m):
-        arr = _as_matrix(m)
-        return cls(matrix=arr, dim=arr.shape[0])
+        return cls(m)
+
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
 
     def spectral_norm(self):
         return self._spectral_norm
@@ -99,20 +99,18 @@ class BlockEncoding:
     """Unitary whose top-left block equals encoded/gamma.
 
     The ancilla register is the leading tensor factor, so the selected
-    block is simply the first dim-by-dim corner.
+    block is simply the first dim-by-dim corner.  The unitary's dimension
+    must be k * encoded.dim with k >= 2, which leaves room for the ancilla.
     """
 
     unitary: np.ndarray
     gamma: float
-    ancillas: int
     encoded: HermitianOp
 
     def __post_init__(self):
         u = _as_matrix(self.unitary)
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.ancillas < 1:
-            raise ValueError("need at least one ancilla dimension")
         n = self.encoded.dim
         if u.shape[0] % n != 0 or u.shape[0] <= n:
             raise ValueError("unitary dimension incompatible with encoded operator")
@@ -126,15 +124,12 @@ class BlockEncoding:
 
 @dataclass(frozen=True)
 class TransformedOp:
-    """P(H') together with the number of encoding queries it cost."""
+    """P(H'), checked Hermitian with spectral radius at most 1."""
 
     matrix: np.ndarray
-    query_count: int
 
     def __post_init__(self):
         arr = _as_matrix(self.matrix)
-        if self.query_count < 0:
-            raise ValueError("query_count must be nonnegative")
         _check_hermitian(arr, "transformed operator", TRANSFORM_HERMITIAN_TOL)
         if np.max(np.abs(np.linalg.eigvalsh(arr))) > 1.0 + RADIUS_TOL:
             raise ValueError("transformed operator has spectral radius above 1")
@@ -204,7 +199,7 @@ def apply_poly(hp, poly):
         raise ValueError("operator spectral radius exceeds 1 beyond tolerance")
     acc = np.tensordot(poly.coeffs, _chebyshev_stack(hp.matrix, poly.degree), axes=1)
     acc = 0.5 * (acc + acc.conj().T)  # discard rounding skew
-    return TransformedOp(matrix=acc, query_count=poly.degree)
+    return TransformedOp(matrix=acc)
 
 
 def right_probability(top, psi):

@@ -362,12 +362,11 @@ def _erf_path(search, limit):
         n_terms = max(int(math.ceil(12.2 * k)) + 96, 192)
         coeffs = _erf_odd_coeffs(k, n_terms)
         tails = np.concatenate([np.cumsum(np.abs(coeffs)[::-1])[::-1][1:], [0.0]])
-        ok = np.flatnonzero(plateau_err + 2.0 * tails <= eta * (1.0 - 1e-9))
-        if ok.size == 0:
-            continue
-        d0 = int(ok[0])
-        if d0 % 2 == 0:
-            d0 += 1
+        # Index n_terms passes (its tail is 0 and frac < 1), and the first
+        # passing index is odd: even coefficients are exact zeros, so
+        # tails[2m] == tails[2m - 1], and index 0 fails because its tail is
+        # at least the series' value erf(k) at 1, and erfc(k delta) + 2 erf(k) > 1.
+        d0 = int(np.flatnonzero(plateau_err + 2.0 * tails <= eta * (1.0 - 1e-9))[0])
         if d0 > cap:
             continue
         if search.try_odd(coeffs[:d0 + 1]):
@@ -448,12 +447,10 @@ def _lp_path(search, limit):
     q(0) = 0 to q(delta) >= 1 - eta.  No degree up to hi can certify when
     hi asin(delta) < (1 - eta) / 2, and then no fit is solved; the factor 2
     leaves room for candidates that certify on the grids yet overshoot 1
-    between grid points.
+    between grid points.  It runs only when no other path certified.
     """
     spec = search.spec
     hi = min(limit, _LP_MAX_DEGREE)
-    if search.best_degree is not None:
-        hi = min(hi, search.best_degree - 2)
     if hi % 2 == 0:
         hi -= 1
     if hi < 3 or hi * math.asin(spec.delta) < (1.0 - spec.eta) / 2.0:
@@ -475,7 +472,7 @@ def _build_cached(delta, eta, max_degree):
     # Degree 1: the ramp (1 + x)/2 is optimal among affine candidates and
     # certifies exactly when eta >= 1 - delta.
     search.try_poly(ChebPoly.from_coeffs([0.5, 0.5]))
-    if search.best is None or search.best.degree > 1:
+    if search.best is None:
         _erf_path(search, max_degree)
     if search.best is None:
         # The kernel path found nothing under the cap.  That happens when

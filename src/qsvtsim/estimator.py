@@ -40,10 +40,6 @@ class AlphaSchedule:
     threshold: float
     poly: "ChebPoly"
 
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
-
     @property
     def degree(self):
         return self.poly.degree
@@ -193,9 +189,7 @@ def estimate_ee(inst, eps, alpha, rng, *, max_degree=DEFAULT_MAX_DEGREE,
 
 
 def hadamard_test_baseline(p, eps, rng):
-    """Depth-1 estimate of p from ceil(1/eps^2) Bernoulli shots."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
+    """Depth-1 estimate of p from ceil(1/eps^2) Bernoulli shots; the draw checks p."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     n = math.ceil(1.0 / (eps * eps))

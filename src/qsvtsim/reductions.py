@@ -50,9 +50,7 @@ class PEInstance:
             raise ValueError("true_phi must lie in [0, 2*pi)")
         if np.linalg.norm(u @ vec - np.exp(1j * self.true_phi) * vec) > STATE_TOL:
             raise ValueError("psi is not an eigenstate of U with phase true_phi")
-        e0 = np.zeros(vec.shape[0], dtype=complex)
-        e0[0] = 1.0
-        if np.linalg.norm(prep @ e0 - vec) > STATE_TOL:
+        if np.linalg.norm(prep[:, 0] - vec) > STATE_TOL:
             raise ValueError("U_psi does not prepare psi from the first basis state")
         for name, arr in (("U", u), ("psi", vec), ("U_psi", prep)):
             arr.setflags(write=False)
@@ -86,9 +84,7 @@ class AEInstance:
             raise ValueError("oracle_OA must equal I - 2 * good_projector")
         if not 0.0 <= self.true_amp <= 1.0:
             raise ValueError("true_amp must lie in [0, 1]")
-        e0 = np.zeros(a.shape[0], dtype=complex)
-        e0[0] = 1.0
-        if abs(np.linalg.norm(proj @ (a @ e0)) - self.true_amp) > STATE_TOL:
+        if abs(np.linalg.norm(proj @ a[:, 0]) - self.true_amp) > STATE_TOL:
             raise ValueError("true_amp does not match the prepared good amplitude")
         self.A, self.good_projector, self.oracle_OA = a, proj, orac
 
@@ -186,7 +182,7 @@ def ae_block_encoding(inst):
     had = np.kron(_HADAMARD, eye)
     u = had @ anti_ctrl_qdag @ ctrl_q @ had
     encoded = HermitianOp.from_matrix(0.5 * (q + q.conj().T))
-    return BlockEncoding(unitary=u, gamma=1.0, ancillas=1, encoded=encoded)
+    return BlockEncoding(unitary=u, gamma=1.0, encoded=encoded)
 
 
 def ae_to_ee(inst):
@@ -198,9 +194,7 @@ def ae_to_ee(inst):
     reads inst.A directly; only the encoding query consumes counted calls.
     """
     be = ae_block_encoding(inst)
-    e0 = np.zeros(inst.A.shape[0], dtype=complex)
-    e0[0] = 1.0
-    psi = inst.A @ e0
+    psi = inst.A[:, 0].copy()  # inst.A stays writable; EEInstance keeps psi
     mu = 1.0 - 2.0 * inst.true_amp ** 2
     ee = EEInstance(H=be.encoded, gamma=1.0, psi=psi, true_mu=mu)
 

@@ -61,7 +61,6 @@ def test_apply_poly_identity_polynomial():
     h = HermitianOp.from_matrix(np.diag([0.3, -0.7]))
     top = apply_poly(h, ChebPoly.from_coeffs([0.0, 1.0]))
     assert np.allclose(top.matrix, h.matrix)
-    assert top.query_count == 1
 
 
 def test_apply_poly_t2_on_diagonal():
@@ -70,7 +69,6 @@ def test_apply_poly_t2_on_diagonal():
     h = HermitianOp.from_matrix(np.diag([1.0, -1.0]))
     top = apply_poly(h, ChebPoly.from_coeffs([0.0, 0.0, 1.0]))
     assert np.allclose(top.matrix, np.eye(2))
-    assert top.query_count == 2
 
 
 @pytest.mark.parametrize("k", range(10))
@@ -80,7 +78,6 @@ def test_apply_poly_pure_chebyshev_term(k):
     top = apply_poly(HermitianOp.from_matrix(np.diag(vals)),
                      ChebPoly.from_coeffs([0.0] * k + [1.0]))
     assert np.max(np.abs(top.matrix - np.diag(np.cos(k * np.arccos(vals))))) <= 1e-13
-    assert top.query_count == k
 
 
 def test_apply_poly_matches_eigendecomposition():
@@ -202,6 +199,21 @@ def test_hermitian_op_validation():
         HermitianOp.from_matrix(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("n", [0, 65])
+def test_hermitian_op_rejects_dimension_outside_cap(n):
+    with pytest.raises(ValueError, match=r"dimension must be in \[1, 64\]"):
+        HermitianOp.from_matrix(np.zeros((n, n)))
+
+
+def test_hermitian_op_dim_reads_its_own_read_only_copy():
+    src = np.eye(64)
+    h = HermitianOp.from_matrix(src)
+    assert h.dim == 64
+    assert not h.matrix.flags.writeable
+    src[0, 0] = 0.5
+    assert h.matrix[0, 0] == 1.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
 def test_hermitian_op_rejects_non_finite_entries(bad):
     # NaN slips past the Hermitian check, and the norm would read 0.
@@ -222,10 +234,18 @@ def test_spectral_norm_is_computed_once(monkeypatch):
 
 def test_block_encoding_validation():
     h = HermitianOp.from_matrix(np.diag([0.5]))
-    with pytest.raises(ValueError):
-        BlockEncoding(unitary=np.eye(2), gamma=1.0, ancillas=1, encoded=h)
+    with pytest.raises(ValueError, match="top-left block does not reproduce"):
+        BlockEncoding(unitary=np.eye(2), gamma=1.0, encoded=h)
     with pytest.raises(ValueError, match="block-encoding matrix is not unitary"):
-        BlockEncoding(unitary=0.5 * np.eye(2), gamma=1.0, ancillas=1, encoded=h)
+        BlockEncoding(unitary=0.5 * np.eye(2), gamma=1.0, encoded=h)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        BlockEncoding(unitary=np.eye(2), gamma=0.0, encoded=h)
+    # The dimension rule is the only guard that leaves room for an ancilla.
+    with pytest.raises(ValueError, match="unitary dimension incompatible"):
+        BlockEncoding(unitary=np.eye(1), gamma=0.5, encoded=h)
+    h2 = HermitianOp.from_matrix(np.diag([0.5, -0.5]))
+    with pytest.raises(ValueError, match="unitary dimension incompatible"):
+        BlockEncoding(unitary=np.eye(3), gamma=1.0, encoded=h2)
 
 
 def test_matrix_io_round_trip(tmp_path):

@@ -355,6 +355,38 @@ def test_capacity_error_carries_report():
     assert not info.value.report.passes
 
 
+def test_build_rejects_degree_budget_below_one():
+    with pytest.raises(ValueError, match="max_degree must be at least 1"):
+        build_step_approx(StepSpec(0.2, 0.9), max_degree=0)
+
+
+# Smallest certified degree under a tight cap, or None for CapacityError,
+# frozen from the builder before its unreachable branches were deleted.
+# _lp_path certifies 4 of these 27 builds, (delta, eta, max_degree) =
+# (0.07, 0.3, 21), (0.07, 0.6, 9), (0.2, 0.6, 3) and (0.45, 0.3, 3).
+_TIGHT_CAP_DEGREES = {
+    (0.07, 0.1): (None, None, None),
+    (0.07, 0.3): (None, None, 19),
+    (0.07, 0.6): (None, 9, 11),
+    (0.2, 0.1): (None, None, 13),
+    (0.2, 0.3): (None, 9, 9),
+    (0.2, 0.6): (3, 5, 5),
+    (0.45, 0.1): (None, 5, 7),
+    (0.45, 0.3): (3, 5, 5),
+    (0.45, 0.6): (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("delta, eta", sorted(_TIGHT_CAP_DEGREES))
+def test_tight_cap_builds_frozen(delta, eta):
+    for max_degree, want in zip((3, 9, 21), _TIGHT_CAP_DEGREES[delta, eta]):
+        try:
+            got = build_step_approx(StepSpec(delta, eta), max_degree=max_degree).degree
+        except CapacityError:
+            got = None
+        assert got == want, (max_degree, got)
+
+
 def erf_terms(k):
     """The series length the builder's erf path uses at steepness k."""
     return max(int(math.ceil(12.2 * k)) + 96, 192)

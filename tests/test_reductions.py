@@ -128,7 +128,6 @@ def test_block_encoding_costs_and_block():
     be = ae_block_encoding(inst)
     assert inst.calls == {"A": 2, "A_dagger": 2, "O_A": 2}
     assert be.gamma == 1.0
-    assert be.ancillas == 1
     u = be.unitary
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
     inst.reset_calls()
