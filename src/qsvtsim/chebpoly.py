@@ -39,6 +39,8 @@ _CACHE_SIZE = 256
 _GRID_CACHE_SIZE = 16
 # Width of the eta interval at which min_eta_for_degree stops bisecting.
 _ETA_TOL = 1e-4
+# Rows of the x,P(x) curve that `qsvtsim poly --emit` writes.
+_CURVE_ROWS = 1000
 
 
 class CapacityError(RuntimeError):
@@ -272,10 +274,6 @@ class _Search:
         self.best = None
         self.closest_fail = None
 
-    @property
-    def best_degree(self):
-        return self.best.degree if self.best is not None else None
-
     def try_odd(self, odd_coeffs):
         poly = _step_from_odd(odd_coeffs, self.spec.delta)
         return self.try_poly(poly)
@@ -310,33 +308,22 @@ def _erf_odd_coeffs(k, n_terms):
 
 
 def _bisect_odd(feasible, lo, hi):
-    """Bisect the odd degrees between an infeasible odd lo and a feasible odd hi.
+    """Search the odd degrees in (lo, hi] for the smallest that certifies.
 
-    lo + 2 * ((hi - lo) // 4) keeps every probe odd; the caller's search
-    object records which probes certified.
+    hi is certified first, and a failure there returns False at once.
+    Otherwise the odd degrees between lo, taken as failing, and hi are
+    bisected (lo + 2 * ((hi - lo) // 4) keeps every probe odd) and True is
+    returned; the caller's search object records which probes certified.
     """
+    if not feasible(hi):
+        return False
     while hi - lo > 2:
         mid = lo + 2 * ((hi - lo) // 4)
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-
-
-def _gallop_down(search, coeffs, hi):
-    """Search below the certified odd truncation degree hi for a smaller one.
-
-    Steps down by 2, 4, 8, ... from the last pass until a truncation fails
-    or the degree would drop below 1, then bisects the odd degrees between
-    the last failure and the last pass.  search keeps the smallest pass.
-    """
-    lo, step = -1, 2  # -1: no failure seen, so degree 1 is still open
-    while hi - step >= 1:
-        if not search.try_odd(coeffs[:hi - step + 1]):
-            lo = hi - step
-            break
-        hi, step = hi - step, 2 * step
-    _bisect_odd(lambda d: search.try_odd(coeffs[:d + 1]), lo, hi)
+    return True
 
 
 def _erf_path(search, limit):
@@ -344,8 +331,9 @@ def _erf_path(search, limit):
 
     For each k the plateau already loses erfc(k*delta), so the Chebyshev
     tail of the truncation must fit in the remaining eta budget; the tail
-    sums give a starting degree, about 1.6x too high, which a galloping
-    certification search then lowers.
+    sums give a starting degree d0, about 1.6x too high, and a bisection of
+    the odd truncation degrees below it lowers it.  Should d0 itself fail,
+    d0 + 2 and then d0 + 4 are searched the same way.
     """
     spec = search.spec
     delta, eta = spec.delta, spec.eta
@@ -356,7 +344,7 @@ def _erf_path(search, limit):
             continue
         k = float(erfcinv(plateau_err)) / delta
         rough = 2.0 * k * math.sqrt(max(math.log(4.0 / budget), 1.0))
-        cap = limit if search.best_degree is None else min(limit, search.best_degree - 2)
+        cap = limit if search.best is None else min(limit, search.best.degree - 2)
         if cap < 1 or rough > 3.0 * cap:
             continue
         n_terms = max(int(math.ceil(12.2 * k)) + 96, 192)
@@ -367,14 +355,9 @@ def _erf_path(search, limit):
         # tails[2m] == tails[2m - 1], and index 0 fails because its tail is
         # at least the series' value erf(k) at 1, and erfc(k delta) + 2 erf(k) > 1.
         d0 = int(np.flatnonzero(plateau_err + 2.0 * tails <= eta * (1.0 - 1e-9))[0])
-        if d0 > cap:
-            continue
-        if search.try_odd(coeffs[:d0 + 1]):
-            _gallop_down(search, coeffs, d0)
-        else:
-            for d in (d0 + 2, d0 + 4):
-                if d <= cap and search.try_odd(coeffs[:d + 1]):
-                    break
+        for top in (d0, d0 + 2, d0 + 4):  # lo = -1: degree 1 is still open
+            if top > cap or _bisect_odd(lambda d: search.try_odd(coeffs[:d + 1]), -1, top):
+                break
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -461,8 +444,7 @@ def _lp_path(search, limit):
         return (fit is not None and fit[0] <= spec.eta - _FIT_MARGIN
                 and search.try_odd(fit[1]))
 
-    if feasible(hi):
-        _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
+    _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -554,9 +536,9 @@ def to_text(poly):
     return "\n".join(lines) + "\n"
 
 
-def write_curve_csv(poly, path, rows=1000):
-    """Write rows of 'x,P(x)' sampled uniformly over [-1, 1]."""
-    xs = np.linspace(-1.0, 1.0, rows)
+def write_curve_csv(poly, path):
+    """Write _CURVE_ROWS rows of 'x,P(x)' sampled uniformly over [-1, 1]."""
+    xs = np.linspace(-1.0, 1.0, _CURVE_ROWS)
     vals = poly.eval(xs)
     with open(path, "w", newline="") as fh:
         fh.write("x,P(x)\n")

@@ -156,11 +156,11 @@ def fit_slopes(rows):
 
     T is first divided by ceil(log2(4 gamma / eps)) squared to strip the
     logarithmic factors from the sample schedule and the bisection count.
-    Only completed rows contribute; each needs 0 < eps < 4 gamma with a
-    finite 4 gamma/eps, and 1 <= D <= T <= the largest float, else
-    ValueError.  Returns a dict mapping alpha to (t_slope, d_slope,
-    t_resid, d_resid, n_eps) where the residuals are the largest absolute
-    deviations from the fitted lines.
+    Only completed rows contribute, and there must be one; each needs
+    0 < eps < 4 gamma with a finite 4 gamma/eps, and 1 <= D <= T <= the
+    largest float, else ValueError.  Returns a dict mapping alpha to
+    (t_slope, d_slope, t_resid, d_resid, n_eps) where the residuals are the
+    largest absolute deviations from the fitted lines.
     """
     groups = {}
     for row in rows:
@@ -173,6 +173,9 @@ def fit_slopes(rows):
                 f"0 < eps < 4*gamma, a finite 4*gamma/eps and "
                 f"1 <= D <= T <= {sys.float_info.max:.3g}")
         groups.setdefault(row.alpha, {}).setdefault(row.eps, []).append(row)
+    if not groups:
+        raise ValueError("no completed sweep row to fit: every row has a "
+                         "nonempty error column, or there is no row")
 
     def regress(xs, ys):
         slope, intercept = np.polyfit(xs, ys, 1)

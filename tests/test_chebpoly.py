@@ -387,6 +387,49 @@ def test_tight_cap_builds_frozen(delta, eta):
         assert got == want, (max_degree, got)
 
 
+# Builds whose degree depends on the path of the search below the erf
+# start d0: the grid check is not monotone in truncation degree.  The
+# galloping search this bisection replaced gave 543, 185, 107, 25 and 31.
+_BISECTED_BUILDS = [
+    ((0.007292019173950125, 0.034747747808509415, 4096), 489),
+    ((0.06043193809038718, 0.0005941907007421598, 401), 177),
+    ((0.03665939803380929, 0.03515434626998802, 401), 97),
+    ((0.15265478425087303, 0.038420073391400876, 101), 23),
+    ((0.46422327949731845, 9.051188183592061e-05, 401), 33),
+]
+
+
+@pytest.mark.parametrize("delta, eta, max_degree, want",
+                         [(*key, want) for key, want in _BISECTED_BUILDS])
+def test_bisected_builds_frozen(delta, eta, max_degree, want):
+    assert build_step_approx(StepSpec(delta, eta), max_degree=max_degree).degree == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 200), st.integers(1, 600), st.integers(-4, 1610))
+def test_bisect_odd_finds_the_threshold_of_monotone_predicates(half_lo, n, t):
+    """On d >= t, _bisect_odd probes odd degrees in (lo, hi] only, hi
+    first; it finds the smallest feasible one in at most
+    1 + ceil(log2((hi - lo) / 2)) probes, or stops after hi alone."""
+    lo = 2 * half_lo - 1
+    hi = lo + 2 * n
+    probes = []
+
+    def feasible(d):
+        probes.append(d)
+        return d >= t
+
+    found = chebpoly._bisect_odd(feasible, lo, hi)
+    assert probes[0] == hi
+    assert all(d % 2 == 1 and lo < d <= hi for d in probes)
+    if t > hi:
+        assert (found, probes) == (False, [hi])
+        return
+    assert found is True
+    assert min(d for d in probes if d >= t) == max(t + (t % 2 == 0), lo + 2)
+    assert len(probes) <= 1 + math.ceil(math.log2(n))
+
+
 def erf_terms(k):
     """The series length the builder's erf path uses at steepness k."""
     return max(int(math.ceil(12.2 * k)) + 96, 192)
@@ -440,7 +483,7 @@ def test_high_degree_builds_are_small_and_search_short(monkeypatch):
     monkeypatch.setattr(chebpoly, "verify_bounds", counting)
     chebpoly._build_cached.cache_clear()
     assert alpha_schedule(0.0, 0.003125, 1.0).degree == 1349
-    assert len(calls) <= 40
+    assert len(calls) <= 25
 
 
 def test_subnormal_eta_ends_in_capacity_without_warnings():

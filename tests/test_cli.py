@@ -342,6 +342,24 @@ def test_fit_needs_three_eps(capsys, tmp_path):
     assert "3 distinct eps" in err
 
 
+@pytest.mark.parametrize("sweep", [False, True], ids=["header-only", "all-capacity"])
+def test_fit_needs_a_completed_row(capsys, tmp_path, sweep):
+    path = tmp_path / "empty.csv"
+    if sweep:
+        rc, _, _ = run_cli(capsys, [
+            "sweep", "--builtin", "diag:0.5,-0.25", "--alphas", "0",
+            "--eps-list", "0.2", "0.1", "0.05", "--max-degree", "3",
+            "--out", str(path)])
+        assert rc == 1
+        assert len(read_sweep_csv(path)) == 3
+    else:
+        path.write_text(CSV_HEADER + "\n")
+    rc, out, err = run_cli(capsys, ["fit", str(path)])
+    assert (rc, out) == (2, "")
+    assert err == ("error: no completed sweep row to fit: every row has a "
+                   "nonempty error column, or there is no row\n")
+
+
 @pytest.mark.parametrize("eps, gamma, T, D", [
     ("0.1", "inf", "10", "1"), ("5e-324", "1e308", "10", "1"), ("8", "1", "10", "1"),
     ("0.1", "nan", "10", "1"), ("0.1", "1", "0", "1"), ("0.1", "1", "10", "0"),

@@ -254,6 +254,29 @@ def test_sharp_alpha_depth_scales_like_inverse_eps():
     assert max(products) / min(products) <= 1.1
 
 
+def test_degree_follows_the_depth_law_per_cell():
+    """The paper's depth law D ~ (gamma/eps)^(1 - alpha), cell by cell.
+
+    An odd q with |q| <= 1 on [-1, 1] rises at most d asin(delta) from
+    q(0) = 0 (Bernstein's inequality), and a step must rise by
+    1 - eta = delta^alpha/2 there, so its degree is at least
+    L = delta^alpha/(2 asin delta).  The upper bound 3 L is a regression
+    bound: the 25 sweep cells lie in [1.69 L, 2.84 L] and the 60 seeded
+    cells in [1.0007 L, 2.83 L], the lowest being the degree-1 ramp at
+    alpha = 0.88.
+    """
+    rng = np.random.default_rng(0)
+    seeded = [(float(rng.uniform(0.0, 1.0)),
+               float(10.0 ** rng.uniform(math.log10(0.0125), math.log10(0.2))))
+              for _ in range(60)]
+    sweep = [(alpha, eps) for alpha in (0.0, 0.25, 0.5, 0.75, 1.0)
+             for eps in (0.2, 0.1, 0.05, 0.025, 0.0125)]
+    for alpha, eps in sweep + seeded:
+        sched = alpha_schedule(alpha, eps, 1.0)
+        law = sched.delta ** alpha / (2.0 * math.asin(sched.delta))
+        assert law <= sched.degree <= 3.0 * law, (alpha, eps, sched.degree / law)
+
+
 def test_hadamard_baseline_degenerate():
     p_hat, led = hadamard_test_baseline(0.0, 0.1, RngStream(0, 0))
     assert p_hat == 0.0
