@@ -16,7 +16,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 ENCODING_TOL = 1e-10
-TRANSFORM_HERMITIAN_TOL = 1e-10
 RADIUS_TOL = 1e-9
 # Relative slack on gamma when gamma is checked to bound a spectral norm.
 NORM_TOL = 1e-12
@@ -37,8 +36,8 @@ def _check_unitary(u, what):
         raise ValueError(f"{what} is not unitary within tolerance")
 
 
-def _check_hermitian(m, what, tol=HERMITIAN_TOL):
-    if np.max(np.abs(m - m.conj().T)) > tol:
+def _check_hermitian(m, what):
+    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
         raise ValueError(f"{what} is not Hermitian within tolerance")
 
 
@@ -62,7 +61,7 @@ def _as_matrix(m):
 
 @dataclass(frozen=True)
 class HermitianOp:
-    """A validated Hermitian matrix, stored read-only."""
+    """A validated Hermitian matrix, stored read-only and exactly Hermitian."""
 
     matrix: np.ndarray
 
@@ -74,6 +73,9 @@ class HermitianOp:
             i, j = np.argwhere(~np.isfinite(arr))[0]
             raise ValueError(f"matrix entry at row {i}, column {j} is not finite: {arr[i, j]}")
         _check_hermitian(arr, "matrix")
+        # Mirror the lower triangle, the one eigh reads; shifts keep it exact.
+        arr = np.where(np.tri(arr.shape[0], dtype=bool), arr, arr.conj().T)
+        np.fill_diagonal(arr.imag, 0.0)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -85,12 +87,9 @@ class HermitianOp:
     def dim(self):
         return self.matrix.shape[0]
 
-    def spectral_norm(self):
-        return self._spectral_norm
-
     # Frozen fields and a read-only matrix make the norm safe to keep.
     @cached_property
-    def _spectral_norm(self):
+    def spectral_norm(self):
         return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
 
 
@@ -124,22 +123,19 @@ class BlockEncoding:
 
 @dataclass(frozen=True)
 class TransformedOp:
-    """P(H'), checked Hermitian with spectral radius at most 1."""
+    """P(H'), exactly Hermitian from apply_poly, checked to have radius <= 1."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.matrix)
-        _check_hermitian(arr, "transformed operator", TRANSFORM_HERMITIAN_TOL)
-        if np.max(np.abs(np.linalg.eigvalsh(arr))) > 1.0 + RADIUS_TOL:
+        if np.max(np.abs(np.linalg.eigvalsh(self.matrix))) > 1.0 + RADIUS_TOL:
             raise ValueError("transformed operator has spectral radius above 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        self.matrix.setflags(write=False)
 
 
 def _check_norm_bound(h, gamma):
     """Reject gamma unless it is positive and bounds h's spectral norm."""
-    if gamma <= 0 or h.spectral_norm() > gamma * (1.0 + NORM_TOL):
+    if gamma <= 0 or h.spectral_norm > gamma * (1.0 + NORM_TOL):
         raise ValueError("gamma must bound the spectral norm")
 
 
@@ -195,10 +191,10 @@ def apply_poly(hp, poly):
     overhead, not arithmetic, is the cost.  hp is never diagonalised, so the
     result stays an independent check on eigenvalue-based evaluation.
     """
-    if hp.spectral_norm() > 1.0 + RADIUS_TOL:
+    if hp.spectral_norm > 1.0 + RADIUS_TOL:
         raise ValueError("operator spectral radius exceeds 1 beyond tolerance")
     acc = np.tensordot(poly.coeffs, _chebyshev_stack(hp.matrix, poly.degree), axes=1)
-    acc = 0.5 * (acc + acc.conj().T)  # discard rounding skew
+    acc = 0.5 * (acc + acc.conj().T)  # discard rounding skew; exactly Hermitian
     return TransformedOp(matrix=acc)
 
 

@@ -29,6 +29,8 @@ AE_TO_EE_TIME_MULT = 6
 AE_TO_EE_DEPTH_MULT = 6
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_P0 = np.diag([1.0, 0.0])
+_P1 = np.diag([0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -100,23 +102,6 @@ class AEInstance:
         self.calls["O_A"] += 1
         return self.oracle_OA
 
-    def reset_calls(self):
-        for key in self.calls:
-            self.calls[key] = 0
-
-
-@dataclass(frozen=True)
-class GroverOp:
-    """The search iterate Q = A (2|0><0| - I) A^dagger O_A."""
-
-    Q: np.ndarray
-
-    def __post_init__(self):
-        q = np.array(self.Q, dtype=complex)
-        _check_unitary(q, "Q")
-        q.setflags(write=False)
-        object.__setattr__(self, "Q", q)
-
 
 def pe_to_ae(inst):
     """Wrap a phase instance as an amplitude instance on one extra qubit.
@@ -130,12 +115,10 @@ def pe_to_ae(inst):
     """
     n = inst.U.shape[0]
     eye_n = np.eye(n)
-    p0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    p1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    ctrl_u = np.kron(eye_n, p0) + np.kron(inst.U, p1)
+    ctrl_u = np.kron(eye_n, _P0) + np.kron(inst.U, _P1)
     had = np.kron(eye_n, _HADAMARD)
     a_mat = had @ ctrl_u @ had @ np.kron(inst.U_psi, np.eye(2))
-    good = np.kron(eye_n, p1)
+    good = np.kron(eye_n, _P1)
     oracle = np.kron(eye_n, np.diag([1.0, -1.0]))
     amp = abs(math.sin(inst.true_phi / 2.0))
 
@@ -153,11 +136,12 @@ def _reflection_about_e0(dim):
 
 
 def grover_operator(inst):
-    """Build Q from one counted call each to A, A-dagger, and the oracle."""
+    """Q = A (2|0><0| - I) A^dagger O_A from one counted call each, checked unitary."""
     dim = inst.A.shape[0]
     refl = _reflection_about_e0(dim)
     q = inst.call_a() @ refl @ inst.call_a_dagger() @ inst.call_oracle()
-    return GroverOp(Q=q)
+    _check_unitary(q, "Q")
+    return q
 
 
 def ae_block_encoding(inst):
@@ -169,16 +153,14 @@ def ae_block_encoding(inst):
     A-dagger, and two O_A applications (time and depth multiplier 6).
     """
     dim = inst.A.shape[0]
-    q = grover_operator(inst).Q
+    q = grover_operator(inst)
     refl = _reflection_about_e0(dim)
     # Q^dagger = O_A A (2|0><0| - I) A^dagger since both reflections are
     # Hermitian; built from fresh calls to keep the count honest.
     q_dag = inst.call_oracle() @ inst.call_a() @ refl @ inst.call_a_dagger()
     eye = np.eye(dim)
-    p0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    p1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    ctrl_q = np.kron(p0, eye) + np.kron(p1, q)
-    anti_ctrl_qdag = np.kron(p0, q_dag) + np.kron(p1, eye)
+    ctrl_q = np.kron(_P0, eye) + np.kron(_P1, q)
+    anti_ctrl_qdag = np.kron(_P0, q_dag) + np.kron(_P1, eye)
     had = np.kron(_HADAMARD, eye)
     u = had @ anti_ctrl_qdag @ ctrl_q @ had
     encoded = HermitianOp.from_matrix(0.5 * (q + q.conj().T))

@@ -39,17 +39,13 @@ class _PhiloxKey(np.random.bit_generator.ISeedSequence):
 class RngStream:
     """Deterministic stream of draws identified by (seed, stream_id)."""
 
-    __slots__ = ("seed", "stream_id", "_gen")
+    __slots__ = ("seed", "stream_id", "generator")
 
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
         key = _PhiloxKey(self.seed, self.stream_id)
-        self._gen = np.random.Generator(np.random.Philox(key))
-
-    @property
-    def generator(self):
-        return self._gen
+        self.generator = np.random.Generator(np.random.Philox(key))
 
     def child(self, offset):
         """Fresh stream at stream_id + offset with the same seed."""
@@ -63,8 +59,8 @@ def bernoulli_trials(p, n, rng):
     """Count of successes in n independent draws with success probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability must lie in [0, 1]")
-    if n < 0:
-        raise ValueError("trial count must be nonnegative")
+    if not 0 <= n <= MAX_TRIALS:
+        raise ValueError("trial count must lie in [0, 2**63 - 1]")
     return int(rng.generator.binomial(int(n), p))
 
 

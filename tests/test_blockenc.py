@@ -44,7 +44,7 @@ def test_shift_maps_eigenvalues():
     hp = shift_and_scale(h, 0.25, 1.0)
     expect = (np.array([0.6, -0.2, 0.1]) - 0.25) / 1.25
     assert np.allclose(np.diag(hp.matrix).real, expect)
-    assert hp.spectral_norm() <= 1.0
+    assert hp.spectral_norm <= 1.0
 
 
 def test_shift_rejects_mu_outside_gamma():
@@ -93,6 +93,7 @@ def test_apply_poly_matches_eigendecomposition():
             assert np.min(np.abs(np.linalg.eigvalsh(h.matrix) - 0.0102)) > 1e-3
             top = apply_poly(h, poly)
             assert np.max(np.abs(top.matrix - eig_transform(h, poly))) <= 1e-9
+            assert np.array_equal(top.matrix, top.matrix.conj().T)
 
 
 def test_apply_poly_is_linear_in_coefficients():
@@ -205,6 +206,21 @@ def test_hermitian_op_rejects_dimension_outside_cap(n):
         HermitianOp.from_matrix(np.zeros((n, n)))
 
 
+def test_hermitian_op_stores_its_lower_triangle_mirrored():
+    """Skew within the tolerance is dropped: the stored matrix is exactly
+    Hermitian, keeps the input's lower triangle and has the same spectrum."""
+    rng = np.random.default_rng(8)
+    raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    m = 0.5 * (raw + raw.conj().T) + 1e-13 * (raw + 1j * raw.T)
+    assert 0.0 < np.max(np.abs(m - m.conj().T)) <= 1e-12
+    h = HermitianOp.from_matrix(m)
+    assert np.array_equal(h.matrix, h.matrix.conj().T)
+    low = np.tril_indices(5, -1)
+    assert np.array_equal(h.matrix[low], m[low])
+    assert np.array_equal(h.matrix.diagonal(), m.diagonal().real)
+    assert np.array_equal(np.linalg.eigvalsh(h.matrix), np.linalg.eigvalsh(m))
+
+
 def test_hermitian_op_dim_reads_its_own_read_only_copy():
     src = np.eye(64)
     h = HermitianOp.from_matrix(src)
@@ -228,7 +244,7 @@ def test_spectral_norm_is_computed_once(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-    assert [h.spectral_norm() for _ in range(3)] == [0.75] * 3
+    assert [h.spectral_norm for _ in range(3)] == [0.75] * 3
     assert len(calls) == 1
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsvtsim import estimator
 from qsvtsim.chebpoly import StepSpec, verify_bounds
@@ -235,6 +237,47 @@ def test_statevector_path_matches_fast_path():
         assert fast[1] == slow[1]
 
 
+def test_statevector_path_accepts_near_hermitian_instance():
+    """H is Hermitian within tolerance; dividing by gamma + |mu0| < 1 must
+    not scale its skew past the check on the shifted operator."""
+    m = np.array([[0.3, 0.1 + 0.05j], [0.1 - 0.05j + 6e-13, -0.2]])
+    w, v = np.linalg.eigh(m)
+    # gamma is the spectral norm, 0.3239, reached by psi's eigenvalue
+    inst = EEInstance(H=HermitianOp.from_matrix(m), gamma=float(w[1]), psi=v[:, 1],
+                      true_mu=float(w[1]))
+    fast = estimate_ee(inst, 0.05, 0.5, RngStream(0, 0))
+    slow = estimate_ee(inst, 0.05, 0.5, RngStream(0, 0), use_statevector=True)
+    assert fast[0] == slow[0] == 0.28337861890870186
+    assert fast[1] == slow[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.floats(0.05, 1.0), st.sampled_from((0.5, 0.1)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_paths_agree_on_dense_instances_at_alpha_one(n, scale, eps_ratio, skew, seed):
+    """The alpha = 1 ramp never overshoots, so the fast and statevector paths
+    return the same estimate and ledger.  With gamma = scale, the shift's
+    divisor gamma + |mu0| can fall below 1 and scale up any skew left within
+    tolerance."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = 0.5 * (raw + raw.conj().T)
+    m *= scale / np.max(np.abs(np.linalg.eigvalsh(m)))
+    if skew:
+        up = np.triu_indices(n, 1)
+        m[up] += rng.uniform(-7e-13, 7e-13, len(up[0])) \
+            + 1j * rng.uniform(-7e-13, 7e-13, len(up[0]))
+    w, v = np.linalg.eigh(m)
+    i = int(rng.integers(n))
+    inst = EEInstance(H=HermitianOp.from_matrix(m), gamma=scale, psi=v[:, i],
+                      true_mu=float(w[i]))
+    eps = eps_ratio * scale
+    fast = estimate_ee(inst, eps, 1.0, RngStream(seed, 0))
+    slow = estimate_ee(inst, eps, 1.0, RngStream(seed, 0), use_statevector=True)
+    assert fast[0] == slow[0]
+    assert fast[1] == slow[1]
+
+
 @pytest.mark.xfail(strict=True, raises=ValueError,
                    reason="the degree-337 step overshoots 1 near x = 0.01024, "
                           "so the transformed operator fails its radius check")
@@ -304,6 +347,8 @@ def test_hadamard_baseline_validation():
         hadamard_test_baseline(1.2, 0.1, RngStream(0, 0))
     with pytest.raises(ValueError):
         hadamard_test_baseline(0.5, 0.0, RngStream(0, 0))
+    with pytest.raises(ValueError, match="trial count"):  # ceil(1e20) shots
+        hadamard_test_baseline(0.5, 1e-10, RngStream(0, 0))
 
 
 def test_ipe_zero_phase():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qsvtsim.sampler import (Outcome, ResourceLedger, RngStream,
+from qsvtsim.sampler import (MAX_TRIALS, Outcome, ResourceLedger, RngStream,
                              bernoulli_trials, record_shots)
 
 
@@ -76,6 +76,10 @@ def test_bernoulli_rejects_bad_args():
         bernoulli_trials(-0.1, 10, RngStream(0, 0))
     with pytest.raises(ValueError):
         bernoulli_trials(0.5, -1, RngStream(0, 0))
+    # numpy's binomial would raise OverflowError past a signed 64-bit count
+    assert bernoulli_trials(1.0, MAX_TRIALS, RngStream(0, 0)) == MAX_TRIALS
+    with pytest.raises(ValueError, match=r"trial count must lie in \[0, 2\*\*63 - 1\]"):
+        bernoulli_trials(0.5, MAX_TRIALS + 1, RngStream(0, 0))
 
 
 def test_bernoulli_concentration():
