@@ -42,7 +42,7 @@ def _check_hermitian(m, what):
 
 
 def _as_state(psi, dim, what):
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    vec = np.array(psi, dtype=complex).reshape(-1)
     if not np.isfinite(vec).all():
         raise ValueError(f"{what} must be finite")
     if vec.shape[0] != dim:
@@ -95,7 +95,7 @@ class HermitianOp:
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """Unitary whose top-left block equals encoded/gamma.
+    """Unitary whose top-left block equals encoded (normalisation 1).
 
     The ancilla register is the leading tensor factor, so the selected
     block is simply the first dim-by-dim corner.  The unitary's dimension
@@ -103,19 +103,15 @@ class BlockEncoding:
     """
 
     unitary: np.ndarray
-    gamma: float
     encoded: HermitianOp
 
     def __post_init__(self):
         u = _as_matrix(self.unitary)
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
         n = self.encoded.dim
         if u.shape[0] % n != 0 or u.shape[0] <= n:
             raise ValueError("unitary dimension incompatible with encoded operator")
         _check_unitary(u, "block-encoding matrix")
-        block = self.gamma * u[:n, :n]
-        if np.max(np.abs(block - self.encoded.matrix)) > ENCODING_TOL:
+        if np.max(np.abs(u[:n, :n] - self.encoded.matrix)) > ENCODING_TOL:
             raise ValueError("top-left block does not reproduce the encoded operator")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)

@@ -448,8 +448,7 @@ def _lp_path(search, limit):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _build_cached(delta, eta, max_degree):
-    spec = StepSpec(delta, eta)
+def _build_cached(spec, max_degree):
     search = _Search(spec)
     # Degree 1: the ramp (1 + x)/2 is optimal among affine candidates and
     # certifies exactly when eta >= 1 - delta.
@@ -465,7 +464,7 @@ def _build_cached(delta, eta, max_degree):
         report = search.closest_fail[1] if search.closest_fail else None
         raise CapacityError(
             f"no certified step polynomial of degree <= {max_degree} "
-            f"for delta={delta!r}, eta={eta!r}", report=report)
+            f"for delta={spec.delta!r}, eta={spec.eta!r}", report=report)
     return search.best
 
 
@@ -479,7 +478,7 @@ def build_step_approx(spec, max_degree=DEFAULT_MAX_DEGREE):
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    return _build_cached(spec.delta, spec.eta, int(max_degree))
+    return _build_cached(spec, int(max_degree))
 
 
 def degree_constant(poly, spec):

@@ -211,8 +211,6 @@ def _parse_builtin(text):
         values = [float(tok) for tok in text[len("diag:"):].split(",")]
     except ValueError:
         raise ValueError(f"bad builtin spec {text!r}") from None
-    if not values:
-        raise ValueError("diag builtin needs at least one entry")
     return values
 
 
@@ -220,22 +218,17 @@ def _instance_from_args(args):
     if getattr(args, "matrix", None):
         h = read_matrix(args.matrix)
         vals, vecs = np.linalg.eigh(h.matrix)
-        idx = args.eig_index
-        if not 0 <= idx < h.dim:
-            raise ValueError(f"eig-index {idx} out of range for dim {h.dim}")
-        gamma = args.gamma if args.gamma is not None else float(
-            np.max(np.abs(vals)))
-        return EEInstance(H=h, gamma=gamma, psi=vecs[:, idx],
-                          true_mu=float(vals[idx]))
-    values = _parse_builtin(args.builtin)
+        default_gamma = float(np.max(np.abs(vals)))
+    else:
+        vals = _parse_builtin(args.builtin)
+        h = HermitianOp.from_matrix(np.diag(vals))
+        vecs, default_gamma = np.eye(h.dim), 1.0
     idx = args.eig_index
-    if not 0 <= idx < len(values):
-        raise ValueError(f"eig-index {idx} out of range for dim {len(values)}")
-    gamma = args.gamma if args.gamma is not None else 1.0
-    h = HermitianOp.from_matrix(np.diag(values))
-    psi = np.zeros(len(values))
-    psi[idx] = 1.0
-    return EEInstance(H=h, gamma=gamma, psi=psi, true_mu=values[idx])
+    if not 0 <= idx < h.dim:
+        raise ValueError(f"eig-index {idx} out of range for dim {h.dim}")
+    gamma = args.gamma if args.gamma is not None else default_gamma
+    return EEInstance(H=h, gamma=gamma, psi=vecs[:, idx],
+                      true_mu=float(vals[idx]))
 
 
 def _parse_degree_list(tokens):

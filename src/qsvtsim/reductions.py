@@ -35,60 +35,56 @@ _P1 = np.diag([0.0, 1.0])
 
 @dataclass(frozen=True)
 class PEInstance:
-    """Unitary with a known eigenstate, its preparation, and hidden phase."""
+    """Unitary, the preparation of its eigenstate U_psi|0>, and hidden phase."""
 
     U: np.ndarray
-    psi: np.ndarray
     U_psi: np.ndarray
     true_phi: float
 
     def __post_init__(self):
         u = np.array(self.U, dtype=complex)
         prep = np.array(self.U_psi, dtype=complex)
-        vec = np.asarray(self.psi, dtype=complex).reshape(-1)
         _check_unitary(u, "U")
         _check_unitary(prep, "U_psi")
         if not 0.0 <= self.true_phi < 2.0 * math.pi:
             raise ValueError("true_phi must lie in [0, 2*pi)")
-        if np.linalg.norm(u @ vec - np.exp(1j * self.true_phi) * vec) > STATE_TOL:
-            raise ValueError("psi is not an eigenstate of U with phase true_phi")
-        if np.linalg.norm(prep[:, 0] - vec) > STATE_TOL:
-            raise ValueError("U_psi does not prepare psi from the first basis state")
-        for name, arr in (("U", u), ("psi", vec), ("U_psi", prep)):
+        psi = prep[:, 0]
+        if np.linalg.norm(u @ psi - np.exp(1j * self.true_phi) * psi) > STATE_TOL:
+            raise ValueError("U_psi|0> is not an eigenstate of U with phase true_phi")
+        for name, arr in (("U", u), ("U_psi", prep)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
 @dataclass
 class AEInstance:
-    """State-prep unitary A, good-state projector, oracle, hidden amplitude.
+    """State-prep unitary A, good-state projector, hidden amplitude.
 
-    The call_* accessors hand out the matrices while counting accesses, so
-    constructions can be audited for their oracle budgets.
+    The oracle O_A = I - 2 * good_projector reflects about the good
+    subspace.  The call_* accessors hand out the matrices while counting
+    accesses, so constructions can be audited for their oracle budgets.
     """
 
     A: np.ndarray
     good_projector: np.ndarray
-    oracle_OA: np.ndarray
     true_amp: float
-    calls: dict = field(default_factory=lambda: {"A": 0, "A_dagger": 0, "O_A": 0})
+    oracle_OA: np.ndarray = field(init=False)
+    calls: dict = field(init=False,
+                        default_factory=lambda: {"A": 0, "A_dagger": 0, "O_A": 0})
 
     def __post_init__(self):
         a = np.array(self.A, dtype=complex)
         proj = np.array(self.good_projector, dtype=complex)
-        orac = np.array(self.oracle_OA, dtype=complex)
         _check_unitary(a, "A")
         _check_hermitian(proj, "good_projector")
         if np.max(np.abs(proj @ proj - proj)) > HERMITIAN_TOL:
             raise ValueError("good_projector is not an orthogonal projector")
-        eye = np.eye(proj.shape[0])
-        if np.max(np.abs(orac - (eye - 2.0 * proj))) > STATE_TOL:
-            raise ValueError("oracle_OA must equal I - 2 * good_projector")
         if not 0.0 <= self.true_amp <= 1.0:
             raise ValueError("true_amp must lie in [0, 1]")
         if abs(np.linalg.norm(proj @ a[:, 0]) - self.true_amp) > STATE_TOL:
             raise ValueError("true_amp does not match the prepared good amplitude")
-        self.A, self.good_projector, self.oracle_OA = a, proj, orac
+        self.A, self.good_projector = a, proj
+        self.oracle_OA = np.eye(proj.shape[0]) - 2.0 * proj
 
     def call_a(self):
         self.calls["A"] += 1
@@ -119,14 +115,12 @@ def pe_to_ae(inst):
     had = np.kron(eye_n, _HADAMARD)
     a_mat = had @ ctrl_u @ had @ np.kron(inst.U_psi, np.eye(2))
     good = np.kron(eye_n, _P1)
-    oracle = np.kron(eye_n, np.diag([1.0, -1.0]))
     amp = abs(math.sin(inst.true_phi / 2.0))
 
     def recover(a_bar):
         return 2.0 * math.asin(min(max(a_bar, 0.0), 1.0))
 
-    return AEInstance(A=a_mat, good_projector=good, oracle_OA=oracle,
-                      true_amp=amp), recover
+    return AEInstance(A=a_mat, good_projector=good, true_amp=amp), recover
 
 
 def _reflection_about_e0(dim):
@@ -164,7 +158,7 @@ def ae_block_encoding(inst):
     had = np.kron(_HADAMARD, eye)
     u = had @ anti_ctrl_qdag @ ctrl_q @ had
     encoded = HermitianOp.from_matrix(0.5 * (q + q.conj().T))
-    return BlockEncoding(unitary=u, gamma=1.0, encoded=encoded)
+    return BlockEncoding(unitary=u, encoded=encoded)
 
 
 def ae_to_ee(inst):
@@ -176,9 +170,8 @@ def ae_to_ee(inst):
     reads inst.A directly; only the encoding query consumes counted calls.
     """
     be = ae_block_encoding(inst)
-    psi = inst.A[:, 0].copy()  # inst.A stays writable; EEInstance keeps psi
     mu = 1.0 - 2.0 * inst.true_amp ** 2
-    ee = EEInstance(H=be.encoded, gamma=1.0, psi=psi, true_mu=mu)
+    ee = EEInstance(H=be.encoded, gamma=1.0, psi=inst.A[:, 0], true_mu=mu)
 
     def recover(mu_bar):
         return 0.5 * (1.0 - mu_bar)
@@ -246,14 +239,13 @@ def pe_instance_from_phase(phi, dim=1, rng=None):
         raise ValueError("dim must be positive")
     if dim == 1:
         u = np.array([[np.exp(1j * phi)]])
-        return PEInstance(U=u, psi=np.array([1.0 + 0.0j]),
-                          U_psi=np.eye(1, dtype=complex), true_phi=phi)
+        return PEInstance(U=u, U_psi=np.eye(1, dtype=complex), true_phi=phi)
     gen = np.random.default_rng(0) if rng is None else rng.generator
     raw = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     basis, _ = np.linalg.qr(raw)
     phases = np.concatenate([[phi], gen.uniform(0.0, 2.0 * math.pi, dim - 1)])
     u = basis @ np.diag(np.exp(1j * phases)) @ basis.conj().T
-    return PEInstance(U=u, psi=basis[:, 0], U_psi=basis, true_phi=phi)
+    return PEInstance(U=u, U_psi=basis, true_phi=phi)
 
 
 def ae_instance_from_amplitude(a):
@@ -263,5 +255,4 @@ def ae_instance_from_amplitude(a):
     theta = math.asin(a)
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
-    return AEInstance(A=rot, good_projector=np.diag([0.0, 1.0]),
-                      oracle_OA=np.diag([1.0, -1.0]), true_amp=float(a))
+    return AEInstance(A=rot, good_projector=np.diag([0.0, 1.0]), true_amp=float(a))

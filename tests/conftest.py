@@ -1,11 +1,35 @@
-"""Shared pytest wiring: one summary line per acceptance-marked test.
+"""Shared pytest wiring: one summary line per acceptance-marked test, and
+the benchmark's workloads loaded by path.
 
 Capture in pytest grabs the stdout file descriptor itself, so tests
 cannot reliably print verdicts; instead the marked results are collected
 here and written through the terminal reporter at the end of the run.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py as it stands, with its checker importable."""
+    with pytest.MonkeyPatch.context() as mp:
+        # workloads.py imports its checker as a top-level module
+        mp.setitem(sys.modules, "certify", _load("certify"))
+        yield _load("workloads")
+
 
 _VERDICTS = {}
 

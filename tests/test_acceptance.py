@@ -137,8 +137,8 @@ def test_criterion_7_reduction_identities():
         ae, _ = pe_to_ae(pe)
         e0 = np.zeros(ae.A.shape[0], dtype=complex)
         e0[0] = 1.0
-        target = np.kron(pe.psi, np.array([math.cos(phi / 2.0),
-                                           -1j * math.sin(phi / 2.0)]))
+        target = np.kron(pe.U_psi[:, 0], np.array([math.cos(phi / 2.0),
+                                                   -1j * math.sin(phi / 2.0)]))
         # the interferometer adds a global phase exp(i phi/2) on top of
         # the quoted form; compare with it in place
         assert np.linalg.norm(ae.A @ e0 - np.exp(1j * phi / 2.0) * target) \

@@ -251,17 +251,15 @@ def test_spectral_norm_is_computed_once(monkeypatch):
 def test_block_encoding_validation():
     h = HermitianOp.from_matrix(np.diag([0.5]))
     with pytest.raises(ValueError, match="top-left block does not reproduce"):
-        BlockEncoding(unitary=np.eye(2), gamma=1.0, encoded=h)
+        BlockEncoding(unitary=np.eye(2), encoded=h)
     with pytest.raises(ValueError, match="block-encoding matrix is not unitary"):
-        BlockEncoding(unitary=0.5 * np.eye(2), gamma=1.0, encoded=h)
-    with pytest.raises(ValueError, match="gamma must be positive"):
-        BlockEncoding(unitary=np.eye(2), gamma=0.0, encoded=h)
+        BlockEncoding(unitary=0.5 * np.eye(2), encoded=h)
     # The dimension rule is the only guard that leaves room for an ancilla.
     with pytest.raises(ValueError, match="unitary dimension incompatible"):
-        BlockEncoding(unitary=np.eye(1), gamma=0.5, encoded=h)
+        BlockEncoding(unitary=np.eye(1), encoded=h)
     h2 = HermitianOp.from_matrix(np.diag([0.5, -0.5]))
     with pytest.raises(ValueError, match="unitary dimension incompatible"):
-        BlockEncoding(unitary=np.eye(3), gamma=1.0, encoded=h2)
+        BlockEncoding(unitary=np.eye(3), encoded=h2)
 
 
 def test_matrix_io_round_trip(tmp_path):

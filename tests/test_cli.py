@@ -121,17 +121,38 @@ def test_estimate_output_is_deterministic(capsys):
 
 
 def test_estimate_matrix_file_matches_builtin(capsys, tmp_path):
-    path = tmp_path / "h.mat"
-    path.write_text("dim 2\n0.5+0j 0+0j\n0+0j -0.25+0j\n")
-    rc, out, _ = run_cli(capsys, [
-        "estimate", "--matrix", str(path), "--gamma", "1",
-        "--eig-index", "1", "--eps", "0.05", "--alpha", "1", "--seed", "0"])
-    assert rc == 0
-    kv = parse_kv(out)
-    # eigh orders ascending, so index 1 is the 0.5 eigenvalue; the fast
-    # path then depends only on (true_mu, gamma, seed)
-    assert kv["true_mu"] == "0.5"
-    assert kv["mu_hat"] == "0.46875"
+    """A diagonal file and the same builtin make one instance.
+
+    eigh orders ascending, so every --eig-index picks the same eigenpair,
+    and with --gamma given the whole stdout agrees; the fast path then
+    depends only on (true_mu, gamma, seed).  Without --gamma a file
+    defaults to ||H|| and a builtin to 1.
+    """
+    tail = ["--eps", "0.05", "--alpha", "1", "--seed", "0"]
+    for diag, top_mu_hat in [((-0.25, 0.5), "0.46875"),
+                             ((-0.6, 0.1, 0.3), "0.28125"),
+                             ((-0.7, -0.2, 0.4, 0.9), "0.90625")]:
+        n = len(diag)
+        path = tmp_path / f"h{n}.mat"
+        path.write_text(f"dim {n}\n" + "".join(
+            " ".join(f"{v if i == j else 0.0}+0j" for j in range(n)) + "\n"
+            for i, v in enumerate(diag)))
+        sources = (["--matrix", str(path)],
+                   ["--builtin", "diag:" + ",".join(map(str, diag))])
+        for idx in range(n):
+            outs = []
+            for source in sources:
+                rc, out, _ = run_cli(capsys, ["estimate", *source, "--gamma", "1",
+                                              "--eig-index", str(idx), *tail])
+                assert rc == 0
+                outs.append(out)
+            assert outs[0] == outs[1]
+            assert float(parse_kv(outs[0])["true_mu"]) == diag[idx]
+        assert parse_kv(outs[0])["mu_hat"] == top_mu_hat
+        for source, gamma in zip(sources, (max(map(abs, diag)), 1.0)):
+            rc, out, _ = run_cli(capsys, ["estimate", *source, *tail])
+            assert rc == 0
+            assert parse_kv(out)["gamma"] == f"{gamma:.17g}"
 
 
 def test_estimate_rejects_bad_builtin(capsys):

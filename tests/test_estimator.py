@@ -120,6 +120,15 @@ def test_instance_validation():
     assert inst.true_mu == 0.5
 
 
+def test_instance_keeps_its_own_psi():
+    """A frozen instance must not see later writes to the caller's array."""
+    v = np.array([1.0 + 0.0j, 0.0])
+    inst = EEInstance(H=HermitianOp.from_matrix(np.diag([0.5, -0.25])),
+                      gamma=1.0, psi=v, true_mu=0.5)
+    v[:] = [0.0, 1.0]
+    assert np.array_equal(inst.psi, [1.0, 0.0])
+
+
 def test_diag_instance_uses_first_entry():
     inst = diag_instance([0.5, -0.25], gamma=2.0)
     assert inst.true_mu == 0.5

@@ -29,31 +29,34 @@ def test_pe_instance_validation():
     ok = pe_instance_from_phase(1.0)
     assert ok.true_phi == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        PEInstance(U=np.array([[2.0]]), psi=np.array([1.0]),
-                   U_psi=np.eye(1), true_phi=0.0)
+        PEInstance(U=np.array([[2.0]]), U_psi=np.eye(1), true_phi=0.0)
     with pytest.raises(ValueError):
-        PEInstance(U=np.eye(1), psi=np.array([1.0]),
-                   U_psi=np.eye(1), true_phi=7.0)
+        PEInstance(U=np.eye(1), U_psi=np.eye(1), true_phi=7.0)
     with pytest.raises(ValueError):
-        PEInstance(U=np.diag([1.0, -1.0]), psi=np.array([0.0, 1.0]),
-                   U_psi=np.eye(2), true_phi=0.0)  # wrong eigenphase
-    with pytest.raises(ValueError):
-        PEInstance(U=np.eye(2), psi=np.array([0.0, 1.0]),
-                   U_psi=np.eye(2), true_phi=0.0)  # prep misses psi
+        PEInstance(U=np.diag([1.0, -1.0]), U_psi=np.eye(2)[:, ::-1],
+                   true_phi=0.0)  # wrong eigenphase
 
 
 def test_ae_instance_validation():
     with pytest.raises(ValueError):
         AEInstance(A=np.eye(2), good_projector=np.diag([0.0, 2.0]),
-                   oracle_OA=np.diag([1.0, -3.0]), true_amp=0.0)
+                   true_amp=0.0)
     with pytest.raises(ValueError):
         AEInstance(A=np.eye(2), good_projector=np.diag([0.0, 1.0]),
-                   oracle_OA=np.diag([1.0, 1.0]), true_amp=0.0)
-    with pytest.raises(ValueError):
-        AEInstance(A=np.eye(2), good_projector=np.diag([0.0, 1.0]),
-                   oracle_OA=np.diag([1.0, -1.0]), true_amp=0.5)
+                   true_amp=0.5)
     with pytest.raises(ValueError):
         ae_instance_from_amplitude(1.2)
+
+
+def test_oracle_is_the_reflection_about_the_good_subspace():
+    """O_A = I - 2 * good_projector, exactly the matrices the factories
+    once passed in: a sign flip on ancilla 1."""
+    for dim in (1, 2, 3):
+        ae, _ = pe_to_ae(pe_instance_from_phase(1.0, dim=dim))
+        assert np.array_equal(ae.oracle_OA,
+                              np.kron(np.eye(dim), np.diag([1.0, -1.0])))
+    ae = ae_instance_from_amplitude(0.3)
+    assert np.array_equal(ae.oracle_OA, np.diag([1.0, -1.0]))
 
 
 def test_call_counters_and_reset():
@@ -90,8 +93,8 @@ def test_pe_to_ae_prepared_state():
         e0 = np.zeros(ae.A.shape[0], dtype=complex)
         e0[0] = 1.0
         got = ae.A @ e0
-        target = np.kron(pe.psi, np.array([math.cos(phi / 2.0),
-                                           -1j * math.sin(phi / 2.0)]))
+        target = np.kron(pe.U_psi[:, 0], np.array([math.cos(phi / 2.0),
+                                                   -1j * math.sin(phi / 2.0)]))
         target = np.exp(1j * phi / 2.0) * target
         assert np.linalg.norm(got - target) <= 1e-10
         assert abs(np.linalg.norm(ae.good_projector @ got) - ae.true_amp) <= 1e-10
@@ -125,7 +128,6 @@ def test_block_encoding_costs_and_block():
     inst = ae_instance_from_amplitude(0.4)
     be = ae_block_encoding(inst)
     assert inst.calls == {"A": 2, "A_dagger": 2, "O_A": 2}
-    assert be.gamma == 1.0
     u = be.unitary
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
     q = grover_operator(inst)

@@ -4,31 +4,11 @@ perfbench/workloads.py unpacks the program's return values, reaches it
 through traced names and checks its outputs against certify.py.  One pass
 of each workload at seed 0 must keep every check passing, fail no more ops
 and reach no greater total depth than the figures below.  Both files are
-loaded by path and used as they stand.
+loaded by path (the workloads fixture in conftest.py) and used as they
+stand.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    with pytest.MonkeyPatch.context() as mp:
-        # workloads.py imports its checker as a top-level module
-        mp.setitem(sys.modules, "certify", load("certify"))
-        yield load("workloads")
 
 
 # (workload, ops per pass, failed ops at most, depth_sum at most)
