@@ -59,7 +59,7 @@ def _as_matrix(m):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOp:
     """A validated Hermitian matrix, stored read-only and exactly Hermitian."""
 
@@ -93,7 +93,7 @@ class HermitianOp:
         return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockEncoding:
     """Unitary whose top-left block equals encoded (normalisation 1).
 
@@ -115,18 +115,6 @@ class BlockEncoding:
             raise ValueError("top-left block does not reproduce the encoded operator")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
-
-
-@dataclass(frozen=True)
-class TransformedOp:
-    """P(H'), exactly Hermitian from apply_poly, checked to have radius <= 1."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if np.max(np.abs(np.linalg.eigvalsh(self.matrix))) > 1.0 + RADIUS_TOL:
-            raise ValueError("transformed operator has spectral radius above 1")
-        self.matrix.setflags(write=False)
 
 
 def _check_norm_bound(h, gamma):
@@ -186,19 +174,21 @@ def apply_poly(hp, poly):
     of small-array calls; at the dimensions simulated here that per-call
     overhead, not arithmetic, is the cost.  hp is never diagonalised, so the
     result stays an independent check on eigenvalue-based evaluation.
+    shift_and_scale puts hp's spectrum in [-1, 1].  P(hp) comes back
+    read-only and exactly Hermitian; a spectral radius above 1 + RADIUS_TOL raises.
     """
-    if hp.spectral_norm > 1.0 + RADIUS_TOL:
-        raise ValueError("operator spectral radius exceeds 1 beyond tolerance")
     acc = np.tensordot(poly.coeffs, _chebyshev_stack(hp.matrix, poly.degree), axes=1)
     acc = 0.5 * (acc + acc.conj().T)  # discard rounding skew; exactly Hermitian
-    return TransformedOp(matrix=acc)
+    if np.max(np.abs(np.linalg.eigvalsh(acc))) > 1.0 + RADIUS_TOL:
+        raise ValueError("transformed operator has spectral radius above 1")
+    acc.setflags(write=False)
+    return acc
 
 
 def right_probability(top, psi):
-    """Probability ||P(H') psi||^2 of the post-transform success outcome."""
-    out = top.matrix @ _as_state(psi, top.matrix.shape[0], "state")
-    p = float(np.real(np.vdot(out, out)))
-    return min(max(p, 0.0), 1.0)
+    """Success probability ||P(H') psi||^2 for a unit psi, capped at 1."""
+    out = top @ psi
+    return min(float(np.real(np.vdot(out, out))), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -310,20 +310,19 @@ def _erf_odd_coeffs(k, n_terms):
 def _bisect_odd(feasible, lo, hi):
     """Search the odd degrees in (lo, hi] for the smallest that certifies.
 
-    hi is certified first, and a failure there returns False at once.
-    Otherwise the odd degrees between lo, taken as failing, and hi are
-    bisected (lo + 2 * ((hi - lo) // 4) keeps every probe odd) and True is
-    returned; the caller's search object records which probes certified.
+    hi is certified first, and a failure there ends the search.  Otherwise
+    the odd degrees between lo, taken as failing, and hi are bisected
+    (lo + 2 * ((hi - lo) // 4) keeps every probe odd); the caller's search
+    object records which probes certified.
     """
     if not feasible(hi):
-        return False
+        return
     while hi - lo > 2:
         mid = lo + 2 * ((hi - lo) // 4)
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-    return True
 
 
 def _erf_path(search, limit):
@@ -332,8 +331,7 @@ def _erf_path(search, limit):
     For each k the plateau already loses erfc(k*delta), so the Chebyshev
     tail of the truncation must fit in the remaining eta budget; the tail
     sums give a starting degree d0, about 1.6x too high, and a bisection of
-    the odd truncation degrees below it lowers it.  Should d0 itself fail,
-    d0 + 2 and then d0 + 4 are searched the same way.
+    the odd truncation degrees below it lowers it.
     """
     spec = search.spec
     delta, eta = spec.delta, spec.eta
@@ -345,7 +343,7 @@ def _erf_path(search, limit):
         k = float(erfcinv(plateau_err)) / delta
         rough = 2.0 * k * math.sqrt(max(math.log(4.0 / budget), 1.0))
         cap = limit if search.best is None else min(limit, search.best.degree - 2)
-        if cap < 1 or rough > 3.0 * cap:
+        if rough > 3.0 * cap:
             continue
         n_terms = max(int(math.ceil(12.2 * k)) + 96, 192)
         coeffs = _erf_odd_coeffs(k, n_terms)
@@ -355,9 +353,8 @@ def _erf_path(search, limit):
         # tails[2m] == tails[2m - 1], and index 0 fails because its tail is
         # at least the series' value erf(k) at 1, and erfc(k delta) + 2 erf(k) > 1.
         d0 = int(np.flatnonzero(plateau_err + 2.0 * tails <= eta * (1.0 - 1e-9))[0])
-        for top in (d0, d0 + 2, d0 + 4):  # lo = -1: degree 1 is still open
-            if top > cap or _bisect_odd(lambda d: search.try_odd(coeffs[:d + 1]), -1, top):
-                break
+        if d0 <= cap:  # lo = -1: degree 1 is still open
+            _bisect_odd(lambda d: search.try_odd(coeffs[:d + 1]), -1, d0)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

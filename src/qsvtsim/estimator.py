@@ -92,7 +92,7 @@ def alpha_schedule(alpha, eps, gamma, max_degree=DEFAULT_MAX_DEGREE):
                          threshold=threshold_for(eta), poly=poly)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EEInstance:
     """Hermitian operator with a known eigenstate and its hidden eigenvalue."""
 
@@ -130,11 +130,10 @@ def _right_prob(inst, mu0, sched, use_statevector):
     """
     if use_statevector:
         hp = shift_and_scale(inst.H, mu0, inst.gamma)
-        top = apply_poly(hp, sched.poly)
-        return right_probability(top, inst.psi)
+        return right_probability(apply_poly(hp, sched.poly), inst.psi)
     x = (inst.true_mu - mu0) / _shift_denominator(mu0, inst.gamma)
     val = sched.poly.eval(min(max(x, -1.0), 1.0))
-    return min(max(val * val, 0.0), 1.0)
+    return min(val * val, 1.0)
 
 
 def decide_ee(inst, mu0, sched, rng, ledger, use_statevector=False):

@@ -33,7 +33,7 @@ _P0 = np.diag([1.0, 0.0])
 _P1 = np.diag([0.0, 1.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PEInstance:
     """Unitary, the preparation of its eigenstate U_psi|0>, and hidden phase."""
 
@@ -56,7 +56,7 @@ class PEInstance:
             object.__setattr__(self, name, arr)
 
 
-@dataclass
+@dataclass(eq=False)
 class AEInstance:
     """State-prep unitary A, good-state projector, hidden amplitude.
 
@@ -235,6 +235,8 @@ def solve_pe_via_ee(inst, eps, alpha, rng, **kwargs):
 def pe_instance_from_phase(phi, dim=1, rng=None):
     """Instance with hidden phase phi; dim > 1 embeds it in a random basis."""
     phi = float(phi) % (2.0 * math.pi)
+    if phi == 2.0 * math.pi:  # a tiny negative phi rounds up to 2 pi
+        phi = 0.0
     if dim < 1:
         raise ValueError("dim must be positive")
     if dim == 1:

@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from qsvtsim import estimator
+from qsvtsim import chebpoly, estimator
 from qsvtsim.cli import main
 
 
@@ -73,3 +73,26 @@ def test_estimate_mix_results(workloads, seed, digest):
     results, _ = workloads.EstimateMix(seed).run_pass()
     text = "\n".join(_result_line(out) for out in results)
     assert sha256(text.encode()) == digest
+
+
+def _scan_line(delta, eta, max_degree):
+    spec = chebpoly.StepSpec(delta, eta)
+    try:
+        poly = chebpoly.build_step_approx(spec, max_degree)
+    except chebpoly.CapacityError as exc:
+        rep = exc.report
+        fields = (rep.max_low_violation, rep.max_high_violation, rep.max_abs_excess)
+        return "capacity " + " ".join(float(v).hex() for v in fields) + f" {rep.grid_size}"
+    return "poly " + " ".join(float(c).hex() for c in poly.coeffs)
+
+
+def test_build_scan():
+    """125 builds: each certified polynomial's coefficients as float hex, or
+    the least-bad BoundReport of each of the 47 capacity errors."""
+    lines = [_scan_line(delta, eta, cap)
+             for delta in (0.01, 0.03, 0.07, 0.2, 0.45)
+             for eta in (0.02, 0.1, 0.3, 0.6, 0.9)
+             for cap in (3, 9, 21, 61, 4096)]
+    assert sum(line.startswith("capacity") for line in lines) == 47
+    assert sha256("\n".join(lines).encode()) == (
+        "ba8fd59f963f873012f67fed637c14ae4437940c6066c69774c100ac2807c725")

@@ -8,7 +8,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qsvtsim.blockenc import HermitianOp
+from qsvtsim.estimator import diag_instance
 from qsvtsim.reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
                                 PE_TO_AE_DEPTH_MULT, PE_TO_AE_TIME_MULT,
                                 AEInstance, PEInstance, ae_block_encoding,
@@ -23,6 +27,20 @@ from qsvtsim.sampler import ResourceLedger, RngStream
 def test_multiplier_constants():
     assert (PE_TO_AE_TIME_MULT, PE_TO_AE_DEPTH_MULT) == (2, 2)
     assert (AE_TO_EE_TIME_MULT, AE_TO_EE_DEPTH_MULT) == (6, 6)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_pe_instance_from_phase_wraps_every_finite_phase(phi):
+    assert 0.0 <= pe_instance_from_phase(phi).true_phi < 2.0 * math.pi
+
+
+def test_instances_compare_and_hash_by_identity():
+    inst = diag_instance([0.5, -0.25])
+    assert inst != diag_instance([0.5, -0.25]) and inst == inst
+    assert ae_instance_from_amplitude(0.3) != ae_instance_from_amplitude(0.3)
+    assert pe_instance_from_phase(1.0) != pe_instance_from_phase(1.0)
+    h = HermitianOp.from_matrix(np.diag([0.5]))
+    assert hash(h) == hash(h) and {h: 1}[h] == 1
 
 
 def test_pe_instance_validation():
