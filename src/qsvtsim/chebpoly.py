@@ -251,44 +251,99 @@ def _step_from_odd(odd_coeffs, delta):
     q is evaluated by the parity-split recurrence, which is exactly odd,
     on |x| of a uniform BOX_GRID_POINTS grid over [-1, 1] and on the
     plateau, window and edge grids; the rescale makes |q| <= 1 at every
-    one of those points.  This is the candidate's only evaluation before
-    verify_bounds certifies it.  Only the edge grid depends on the degree,
-    and is appended to the per-delta points as it is: a point it repeats
-    cannot change the peak.
+    one of those points.  After _misses_plateau's probe, this is the
+    candidate's only evaluation before verify_bounds certifies it.  Only the
+    edge grid depends on the degree, and is appended to the per-delta
+    points as it is: a point it repeats cannot change the peak.
     """
     d = len(odd_coeffs) - 1
     grid = np.concatenate([_rescale_grid(delta), _edge_grid(d)])
     peak = float(np.max(np.abs(_clenshaw_split(grid, *_split_halves(odd_coeffs)))))
-    scale = 1.0 if peak <= 1.0 else (1.0 - 1e-13) / peak
     step = np.zeros(d + 1)
     step[0] = 0.5
-    step[1::2] = 0.5 * scale * np.asarray(odd_coeffs)[1::2]
+    step[1::2] = 0.5 * _scale_for(peak) * np.asarray(odd_coeffs)[1::2]
     return ChebPoly.from_coeffs(step)
 
 
+def _scale_for(peak):
+    """The rescale factor that takes a peak |q| above 1 to just below 1."""
+    return 1.0 if peak <= 1.0 else (1.0 - 1e-13) / peak
+
+
+# Stride of the plateau probe through the right plateau of _cert_grid.
+_PROBE_STRIDE = 4
+
+
+def _plateau_probe(delta):
+    """Read-only view of every _PROBE_STRIDE-th right-plateau point, from delta."""
+    return _cert_grid(delta)[-_PLATEAU_POINTS::_PROBE_STRIDE]
+
+
+def _misses_plateau(odd_coeffs, spec):
+    """True when the step _step_from_odd makes of q must fail verify_bounds.
+
+    q is evaluated once on _plateau_probe(delta).  Those points belong to
+    _rescale_grid(delta) as well, and the evaluation is elementwise, so the
+    probe's max|q| is at most the rescale's peak; rounded division is
+    monotone, so the rescale's factor s is at most s_up = _scale_for(probe's
+    max|q|).  The probe's argmin of q is a point of the certification
+    grid's right plateau, where the step is at most
+    0.5 + 0.5 s_up max(min q, 0) up to rounding.  The candidate is rejected
+    when even that misses 1 - eta/2 by more than GRID_TOL, so its
+    max_high_violation exceeds GRID_TOL.  The slack 8 (d + 1)^2 u sum|c_k|,
+    u = 2^-53, covers the rounding of the step's coefficients 0.5 s c_k, of
+    this comparison and of the two parity-split Clenshaw sums (q here, the
+    step in verify_bounds), whose errors at |x| <= 1 grow like
+    (d + 1)^2 u sum|c_k|.  On the acceptance sweep it is at most 1.1e-9,
+    and every rejection misses by at least 1.9e-5.
+    """
+    q = _clenshaw_split(_plateau_probe(spec.delta), *_split_halves(odd_coeffs))
+    s_up = _scale_for(float(np.max(np.abs(q))))
+    d = len(odd_coeffs) - 1
+    slack = 8.0 * (d + 1) ** 2 * 2.0 ** -53 * float(np.sum(np.abs(odd_coeffs)))
+    top = 0.5 + 0.5 * s_up * max(float(np.min(q)), 0.0) + slack
+    return top < 1.0 - spec.eta / 2.0 - GRID_TOL
+
+
+def _badness(report):
+    return max(report.max_low_violation, 0.0) \
+        + max(report.max_high_violation, 0.0) + max(report.max_abs_excess, 0.0)
+
+
 class _Search:
-    """Tracks the best certified candidate and the least-bad failure."""
+    """Tracks the best certified candidate and every failure, in order.
+
+    A failure is the BoundReport of a candidate verify_bounds rejected, or
+    the odd coefficients of one that _misses_plateau rejected before its
+    rescale; those reports are computed only when least_bad needs them.
+    """
 
     def __init__(self, spec):
         self.spec = spec
         self.best = None
-        self.closest_fail = None
+        self.failures = []
 
     def try_odd(self, odd_coeffs):
-        poly = _step_from_odd(odd_coeffs, self.spec.delta)
-        return self.try_poly(poly)
+        if _misses_plateau(odd_coeffs, self.spec):
+            self.failures.append(odd_coeffs)
+            return False
+        return self.try_poly(_step_from_odd(odd_coeffs, self.spec.delta))
 
     def try_poly(self, poly):
         report = verify_bounds(poly, self.spec)
-        if report.passes:
-            if self.best is None or poly.degree < self.best.degree:
-                self.best = poly
-            return True
-        badness = max(report.max_low_violation, 0.0) \
-            + max(report.max_high_violation, 0.0) + max(report.max_abs_excess, 0.0)
-        if self.closest_fail is None or badness < self.closest_fail[0]:
-            self.closest_fail = (badness, report)
-        return False
+        if not report.passes:
+            self.failures.append(report)
+            return False
+        if self.best is None or poly.degree < self.best.degree:
+            self.best = poly
+        return True
+
+    def least_bad(self):
+        """The failure with the smallest summed excess, the first on ties."""
+        reports = (f if isinstance(f, BoundReport) else
+                   verify_bounds(_step_from_odd(f, self.spec.delta), self.spec)
+                   for f in self.failures)
+        return min(reports, key=_badness)
 
 
 def _erf_odd_coeffs(k, n_terms):
@@ -457,11 +512,10 @@ def _build_cached(spec, max_degree):
         # the cap is tight relative to 1/delta, where a direct minimax fit
         # on the plateau grids still has a shot at a certificate.
         _lp_path(search, max_degree)
-    if search.best is None:
-        report = search.closest_fail[1] if search.closest_fail else None
+    if search.best is None:  # the ramp's report is among the failures
         raise CapacityError(
             f"no certified step polynomial of degree <= {max_degree} "
-            f"for delta={spec.delta!r}, eta={spec.eta!r}", report=report)
+            f"for delta={spec.delta!r}, eta={spec.eta!r}", report=search.least_bad())
     return search.best
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 from scipy.optimize import linprog
@@ -107,6 +107,8 @@ def test_box_bound_certified_not_enforced_on_construction():
 
 
 def test_candidates_are_evaluated_once_before_certification(monkeypatch):
+    """Each candidate is probed once; a survivor is then evaluated once for
+    its rescale and once for certification, a rejected one for neither."""
     counts = Counter()
 
     def counted(name, fn):
@@ -121,25 +123,145 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     ChebPoly.from_coeffs([0.0, 1.2])
     assert counts["evals"] == 0
 
-    verify = chebpoly.verify_bounds
+    probe = chebpoly._misses_plateau
 
-    def verify_counted(poly, spec):
-        before = counts["evals"]
-        report = verify(poly, spec)
-        counts["certifications"] += 1
-        counts["certify_evals"] += counts["evals"] - before
-        return report
+    def probe_counted(odd_coeffs, spec):
+        counts["probes"] += 1
+        rejected = probe(odd_coeffs, spec)
+        counts["rejections"] += rejected
+        return rejected
 
-    monkeypatch.setattr(chebpoly, "verify_bounds", verify_counted)
-    monkeypatch.setattr(chebpoly, "_step_from_odd",
-                        counted("candidates", chebpoly._step_from_odd))
+    for name, fn in [("_misses_plateau", probe_counted),
+                     ("_step_from_odd", counted("rescales", chebpoly._step_from_odd)),
+                     ("verify_bounds", counted("certifications", chebpoly.verify_bounds))]:
+        monkeypatch.setattr(chebpoly, name, fn)
+    try_odd = chebpoly._Search.try_odd
+    outcomes = Counter()
+
+    def try_odd_checked(search, odd_coeffs):
+        before = counts.copy()
+        accepted = try_odd(search, odd_coeffs)
+        seen = counts - before
+        assert seen["probes"] == 1
+        if seen["rejections"]:
+            assert not accepted
+            assert seen == Counter(probes=1, rejections=1, evals=1)
+        else:
+            assert seen == Counter(probes=1, rescales=1, certifications=1, evals=3)
+        outcomes["rejected" if seen["rejections"] else "survived"] += 1
+        return accepted
+
+    monkeypatch.setattr(chebpoly._Search, "try_odd", try_odd_checked)
     chebpoly._build_cached.cache_clear()
     chebpoly._lp_minimax.cache_clear()
     alpha_schedule(0.5, 0.05, 1.0)
-    assert counts["candidates"] > 0
-    assert counts["evals"] == counts["candidates"] + counts["certify_evals"]
-    # one evaluation covers all three certification grids
-    assert counts["certify_evals"] == counts["certifications"] > 0
+    assert outcomes == Counter(rejected=1, survived=3)
+    # the ramp, then one certification per survivor, each one evaluation
+    assert counts["certifications"] == 1 + outcomes["survived"]
+    assert counts["evals"] == counts["probes"] + 2 * outcomes["survived"] + 1
+
+
+@pytest.mark.parametrize("delta", (0.2, 0.05, 0.0123, 0.7071, 0.99))
+def test_plateau_probe_lies_on_both_grids(delta):
+    probe = chebpoly._plateau_probe(delta)
+    plateau = chebpoly._cert_grid(delta)[-chebpoly._PLATEAU_POINTS:]
+    assert probe.size == 1000 and probe[0] == delta
+    assert np.shares_memory(probe, chebpoly._cert_grid(delta))
+    assert not probe.flags.writeable
+    # exact float equality: the probe's max|q| bounds the rescale's peak,
+    # and its min bounds the certified plateau's
+    assert np.all(np.isin(probe, chebpoly._rescale_grid(delta)))
+    assert np.all(np.isin(probe, plateau))
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_delta=st.floats(-1.5, -0.05), log_eta=st.floats(-4.0, -0.01),
+       log_frac=st.floats(-6.0, -0.01), k_factor=st.floats(0.5, 2.0),
+       half_degree=st.integers(0, 300))
+def test_probe_rejects_only_candidates_that_fail_certification(
+        log_delta, log_eta, log_frac, k_factor, half_degree):
+    """Oracle: verify_bounds on the rescaled step.  The steepness k is the
+    erf path's for an eta * frac plateau loss, spread by k_factor."""
+    spec = StepSpec(10.0 ** log_delta, 10.0 ** log_eta)
+    k = k_factor * float(chebpoly.erfcinv(spec.eta * 10.0 ** log_frac)) / spec.delta
+    odd = chebpoly._erf_odd_coeffs(k, 2 * half_degree + 1)
+    if chebpoly._misses_plateau(odd, spec):
+        report = verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)
+        assert report.max_high_violation > chebpoly.GRID_TOL
+        assert not report.passes
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_delta=st.floats(-1.5, -0.05), log_frac=st.floats(-6.0, -0.5),
+       half_degree=st.integers(0, 300), sign=st.sampled_from([-1.0, 1.0]),
+       log_miss=st.floats(-16.0, -3.0))
+def test_probe_is_sound_at_the_certification_threshold(
+        log_delta, log_frac, half_degree, sign, log_miss):
+    """eta is set from the step's own plateau minimum so that certification
+    misses by sign * 10^log_miss past GRID_TOL: rejections within rounding
+    of the threshold must still fail verify_bounds."""
+    delta = 10.0 ** log_delta
+    k = float(chebpoly.erfcinv(10.0 ** log_frac)) / delta
+    odd = chebpoly._erf_odd_coeffs(k, 2 * half_degree + 1)
+    step = chebpoly._step_from_odd(odd, delta)
+    low = float(np.min(step.eval(chebpoly._cert_grid(delta)[-chebpoly._PLATEAU_POINTS:])))
+    eta = 2.0 * (1.0 - chebpoly.GRID_TOL - low - sign * 10.0 ** log_miss)
+    assume(0.0 < eta < 1.0)
+    spec = StepSpec(delta, eta)
+    if chebpoly._misses_plateau(odd, spec):
+        assert verify_bounds(step, spec).max_high_violation > chebpoly.GRID_TOL
+
+
+def test_least_bad_matches_an_eager_fold_over_every_failure():
+    """Rejected candidates' reports are computed late; least_bad still picks
+    what a strict-< fold of each failure's report, in the order tried,
+    picks.  Across the seeds the pick is sometimes a rejected candidate's."""
+
+    def badness(r):
+        return max(r.max_low_violation, 0.0) + max(r.max_high_violation, 0.0) \
+            + max(r.max_abs_excess, 0.0)
+
+    winners = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        spec = StepSpec(float(rng.uniform(0.05, 0.4)), float(10 ** rng.uniform(-3.0, -0.5)))
+        search = chebpoly._Search(spec)
+        eager, fails = None, 0
+        for _ in range(12):
+            if rng.random() < 0.3:
+                poly = ChebPoly.from_coeffs([0.5, float(rng.uniform(0.3, 0.6))])
+                search.try_poly(poly)
+            else:
+                odd = chebpoly._erf_odd_coeffs(float(rng.uniform(1.0, 40.0)),
+                                               2 * int(rng.integers(0, 40)) + 1)
+                search.try_odd(odd)
+                poly = chebpoly._step_from_odd(odd, spec.delta)
+            report = verify_bounds(poly, spec)
+            if not report.passes:
+                if eager is None or badness(report) < eager[0]:
+                    eager = (badness(report), report, fails)
+                fails += 1
+        assert len(search.failures) == fails
+        assert search.least_bad() == eager[1]
+        winners.add(type(search.failures[eager[2]]) is chebpoly.BoundReport)
+    assert winners == {True, False}
+
+
+def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
+    """Work counts over the 5x5 sweep grid, at most: the probe rejects the
+    70 of 138 odd candidates that fail, before their rescale."""
+    counts = Counter()
+    for name in ("_step_from_odd", "verify_bounds"):
+        fn = getattr(chebpoly, name)
+        monkeypatch.setattr(chebpoly, name,
+                            lambda *args, fn=fn, name=name: counts.update([name]) or fn(*args))
+    chebpoly._build_cached.cache_clear()
+    chebpoly._lp_minimax.cache_clear()
+    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
+            alpha_schedule(alpha, eps, 1.0)
+    assert counts["_step_from_odd"] <= 68
+    assert counts["verify_bounds"] <= 93
 
 
 def _verify_bounds_three_grids(poly, spec):

@@ -7,6 +7,7 @@ sweep with one run is pinned in test_cli.py.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from qsvtsim import chebpoly, estimator
@@ -96,3 +97,20 @@ def test_build_scan():
     assert sum(line.startswith("capacity") for line in lines) == 47
     assert sha256("\n".join(lines).encode()) == (
         "ba8fd59f963f873012f67fed637c14ae4437940c6066c69774c100ac2807c725")
+
+
+def test_random_builds():
+    """40 seeded random builds: delta = 10^U(-2, -0.05), eta = 10^U(-4, -0.01)
+    and a cap from a fixed list, written as in test_build_scan.  As in that
+    scan, each of the 29 capacity errors reports the failed degree-1 ramp:
+    no erf or LP candidate was tried in them."""
+    rng = np.random.default_rng(20261019)
+    caps = (1, 2, 3, 5, 8, 15, 33, 64, 121, 400, 4096)
+    lines = []
+    for _ in range(40):
+        delta = float(10 ** rng.uniform(-2.0, -0.05))
+        eta = float(10 ** rng.uniform(-4.0, -0.01))
+        lines.append(_scan_line(delta, eta, int(rng.choice(caps))))
+    assert sum(line.startswith("capacity") for line in lines) == 29
+    assert sha256("\n".join(lines).encode()) == (
+        "78e6330cd86d4014476b5d9ce75f3588644de00e0a260a751bc54452c94cd799")
