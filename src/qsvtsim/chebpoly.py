@@ -44,9 +44,9 @@ _CURVE_ROWS = 1000
 
 
 class CapacityError(RuntimeError):
-    """No certified polynomial was found within the degree budget."""
+    """No certified polynomial within the budget; report is the least bad."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 
@@ -313,9 +313,10 @@ def _badness(report):
 class _Search:
     """Tracks the best certified candidate and every failure, in order.
 
-    A failure is the BoundReport of a candidate verify_bounds rejected, or
-    the odd coefficients of one that _misses_plateau rejected before its
-    rescale; those reports are computed only when least_bad needs them.
+    Each certified candidate has a lower degree than any before it, so it
+    replaces best outright.  A failure, rejected by the probe or by
+    verify_bounds, is kept as its odd coefficients; least_bad recomputes
+    their reports, which only a CapacityError needs.
     """
 
     def __init__(self, spec):
@@ -324,26 +325,18 @@ class _Search:
         self.failures = []
 
     def try_odd(self, odd_coeffs):
-        if _misses_plateau(odd_coeffs, self.spec):
-            self.failures.append(odd_coeffs)
-            return False
-        return self.try_poly(_step_from_odd(odd_coeffs, self.spec.delta))
-
-    def try_poly(self, poly):
-        report = verify_bounds(poly, self.spec)
-        if not report.passes:
-            self.failures.append(report)
-            return False
-        if self.best is None or poly.degree < self.best.degree:
-            self.best = poly
-        return True
+        if not _misses_plateau(odd_coeffs, self.spec):
+            poly = _step_from_odd(odd_coeffs, self.spec.delta)
+            if verify_bounds(poly, self.spec).passes:
+                self.best = poly
+                return True
+        self.failures.append(odd_coeffs)
+        return False
 
     def least_bad(self):
         """The failure with the smallest summed excess, the first on ties."""
-        reports = (f if isinstance(f, BoundReport) else
-                   verify_bounds(_step_from_odd(f, self.spec.delta), self.spec)
-                   for f in self.failures)
-        return min(reports, key=_badness)
+        return min((verify_bounds(_step_from_odd(f, self.spec.delta), self.spec)
+                    for f in self.failures), key=_badness)
 
 
 def _erf_odd_coeffs(k, n_terms):
@@ -502,9 +495,9 @@ def _lp_path(search, limit):
 @lru_cache(maxsize=_CACHE_SIZE)
 def _build_cached(spec, max_degree):
     search = _Search(spec)
-    # Degree 1: the ramp (1 + x)/2 is optimal among affine candidates and
-    # certifies exactly when eta >= 1 - delta.
-    search.try_poly(ChebPoly.from_coeffs([0.5, 0.5]))
+    # Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2, is optimal
+    # among affine candidates and certifies exactly when eta >= 1 - delta.
+    search.try_odd([0.0, 1.0])
     if search.best is None:
         _erf_path(search, max_degree)
     if search.best is None:
@@ -555,10 +548,9 @@ def min_eta_for_degree(delta, degree):
             return False
         return True
 
+    # The ramp certifies at hi for every delta in (0, 1): its excesses are
+    # (1e-9 - delta)/2 twice and 0, all within GRID_TOL.
     hi = 1.0 - 1e-9
-    if not feasible(hi):
-        raise CapacityError(f"degree {degree} infeasible even as eta -> 1 "
-                            f"at delta={delta!r}")
     lo = 1e-9
     if feasible(lo):
         return lo

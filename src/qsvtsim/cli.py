@@ -386,8 +386,9 @@ def build_parser():
 
     p_poly = sub.add_parser("poly", help="build or probe step approximants")
     p_poly.add_argument("--delta", type=float, required=True)
-    p_poly.add_argument("--eta", type=float)
-    p_poly.add_argument("--degree", nargs="+",
+    target = p_poly.add_mutually_exclusive_group()
+    target.add_argument("--eta", type=float)
+    target.add_argument("--degree", nargs="+",
                         help="report minimal eta at these degrees instead "
                              "(space or comma separated)")
     p_poly.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
@@ -444,14 +445,11 @@ def main(argv=None):
     try:
         return args.func(args)
     except CapacityError as exc:
-        msg = f"capacity: {exc}"
         report = exc.report
-        if report is not None:
-            msg += (f"; least-bad candidate: max_low_violation "
-                    f"{_fmt(report.max_low_violation)} max_high_violation "
-                    f"{_fmt(report.max_high_violation)} max_abs_excess "
-                    f"{_fmt(report.max_abs_excess)}")
-        print(msg, file=sys.stderr)
+        print(f"capacity: {exc}; least-bad candidate: max_low_violation "
+              f"{_fmt(report.max_low_violation)} max_high_violation "
+              f"{_fmt(report.max_high_violation)} max_abs_excess "
+              f"{_fmt(report.max_abs_excess)}", file=sys.stderr)
         return 1
     except (MatrixFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

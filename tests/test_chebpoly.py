@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 from scipy.optimize import linprog
@@ -107,8 +107,9 @@ def test_box_bound_certified_not_enforced_on_construction():
 
 
 def test_candidates_are_evaluated_once_before_certification(monkeypatch):
-    """Each candidate is probed once; a survivor is then evaluated once for
-    its rescale and once for certification, a rejected one for neither."""
+    """Each candidate, the ramp included, is probed once; a survivor is then
+    evaluated once for its rescale and once for certification, a rejected
+    one for neither."""
     counts = Counter()
 
     def counted(name, fn):
@@ -155,10 +156,10 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     chebpoly._build_cached.cache_clear()
     chebpoly._lp_minimax.cache_clear()
     alpha_schedule(0.5, 0.05, 1.0)
-    assert outcomes == Counter(rejected=1, survived=3)
-    # the ramp, then one certification per survivor, each one evaluation
-    assert counts["certifications"] == 1 + outcomes["survived"]
-    assert counts["evals"] == counts["probes"] + 2 * outcomes["survived"] + 1
+    # the ramp and one erf truncation are rejected on the probe
+    assert outcomes == Counter(rejected=2, survived=3)
+    assert counts["certifications"] == counts["rescales"] == 3
+    assert counts["evals"] == counts["probes"] + 2 * 3 == 11
 
 
 @pytest.mark.parametrize("delta", (0.2, 0.05, 0.0123, 0.7071, 0.99))
@@ -213,9 +214,10 @@ def test_probe_is_sound_at_the_certification_threshold(
 
 
 def test_least_bad_matches_an_eager_fold_over_every_failure():
-    """Rejected candidates' reports are computed late; least_bad still picks
-    what a strict-< fold of each failure's report, in the order tried,
-    picks.  Across the seeds the pick is sometimes a rejected candidate's."""
+    """Failures' reports are computed late; least_bad still picks what a
+    strict-< fold of each failure's report, in the order tried, picks.
+    Across the seeds the pick is sometimes a candidate the probe rejected
+    and sometimes one verify_bounds rejected."""
 
     def badness(r):
         return max(r.max_low_violation, 0.0) + max(r.max_high_violation, 0.0) \
@@ -228,30 +230,58 @@ def test_least_bad_matches_an_eager_fold_over_every_failure():
         search = chebpoly._Search(spec)
         eager, fails = None, 0
         for _ in range(12):
-            if rng.random() < 0.3:
-                poly = ChebPoly.from_coeffs([0.5, float(rng.uniform(0.3, 0.6))])
-                search.try_poly(poly)
+            if rng.random() < 0.3:  # q = u x, rescaled to the ramp when u > 1
+                odd = [0.0, float(rng.uniform(0.6, 1.2))]
             else:
                 odd = chebpoly._erf_odd_coeffs(float(rng.uniform(1.0, 40.0)),
                                                2 * int(rng.integers(0, 40)) + 1)
-                search.try_odd(odd)
-                poly = chebpoly._step_from_odd(odd, spec.delta)
-            report = verify_bounds(poly, spec)
+            search.try_odd(odd)
+            report = verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)
             if not report.passes:
+                assert search.failures[fails] is odd
                 if eager is None or badness(report) < eager[0]:
                     eager = (badness(report), report, fails)
                 fails += 1
         assert len(search.failures) == fails
         assert search.least_bad() == eager[1]
-        winners.add(type(search.failures[eager[2]]) is chebpoly.BoundReport)
+        winners.add(chebpoly._misses_plateau(search.failures[eager[2]], spec))
     assert winners == {True, False}
 
 
+def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
+    """Under a degree-5 cap the ramp and the degree-5 minimax fit both fail;
+    the fit misses each plateau by 1.48e-7, the ramp by 0.0757, and the
+    CapacityError carries the fit's report."""
+    spec = StepSpec(0.05, 0.7985613664386098)
+    tried = []
+    try_odd = chebpoly._Search.try_odd
+
+    def recording(search, odd_coeffs):
+        tried.append(odd_coeffs)
+        return try_odd(search, odd_coeffs)
+
+    monkeypatch.setattr(chebpoly._Search, "try_odd", recording)
+    chebpoly._build_cached.cache_clear()
+    with pytest.raises(CapacityError) as info:
+        build_step_approx(spec, max_degree=5)
+    ramp, fit = tried
+    assert list(ramp) == [0.0, 1.0] and len(fit) == 6
+    reports = [verify_bounds(chebpoly._step_from_odd(f, spec.delta), spec)
+               for f in tried]
+    assert reports[0].max_low_violation == pytest.approx(0.0757, abs=1e-4)
+    assert reports[0].max_high_violation == pytest.approx(0.0757, abs=1e-4)
+    assert info.value.report == reports[1]
+    assert reports[1].max_low_violation == pytest.approx(1.4809e-7, rel=1e-4)
+    assert reports[1].max_high_violation == pytest.approx(1.4809e-7, rel=1e-4)
+    assert reports[1].max_abs_excess <= 0.0
+
+
 def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
-    """Work counts over the 5x5 sweep grid, at most: the probe rejects the
-    70 of 138 odd candidates that fail, before their rescale."""
+    """Work counts over the 5x5 sweep grid: the probe rejects 90 of the 163
+    candidates, the 25 ramps among them, before their rescale, and the
+    73 survivors are each rescaled and certified once."""
     counts = Counter()
-    for name in ("_step_from_odd", "verify_bounds"):
+    for name in ("_misses_plateau", "_step_from_odd", "verify_bounds"):
         fn = getattr(chebpoly, name)
         monkeypatch.setattr(chebpoly, name,
                             lambda *args, fn=fn, name=name: counts.update([name]) or fn(*args))
@@ -260,8 +290,7 @@ def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
             alpha_schedule(alpha, eps, 1.0)
-    assert counts["_step_from_odd"] <= 68
-    assert counts["verify_bounds"] <= 93
+    assert counts == Counter(_misses_plateau=163, _step_from_odd=73, verify_bounds=73)
 
 
 def _verify_bounds_three_grids(poly, spec):
@@ -613,6 +642,22 @@ def test_subnormal_eta_ends_in_capacity_without_warnings():
     for delta, eta in ((5e-324, 5e-324), (2.5e-310, 2.5e-310)):
         with pytest.raises(CapacityError):
             build_step_approx(StepSpec(delta, eta), max_degree=25)
+
+
+@settings(max_examples=100, deadline=None)
+@example(5e-324)
+@example(2.5e-310)
+@example(1e-300)
+@example(1.0 - 2.0 ** -53)
+@given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                 st.floats(-300.0, -1e-3).map(lambda e: 10.0 ** e)))
+def test_ramp_certifies_as_eta_approaches_one(delta):
+    """min_eta_for_degree starts its bisection at eta = 1 - 1e-9, where the
+    ramp's excesses are (1e-9 - delta)/2 twice and 0, so it never fails."""
+    ramp = chebpoly._step_from_odd([0.0, 1.0], delta)
+    assert ramp == ChebPoly((0.5, 0.5))
+    assert verify_bounds(ramp, StepSpec(delta, 1.0 - 1e-9)).passes
+    assert 1e-9 <= min_eta_for_degree(delta, 1) <= 1.0 - 1e-9
 
 
 def test_min_eta_degree_one_boundary():

@@ -85,7 +85,32 @@ def test_poly_degree_list_names_the_bad_token(capsys, degrees, bad):
 def test_poly_needs_eta_or_degree(capsys):
     rc, _, err = run_cli(capsys, ["poly", "--delta", "0.2"])
     assert rc == 2
-    assert err.startswith("error:")
+    assert err == "error: poly needs either --eta or --degree\n"
+
+
+def test_poly_rejects_eta_with_degree(capsys):
+    """--eta and --degree exclude each other; neither is dropped silently."""
+    with pytest.raises(SystemExit) as info:
+        main(["poly", "--delta", "0.2", "--eta", "0.5", "--degree", "3"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "qsvtsim poly: error: argument --degree: not allowed with argument --eta")
+
+
+def test_poly_capacity_reports_the_least_bad_of_two_candidates(capsys):
+    """The ramp misses each plateau by 0.0757; the degree-5 minimax fit
+    misses by 1.48e-7, and its report is the one printed."""
+    rc, out, err = run_cli(capsys, ["poly", "--delta", "0.05", "--eta",
+                                    "0.7985613664386098", "--max-degree", "5"])
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        "capacity: no certified step polynomial of degree <= 5 for "
+        "delta=0.05, eta=0.7985613664386098; least-bad candidate: "
+        "max_low_violation 1.4809193554787825e-07 max_high_violation "
+        "1.480919356033894e-07 max_abs_excess -5.000000413701855e-10\n")
 
 
 def test_estimate_frozen_ramp(capsys):
