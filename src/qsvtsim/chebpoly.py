@@ -33,7 +33,7 @@ _LP_MAX_DEGREE = 160
 # requested eta, so that grid certification is not decided by rounding.
 _FIT_MARGIN = 1e-8
 # Entries kept by each builder memo.  The eta frontier at degrees up to 21
-# leaves 48 builds and 10 LP fits, the 5x5 acceptance sweep 25 builds.
+# leaves 4 LP fits, the 5x5 acceptance sweep 25 builds.
 _CACHE_SIZE = 256
 # Deltas whose certification and rescale grids are kept, about 2.8 MB.
 _GRID_CACHE_SIZE = 16
@@ -310,17 +310,23 @@ def _badness(report):
         + max(report.max_high_violation, 0.0) + max(report.max_abs_excess, 0.0)
 
 
+class _Certified(Exception):
+    """Ends a search that stops at its first certified candidate."""
+
+
 class _Search:
     """Tracks the best certified candidate and every failure, in order.
 
     Each certified candidate has a lower degree than any before it, so it
-    replaces best outright.  A failure, rejected by the probe or by
+    replaces best outright; with stop_at_first, the first one raises
+    _Certified instead.  A failure, rejected by the probe or by
     verify_bounds, is kept as its odd coefficients; least_bad recomputes
     their reports, which only a CapacityError needs.
     """
 
-    def __init__(self, spec):
+    def __init__(self, spec, stop_at_first=False):
         self.spec = spec
+        self.stop_at_first = stop_at_first
         self.best = None
         self.failures = []
 
@@ -329,6 +335,8 @@ class _Search:
             poly = _step_from_odd(odd_coeffs, self.spec.delta)
             if verify_bounds(poly, self.spec).passes:
                 self.best = poly
+                if self.stop_at_first:
+                    raise _Certified
                 return True
         self.failures.append(odd_coeffs)
         return False
@@ -492,19 +500,34 @@ def _lp_path(search, limit):
     _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 
 
+def _run_search(spec, max_degree, stop_at_first=False):
+    """Run the ramp, the erf path and the LP path; return the _Search.
+
+    The search keeps lowering the certified degree, or with stop_at_first
+    ends at the first certified candidate, leaving it as best.
+    """
+    search = _Search(spec, stop_at_first)
+    try:
+        # Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2, is
+        # optimal among affine candidates and certifies exactly when
+        # eta >= 1 - delta.
+        search.try_odd([0.0, 1.0])
+        if search.best is None:
+            _erf_path(search, max_degree)
+        if search.best is None:
+            # The kernel path found nothing under the cap.  That happens
+            # when the cap is tight relative to 1/delta, where a direct
+            # minimax fit on the plateau grids still has a shot at a
+            # certificate.
+            _lp_path(search, max_degree)
+    except _Certified:
+        pass
+    return search
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _build_cached(spec, max_degree):
-    search = _Search(spec)
-    # Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2, is optimal
-    # among affine candidates and certifies exactly when eta >= 1 - delta.
-    search.try_odd([0.0, 1.0])
-    if search.best is None:
-        _erf_path(search, max_degree)
-    if search.best is None:
-        # The kernel path found nothing under the cap.  That happens when
-        # the cap is tight relative to 1/delta, where a direct minimax fit
-        # on the plateau grids still has a shot at a certificate.
-        _lp_path(search, max_degree)
+    search = _run_search(spec, max_degree)
     if search.best is None:  # the ramp's report is among the failures
         raise CapacityError(
             f"no certified step polynomial of degree <= {max_degree} "
@@ -534,19 +557,25 @@ def min_eta_for_degree(delta, degree):
     """Smallest eta, to within _ETA_TOL, feasible at the given degree.
 
     Feasibility is monotone in eta: any polynomial certified for eta also
-    certifies every larger eta, so plain bisection applies.  The minimax LP
-    behind each probe does not depend on eta, so it is solved once per
-    (delta, degree) and every later probe reuses it.
+    certifies every larger eta, so plain bisection applies.
+
+    A probe asks whether build_step_approx(StepSpec(delta, eta), degree)
+    would return, that is whether any candidate certifies.  It runs the
+    builder's own search but stops at its first certified candidate, where
+    the build goes on to look for a lower degree.  No step before that
+    candidate depends on a later one, so the two take the same steps up to
+    it, and the probe is True exactly when the build returns.  The LP path
+    then fits only the degree it tries first, the largest odd one within
+    the budget; that fit does not depend on eta, so it is solved once per
+    (delta, degree).  Probes add nothing to the build cache.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    limit = int(degree)
 
     def feasible(eta):
-        try:
-            build_step_approx(StepSpec(delta, eta), max_degree=degree)
-        except CapacityError:
-            return False
-        return True
+        search = _run_search(StepSpec(delta, eta), limit, stop_at_first=True)
+        return search.best is not None
 
     # The ramp certifies at hi for every delta in (0, 1): its excesses are
     # (1e-9 - delta)/2 twice and 0, all within GRID_TOL.

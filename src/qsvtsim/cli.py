@@ -248,6 +248,10 @@ def _parse_degree_list(tokens):
 
 def cmd_poly(args):
     if args.degree:
+        for flag, value in (("--max-degree", args.max_degree),
+                            ("--emit", args.emit), ("--save", args.save)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only with --eta, not --degree")
         for deg in _parse_degree_list(args.degree):
             eta = min_eta_for_degree(args.delta, deg)
             print(f"degree {deg} min_eta {_fmt(eta)}")
@@ -255,7 +259,8 @@ def cmd_poly(args):
     if args.eta is None:
         raise ValueError("poly needs either --eta or --degree")
     spec = StepSpec(delta=args.delta, eta=args.eta)
-    poly = build_step_approx(spec, max_degree=args.max_degree)
+    poly = build_step_approx(spec, max_degree=DEFAULT_MAX_DEGREE
+                             if args.max_degree is None else args.max_degree)
     report = verify_bounds(poly, spec)
     print(f"delta {_fmt(spec.delta)}")
     print(f"eta {_fmt(spec.eta)}")
@@ -391,9 +396,13 @@ def build_parser():
     target.add_argument("--degree", nargs="+",
                         help="report minimal eta at these degrees instead "
                              "(space or comma separated)")
-    p_poly.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
-    p_poly.add_argument("--emit", help="write x,P(x) samples to this CSV")
-    p_poly.add_argument("--save", help="write coefficients to this file")
+    p_poly.add_argument("--max-degree", type=int,
+                        help=f"--eta only: degree budget (default "
+                             f"{DEFAULT_MAX_DEGREE})")
+    p_poly.add_argument("--emit", help="--eta only: write x,P(x) samples "
+                                       "to this CSV")
+    p_poly.add_argument("--save", help="--eta only: write coefficients to "
+                                       "this file")
     p_poly.set_defaults(func=cmd_poly)
 
     def add_instance_args(p):

@@ -677,17 +677,36 @@ def test_min_eta_nonincreasing_in_degree():
 
 
 def test_frontier_solves_each_minimax_lp_once():
-    """The eta bisection reuses one LP fit per odd degree instead of refitting."""
+    """Each eta probe stops at its first certified candidate, so the LP path
+    only ever fits the frontier degree itself, once for every probe, and
+    the probes build nothing into the build cache."""
     chebpoly._build_cached.cache_clear()
     chebpoly._lp_minimax.cache_clear()
     min_eta_for_degree(0.2, 21)
+    assert chebpoly._lp_minimax.cache_info().misses == 1
     min_eta_for_degree(0.2, 15)
-    fits = chebpoly._lp_minimax.cache_info().misses
-    # at most one fit per odd degree 3..21, however many eta probes ran
-    assert 0 < fits <= 10
-    assert fits == chebpoly._lp_minimax.cache_info().currsize
+    assert chebpoly._lp_minimax.cache_info().misses == 2
+    assert chebpoly._lp_minimax.cache_info().currsize == 2
     min_eta_for_degree(0.2, 15)  # infeasible probes rerun the LP path
-    assert chebpoly._lp_minimax.cache_info().misses == fits
+    assert chebpoly._lp_minimax.cache_info().misses == 2
+    assert chebpoly._build_cached.cache_info().currsize == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.02, 0.6), st.floats(0.005, 0.95),
+       st.sampled_from(range(1, 16, 2)))
+def test_first_certification_probe_agrees_with_the_build(delta, eta, degree):
+    """The eta probe's stop-at-first search certifies a candidate exactly
+    when the full build returns, and finds none exactly when it raises."""
+    spec = StepSpec(delta, eta)
+    found = chebpoly._run_search(spec, degree, stop_at_first=True).best
+    try:
+        build_step_approx(spec, max_degree=degree)
+    except CapacityError:
+        assert found is None
+        return
+    assert found is not None
+    assert found.degree <= degree and verify_bounds(found, spec).passes
 
 
 def _full_grid_lp(delta, degree):

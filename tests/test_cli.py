@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qsvtsim import cli, estimator
+from qsvtsim import chebpoly, cli, estimator
 from qsvtsim.cli import (CSV_HEADER, SweepConfig, SweepRow, main,
                          read_sweep_csv, row_from_csv_line, run_sweep,
                          write_sweep_csv)
@@ -97,6 +97,21 @@ def test_poly_rejects_eta_with_degree(capsys):
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == (
         "qsvtsim poly: error: argument --degree: not allowed with argument --eta")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--emit", "curve.csv"), ("--save", "poly.txt"), ("--max-degree", "0"),
+    ("--max-degree", str(chebpoly.DEFAULT_MAX_DEGREE))])
+def test_poly_degree_rejects_build_only_flags(capsys, tmp_path, monkeypatch,
+                                              flag, value):
+    """--degree reports etas and builds no polynomial, so a flag that only
+    a build uses is an error rather than silently dropped."""
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(capsys, ["poly", "--delta", "0.2", "--degree", "3",
+                                    flag, value])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} applies only with --eta, not --degree\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_poly_capacity_reports_the_least_bad_of_two_candidates(capsys):
@@ -674,7 +689,7 @@ def _commands(tmp):
     poly = _argv("poly", "--delta", _FLOAT,
                  st.one_of(_argv("--eta", _FLOAT), _argv("--degree", degree),
                            st.just([])),
-                 _MAX_DEGREE, _maybe("--emit", str(tmp / "curve.csv")),
+                 _maybe(*_MAX_DEGREE), _maybe("--emit", str(tmp / "curve.csv")),
                  _maybe("--save", str(tmp / "poly.txt")))
     estimate = _argv("estimate", _instance(tmp), "--eps", _FLOAT,
                      "--alpha", _FLOAT, _maybe("--seed", _SEED), _MAX_DEGREE)

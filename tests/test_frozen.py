@@ -114,3 +114,12 @@ def test_random_builds():
     assert sum(line.startswith("capacity") for line in lines) == 29
     assert sha256("\n".join(lines).encode()) == (
         "78e6330cd86d4014476b5d9ce75f3588644de00e0a260a751bc54452c94cd799")
+
+
+def test_eta_frontier_table():
+    """min_eta_for_degree at delta 0.1, 0.3 and 0.45 and every odd degree
+    1..21, as float hex; the delta = 0.2 lines are pinned in test_cli.py."""
+    lines = [chebpoly.min_eta_for_degree(delta, d).hex()
+             for delta in (0.1, 0.3, 0.45) for d in range(1, 22, 2)]
+    assert sha256("\n".join(lines).encode()) == (
+        "05b974cfbfdec2f3b674bd0a3f85d9195bf75e60bf0126807b01eb65c6c82e05")
