@@ -29,9 +29,6 @@ DEFAULT_MAX_DEGREE = 4096
 # The discrete-minimax (linear program) fit is attempted up to this degree;
 # beyond it the erf-truncation path is consistently the cheaper construction.
 _LP_MAX_DEGREE = 160
-# Safety margin the builder keeps between a candidate's fitted bound and the
-# requested eta, so that grid certification is not decided by rounding.
-_FIT_MARGIN = 1e-8
 # Entries kept by each builder memo.  The eta frontier at degrees up to 21
 # leaves 4 LP fits, the 5x5 acceptance sweep 25 builds.
 _CACHE_SIZE = 256
@@ -483,7 +480,8 @@ def _lp_path(search, limit):
     q(0) = 0 to q(delta) >= 1 - eta.  No degree up to hi can certify when
     hi asin(delta) < (1 - eta) / 2, and then no fit is solved; the factor 2
     leaves room for candidates that certify on the grids yet overshoot 1
-    between grid points.  It runs only when no other path certified.
+    between grid points.  It runs only when no other path certified, and
+    search.try_odd alone judges each fit, as it does every candidate.
     """
     spec = search.spec
     hi = min(limit, _LP_MAX_DEGREE)
@@ -494,8 +492,7 @@ def _lp_path(search, limit):
 
     def feasible(d):
         fit = _lp_minimax(spec.delta, d)
-        return (fit is not None and fit[0] <= spec.eta - _FIT_MARGIN
-                and search.try_odd(fit[1]))
+        return fit is not None and search.try_odd(fit[1])
 
     _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 

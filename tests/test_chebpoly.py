@@ -762,15 +762,31 @@ def _lp_candidates(eta):
     return tried
 
 
-def test_lp_fit_eta_gate_and_cache_safety():
-    """A fit is tried only when t* fits under eta with margin, and handing
-    the cached fit to certification leaves it as it was."""
+def test_lp_fit_reaches_certification_and_cache_safety():
+    """At eta = t*, the cached fit's own coefficient tuple goes to
+    certification, whatever t* says, and handing it over leaves the cache
+    entry as it was."""
     fit = chebpoly._lp_minimax(0.2, 21)
     t_star, coeffs = fit
-    assert _lp_candidates(t_star) == []
-    tried = _lp_candidates(t_star + 2e-8)
+    tried = _lp_candidates(t_star)
     assert tried and tried[0] is coeffs and len(coeffs) == 22
     assert chebpoly._lp_minimax(0.2, 21) == fit
+
+
+@pytest.mark.parametrize("delta, degree", [(0.05, 3), (0.1, 3), (0.2, 3), (0.3, 11)])
+def test_certified_tight_cap_fit_is_returned(delta, degree):
+    """Each fit certifies on the grid from an eta below t* + 1e-8, so a
+    check of t* with that margin would refuse it; the build just above the
+    grid threshold returns a certified step within the cap."""
+    t_star, coeffs = chebpoly._lp_minimax(delta, degree)
+    report = verify_bounds(chebpoly._step_from_odd(coeffs, delta), StepSpec(delta, 0.5))
+    assert report.max_abs_excess <= chebpoly.GRID_TOL
+    worst = max(report.max_low_violation, report.max_high_violation)
+    threshold = 0.5 + 2.0 * (worst - chebpoly.GRID_TOL)
+    assert threshold < t_star + 1e-8
+    spec = StepSpec(delta, threshold * (1.0 + 1e-12))
+    poly = build_step_approx(spec, max_degree=degree)
+    assert poly.degree <= degree and verify_bounds(poly, spec).passes
 
 
 def test_lp_path_skips_fits_no_degree_under_cap_can_reach_eta():

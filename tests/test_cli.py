@@ -128,6 +128,19 @@ def test_poly_capacity_reports_the_least_bad_of_two_candidates(capsys):
         "1.480919356033894e-07 max_abs_excess -5.000000413701855e-10\n")
 
 
+def test_poly_capacity_can_report_a_minimax_fit(capsys):
+    """Under a degree-3 cap the ramp misses each plateau by 0.265 and the
+    degree-3 minimax fit by 0.0910; the fit's report is the one printed."""
+    rc, out, err = run_cli(capsys, ["poly", "--delta", "0.45", "--eta", "0.02",
+                                    "--max-degree", "3"])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "capacity: no certified step polynomial of degree <= 3 for "
+        "delta=0.45, eta=0.02; least-bad candidate: "
+        "max_low_violation 0.090984097451595095 max_high_violation "
+        "0.090984097451595081 max_abs_excess -4.5781789470566991e-09\n")
+
+
 def test_estimate_frozen_ramp(capsys):
     rc, out, _ = run_cli(capsys, [
         "estimate", "--builtin", "diag:0.5,-0.25",

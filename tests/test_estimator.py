@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from qsvtsim import estimator
 from qsvtsim.chebpoly import StepSpec, verify_bounds
@@ -13,7 +14,7 @@ from qsvtsim.estimator import (EEInstance, alpha_schedule, decide_ee,
                                diag_instance, estimate_ee,
                                hadamard_test_baseline, ipe_baseline,
                                threshold_for)
-from qsvtsim.blockenc import HermitianOp
+from qsvtsim.blockenc import HermitianOp, _shift_denominator
 from qsvtsim.sampler import Outcome, ResourceLedger, RngStream, record_shots
 
 
@@ -234,6 +235,97 @@ def test_bisection_with_error_free_decisions(monkeypatch):
             # each decision records n_samples shots: one iteration per decision
             assert led.shots == iters * sched.n_samples
             assert led.total_queries == iters * sched.n_samples * sched.degree
+
+
+_SWEEP_CELLS = [(alpha, eps) for alpha in (0.0, 0.25, 0.5, 0.75, 1.0)
+                for eps in (0.2, 0.1, 0.05, 0.025, 0.0125)]
+
+
+def _integer_cut(sched):
+    """The smallest hit count whose frequency exceeds the threshold."""
+    n = sched.n_samples
+    cut = math.floor(sched.threshold * n)
+    while cut / n > sched.threshold:
+        cut -= 1
+    while not cut / n > sched.threshold:
+        cut += 1
+    return cut
+
+
+@pytest.fixture(scope="module")
+def exact_sweep():
+    """Every node of estimate_ee's bisection tree on diag:0.5,-0.25, for each
+    sweep cell, with exact binomial outcome probabilities.
+
+    The draw is stubbed so that decide_ee's stream argument is the hit
+    count it returns; each node runs decide_ee at the integer cut and one
+    below it, recording p.  Per cell: the schedule, the exact probability
+    that the final estimate misses mu by more than eps, and per node
+    (x, P(RIGHT), P(LEFT), outcome at the cut, outcome one below).
+    """
+    inst = diag_instance([0.5, -0.25])
+    seen = []
+    cells = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "bernoulli_trials",
+                   lambda p, n, hits: seen.append(p) or hits)
+        for alpha, eps in _SWEEP_CELLS:
+            sched = alpha_schedule(alpha, eps, inst.gamma)
+            n, cut = sched.n_samples, _integer_cut(sched)
+            nodes, fail = [], 0.0
+            stack = [(-inst.gamma, inst.gamma, 1.0, 0.0)]
+            while stack:  # (lo, hi, probability of the path, mu_hat)
+                lo, hi, prob, mu_hat = stack.pop()
+                if not hi - lo > eps:
+                    if abs(mu_hat - inst.true_mu) > eps:
+                        fail += prob
+                    continue
+                mu0 = 0.5 * (lo + hi)
+                outcomes = [decide_ee(inst, mu0, sched, hits, ResourceLedger())
+                            for hits in (cut, cut - 1)]
+                p_right = float(binom.sf(cut - 1, n, seen[-1]))
+                p_left = float(binom.cdf(cut - 1, n, seen[-1]))
+                x = (inst.true_mu - mu0) / _shift_denominator(mu0, inst.gamma)
+                nodes.append((x, p_right, p_left, *outcomes))
+                stack += [(mu0, hi, prob * p_right, mu0), (lo, mu0, prob * p_left, mu0)]
+            cells[alpha, eps] = (sched, fail, nodes)
+    return cells
+
+
+def test_decision_rule_is_an_integer_cut(exact_sweep):
+    """hits / n > threshold flips from LEFT to RIGHT at one integer, so each
+    decision is a binomial tail; the tree has 2^k - 1 nodes, k steps."""
+    for (alpha, eps), (sched, _, nodes) in exact_sweep.items():
+        assert len(nodes) == 2 ** math.ceil(math.log2(2.0 / eps)) - 1
+        assert all(at is Outcome.RIGHT and below is Outcome.LEFT
+                   for *_, at, below in nodes), (alpha, eps)
+
+
+def test_decisions_outside_the_window_meet_hoeffding(exact_sweep):
+    """At |x| >= delta a certified step puts p at least delta^alpha/4 from
+    the threshold, so with n = 20 delta^(-2 alpha) L samples, L =
+    ceil(log2(4 gamma/eps)), Hoeffding bounds a wrong outcome by
+    exp(-2 n (delta^alpha/4)^2) = exp(-2.5 L).  2,430 of the 2,455
+    decisions lie there; the largest wrong-outcome probability is 4.8e-17
+    of its bound."""
+    checked = 0
+    for (alpha, eps), (sched, _, nodes) in exact_sweep.items():
+        bound = math.exp(-2.5 * math.ceil(math.log2(4.0 / eps)))
+        for x, p_right, p_left, _, _ in nodes:
+            if abs(x) >= sched.delta:
+                wrong = p_left if x > 0 else p_right
+                assert wrong <= bound, (alpha, eps, x, wrong)
+                checked += 1
+    assert checked == 2430
+
+
+def test_exact_failure_probability_on_the_sweep(exact_sweep):
+    """P(|mu_hat - mu| > eps), summed exactly over the bisection tree, is at
+    most 1e-40 on every cell.  The largest is 3.97e-46 (alpha 0, eps 0.2),
+    so the bound leaves a factor 2.5e5 of headroom; ACCEPTANCE 4 asks only
+    for 90 successes in 100 runs."""
+    worst = max(fail for _, fail, _ in exact_sweep.values())
+    assert 0.0 < worst <= 1e-40
 
 
 def test_statevector_path_matches_fast_path():

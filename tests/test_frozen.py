@@ -89,21 +89,23 @@ def _scan_line(delta, eta, max_degree):
 
 def test_build_scan():
     """125 builds: each certified polynomial's coefficients as float hex, or
-    the least-bad BoundReport of each of the 47 capacity errors."""
+    the least-bad BoundReport of each of the 47 capacity errors.  25 of
+    those report the LP path's minimax fit, the other 22 the degree-1 ramp,
+    the only candidate they tried."""
     lines = [_scan_line(delta, eta, cap)
              for delta in (0.01, 0.03, 0.07, 0.2, 0.45)
              for eta in (0.02, 0.1, 0.3, 0.6, 0.9)
              for cap in (3, 9, 21, 61, 4096)]
     assert sum(line.startswith("capacity") for line in lines) == 47
     assert sha256("\n".join(lines).encode()) == (
-        "ba8fd59f963f873012f67fed637c14ae4437940c6066c69774c100ac2807c725")
+        "81749c864b9cb6bd6322f31bcd00fd584940d008d247483da44e59c61e2ff633")
 
 
 def test_random_builds():
     """40 seeded random builds: delta = 10^U(-2, -0.05), eta = 10^U(-4, -0.01)
     and a cap from a fixed list, written as in test_build_scan.  As in that
-    scan, each of the 29 capacity errors reports the failed degree-1 ramp:
-    no erf or LP candidate was tried in them."""
+    scan, no erf candidate was tried in any of the 29 capacity errors: 11
+    report the LP path's minimax fit, the other 18 the degree-1 ramp."""
     rng = np.random.default_rng(20261019)
     caps = (1, 2, 3, 5, 8, 15, 33, 64, 121, 400, 4096)
     lines = []
@@ -113,7 +115,7 @@ def test_random_builds():
         lines.append(_scan_line(delta, eta, int(rng.choice(caps))))
     assert sum(line.startswith("capacity") for line in lines) == 29
     assert sha256("\n".join(lines).encode()) == (
-        "78e6330cd86d4014476b5d9ce75f3588644de00e0a260a751bc54452c94cd799")
+        "557a90c8da603167d7e25ac95a0c93a23e640caa04fd171b3c45f4402bc1ab16")
 
 
 def test_eta_frontier_table():
