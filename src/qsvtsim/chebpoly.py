@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
+# Unused here; perfbench's tracer wraps chebpoly.linprog by this name.
 from scipy.optimize import linprog
 from scipy.special import erfcinv, ive
 
@@ -26,11 +26,19 @@ EVAL_DOMAIN_SLACK = 1e-12
 # Default degree budget of the step builder and of every caller of it.
 DEFAULT_MAX_DEGREE = 4096
 
-# The discrete-minimax (linear program) fit is attempted up to this degree;
-# beyond it the erf-truncation path is consistently the cheaper construction.
-_LP_MAX_DEGREE = 160
+# The minimax (Remez exchange) fit is attempted up to this degree; beyond it
+# the erf-truncation path is consistently the cheaper construction.
+_MINIMAX_MAX_DEGREE = 160
+# Exchange rounds of one minimax fit, and Newton steps per refined extremum.
+_MAX_EXCHANGES = 40
+_NEWTON_STEPS = 6
+# The exchange stops once its reference errors agree to _LEVEL_TOL of E or
+# to _ROUNDING; a spread above _MAX_SPREAD of E is not levelled.
+_LEVEL_TOL = 1e-9
+_ROUNDING = 4e-15
+_MAX_SPREAD = 1e-3
 # Entries kept by each builder memo.  The eta frontier at degrees up to 21
-# leaves 4 LP fits, the 5x5 acceptance sweep 25 builds.
+# leaves 4 minimax fits, the 5x5 acceptance sweep 25 builds.
 _CACHE_SIZE = 256
 # Deltas whose certification and rescale grids are kept, about 2.8 MB.
 _GRID_CACHE_SIZE = 16
@@ -366,16 +374,18 @@ def _bisect_odd(feasible, lo, hi):
     hi is certified first, and a failure there ends the search.  Otherwise
     the odd degrees between lo, taken as failing, and hi are bisected
     (lo + 2 * ((hi - lo) // 4) keeps every probe odd); the caller's search
-    object records which probes certified.
+    object records which probes certified.  Returns the smallest degree
+    found feasible, or None when hi is not.
     """
     if not feasible(hi):
-        return
+        return None
     while hi - lo > 2:
         mid = lo + 2 * ((hi - lo) // 4)
         if feasible(mid):
             hi = mid
         else:
             lo = mid
+    return hi
 
 
 def _erf_path(search, limit):
@@ -410,95 +420,171 @@ def _erf_path(search, limit):
             _bisect_odd(lambda d: search.try_odd(coeffs[:d + 1]), -1, d0)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _lp_minimax(delta, degree):
-    """Discrete minimax fit of an odd polynomial on a Chebyshev-refined grid.
+def _odd_cos_sums(theta, odd):
+    """sum_j a_j cos((2j+1) theta) and its first two derivatives in theta."""
+    k = 2.0 * np.arange(odd.size) + 1.0
+    arg = np.multiply.outer(theta, k)
+    cos = np.cos(arg)
+    return cos @ odd, np.sin(arg) @ (-k * odd), cos @ (-k * k * odd)
 
-    Minimises the worst plateau shortfall t = max(1 - q) on [delta, 1]
-    subject to |q| <= 1 - 1e-9 on [0, 1], over every point of the grid
-    below; returns the immutable pair (t*, coeffs), or None when the solver
-    fails.
 
-    Only about one row per coefficient is active at the optimum, so the LP
-    is solved by constraint generation on that same grid.  Each round
-    solves it on a working set of grid points, evaluates the fit on the
-    whole grid and adds the points that violate a row the most.  A
-    working-set LP keeps a subset of the full LP's rows, so it relaxes the
-    full LP: once its optimum violates no row at any grid point, that
-    optimum is feasible for the full LP and so optimal for it.  Every round
-    adds at least one new point of a finite grid, so the loop ends.
+def _refined_extrema(grid, vals, odd):
+    """Interior local extrema of a sampled cosine sum, refined by Newton.
+
+    Newton runs on the analytic theta-derivative, and each step stays
+    between the neighbours of the grid point it started from.
     """
-    xs = np.unique(np.concatenate([
-        np.linspace(0.0, 1.0, 2501),
-        np.linspace(delta, 1.0, 1500),
-        _edge_grid(degree),
-        [delta],
-    ]))
-    vander = npcheb.chebvander(xs, degree)[:, 1::2]
-    n_var = vander.shape[1]
-    plateau = xs >= delta
-    box = 1.0 - 1e-9
-    cost = np.zeros(n_var + 1)
-    cost[-1] = 1.0
-    bounds = [(None, None)] * n_var + [(0.0, None)]
-    # Start from evenly spaced points plus the plateau's inner edge.
-    working = np.zeros(xs.size, dtype=bool)
-    working[np.linspace(0, xs.size - 1, 8 * n_var + 8).astype(int)] = True
-    working[np.searchsorted(xs, delta)] = True
-    while True:
-        vp = vander[working & plateau]
-        vw = vander[working]
-        zeros = np.zeros((vw.shape[0], 1))
-        # 1 - q(x) <= t on the plateau, |q(x)| <= 1 - margin on [0, 1]
-        a_ub = np.vstack([np.hstack([-vp, -np.ones((vp.shape[0], 1))]),
-                          np.hstack([vw, zeros]), np.hstack([-vw, zeros])])
-        b_ub = np.concatenate([np.full(vp.shape[0], -1.0),
-                               np.full(2 * vw.shape[0], box)])
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if not res.success:
+    slope = np.diff(vals)
+    idx = np.flatnonzero(slope[:-1] * slope[1:] <= 0.0) + 1
+    lo, hi, theta = grid[idx - 1], grid[idx + 1], grid[idx]
+    for _ in range(_NEWTON_STEPS):
+        _, d1, d2 = _odd_cos_sums(theta, odd)
+        step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0.0)
+        theta = np.clip(theta - step, lo, hi)
+    return theta
+
+
+def _alternating(err, count):
+    """Indices, in order, of at most count extrema whose errors alternate in sign.
+
+    Runs of one sign keep their largest |err|; then the end with the
+    smaller |err| goes while too many remain, so the largest stays.
+    """
+    keep = []
+    for i, e in enumerate(err.tolist()):
+        if keep and (e > 0.0) == (err[keep[-1]] > 0.0):
+            if abs(e) > abs(err[keep[-1]]):
+                keep[-1] = i
+        else:
+            keep.append(i)
+    while len(keep) > count:
+        del keep[0 if abs(err[keep[0]]) <= abs(err[keep[-1]]) else -1]
+    return keep
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _minimax_fit(delta, degree):
+    """Best odd uniform approximation to 1 on [delta, 1], by Remez exchange.
+
+    Returns the immutable pair (t*, coeffs) of an odd polynomial q with
+    max |q| = 1 - 1e-13 on [0, 1] and t* = 1 - min q on [delta, 1], or None
+    when the exchange cannot level its error.
+
+    The exchange works in theta, x = cos(theta), on the odd basis
+    cos((2j+1) theta), j < n = (degree + 1)/2, over [0, acos(delta)].  Odd
+    polynomials x r(x^2) form a Haar space on [delta, 1], so the best p has
+    an error 1 - p that alternates with equal size E on n + 1 points.  Each
+    round levels the error on a reference of n + 1 points.  With the
+    barycentric weights w_i of the nodes y_i = x_i^2, the interpolant of
+    the values (1 -+ h)/x_i is an r of degree n - 1 exactly when the sum of
+    w_i times those values vanishes, which gives h in closed form; the
+    coefficients then solve the interpolation, with two steps of iterative
+    refinement.  The error's extrema, found on a grid uniform in the
+    arcsine angle of y and refined by Newton, make the next reference.  The
+    rounds stop once the reference errors agree to _LEVEL_TOL of E, or to
+    _ROUNDING, the spread that float64 evaluation leaves; a fit whose
+    errors then still differ by more than _MAX_SPREAD of E is not levelled.
+
+    p is then scaled so that its Newton-refined peak of |p| on [0, 1] is
+    1 - 1e-13 (_scale_for), so the box |q| <= 1 holds between grid points
+    too and needs no constraint of its own.
+    """
+    n = (degree + 1) // 2
+    edge = math.acos(delta)
+    mid, half = 0.5 * (1.0 + delta * delta), 0.5 * (1.0 - delta * delta)
+
+    def thetas(count):  # arcsine-spaced in y = x^2, from x = 1 to x = delta
+        phi = np.linspace(0.0, math.pi, count)
+        theta = np.arccos(np.sqrt(mid + half * np.cos(phi)))
+        theta[0], theta[-1] = 0.0, edge
+        return theta
+
+    k = 2.0 * np.arange(n) + 1.0
+    grid = thetas(16 * n + 17)
+    on_grid = np.cos(np.multiply.outer(grid, k))
+    ref = thetas(n + 1)
+    signs = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+    # A degenerate reference yields infinities or NaNs, never a warning.
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_EXCHANGES):
+            x = np.cos(ref)
+            # gaps in y over an interval of length 4 keep the products near 1
+            gaps = np.subtract.outer(x * x, x * x) * (2.0 / half)
+            np.fill_diagonal(gaps, 1.0)
+            w_over_x = 1.0 / (x * np.prod(gaps, axis=1))
+            h = float(np.sum(w_over_x) / np.sum(signs * w_over_x))
+            if not math.isfinite(h):
+                return None
+            vals = 1.0 - signs * h
+            vand = np.cos(np.multiply.outer(ref, k))
+            try:
+                odd = np.linalg.lstsq(vand, vals, rcond=None)[0]
+                for _ in range(2):  # iterative refinement
+                    odd += np.linalg.lstsq(vand, vals - vand @ odd, rcond=None)[0]
+            except np.linalg.LinAlgError:
+                return None
+            inner = _refined_extrema(grid, on_grid @ odd, odd)
+            cand = np.sort(np.concatenate([[0.0], inner, [edge]]))
+            err = 1.0 - _odd_cos_sums(cand, odd)[0]
+            keep = _alternating(err, n + 1)
+            if len(keep) < n + 1:
+                return None
+            mags = np.abs(err[keep])
+            spread = float(mags.max() - mags.min())
+            if spread <= _LEVEL_TOL * mags.max() + _ROUNDING:
+                break
+            ref = cand[keep]
+        else:
             return None
-        q = vander @ res.x[:n_var]
-        excess = np.abs(q) - box
-        excess[plateau] = np.maximum(excess[plateau], 1.0 - q[plateau] - res.x[-1])
-        excess[working] = 0.0
-        new = np.flatnonzero(excess > 0.0)
-        if new.size == 0:
-            break
-        if new.size > 4 * n_var:
-            new = new[np.argpartition(excess[new], -4 * n_var)[-4 * n_var:]]
-        working[new] = True
+        if spread > _MAX_SPREAD * mags.max():
+            return None
+        # [0, delta] in x; about 25 points per period of cos(degree theta)
+        window = np.linspace(edge, 0.5 * math.pi, int(4 * degree * (0.5 * math.pi - edge)) + 8)
+        on_window = _odd_cos_sums(window, odd)[0]
+        peaks = np.concatenate([cand, window, _refined_extrema(window, on_window, odd)])
+        odd = _scale_for(float(np.max(np.abs(_odd_cos_sums(peaks, odd)[0])))) * odd
+        t_star = 1.0 - float(np.min(_odd_cos_sums(cand, odd)[0]))
     full = np.zeros(degree + 1)
-    full[1::2] = res.x[:n_var]
-    return float(res.fun), tuple(full)
+    full[1::2] = odd
+    return t_star, tuple(full.tolist())
 
 
-def _lp_path(search, limit):
+def _minimax_path(search, limit):
     """Bisect the smallest odd degree whose minimax fit certifies.
 
     The odd part q of a step bounded by 1 has |q'(x)| <= d / sqrt(1 - x^2)
     (Bernstein's inequality), so it rises at most d asin(delta) from
     q(0) = 0 to q(delta) >= 1 - eta.  No degree up to hi can certify when
-    hi asin(delta) < (1 - eta) / 2, and then no fit is solved; the factor 2
+    hi asin(delta) < (1 - eta) / 2, and then no fit is made; the factor 2
     leaves room for candidates that certify on the grids yet overshoot 1
     between grid points.  It runs only when no other path certified, and
     search.try_odd alone judges each fit, as it does every candidate.
+
+    The exchange cannot level once E nears float64 rounding, which happens
+    from some degree on (from 21 at delta 0.9, from 53 at 0.45).  When the
+    fit at hi is None, hi first drops to the largest odd degree that has a
+    fit, found by a bisection of the None fits, which take milliseconds.
     """
     spec = search.spec
-    hi = min(limit, _LP_MAX_DEGREE)
+    hi = min(limit, _MINIMAX_MAX_DEGREE)
     if hi % 2 == 0:
         hi -= 1
     if hi < 3 or hi * math.asin(spec.delta) < (1.0 - spec.eta) / 2.0:
         return
+    if _minimax_fit(spec.delta, hi) is None:
+        hi = _bisect_odd(lambda d: _minimax_fit(spec.delta, d) is None, 1, hi) - 2
+        if hi < 3:
+            return
 
     def feasible(d):
-        fit = _lp_minimax(spec.delta, d)
+        fit = _minimax_fit(spec.delta, d)
         return fit is not None and search.try_odd(fit[1])
 
     _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 
 
 def _run_search(spec, max_degree, stop_at_first=False):
-    """Run the ramp, the erf path and the LP path; return the _Search.
+    """Run the ramp, the erf path and the minimax path; return the _Search.
 
     The search keeps lowering the certified degree, or with stop_at_first
     ends at the first certified candidate, leaving it as best.
@@ -513,10 +599,9 @@ def _run_search(spec, max_degree, stop_at_first=False):
             _erf_path(search, max_degree)
         if search.best is None:
             # The kernel path found nothing under the cap.  That happens
-            # when the cap is tight relative to 1/delta, where a direct
-            # minimax fit on the plateau grids still has a shot at a
-            # certificate.
-            _lp_path(search, max_degree)
+            # when the cap is tight relative to 1/delta, where the best
+            # uniform fit on the plateau still has a shot at a certificate.
+            _minimax_path(search, max_degree)
     except _Certified:
         pass
     return search
@@ -561,10 +646,11 @@ def min_eta_for_degree(delta, degree):
     builder's own search but stops at its first certified candidate, where
     the build goes on to look for a lower degree.  No step before that
     candidate depends on a later one, so the two take the same steps up to
-    it, and the probe is True exactly when the build returns.  The LP path
-    then fits only the degree it tries first, the largest odd one within
-    the budget; that fit does not depend on eta, so it is solved once per
-    (delta, degree).  Probes add nothing to the build cache.
+    it, and the probe is True exactly when the build returns.  The minimax
+    path then fits only the degree it tries first, the largest odd one
+    within the budget that has a fit; that fit does not depend on eta, so
+    it is made once per (delta, degree), in milliseconds.  Probes add
+    nothing to the build cache.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")

@@ -154,7 +154,7 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
 
     monkeypatch.setattr(chebpoly._Search, "try_odd", try_odd_checked)
     chebpoly._build_cached.cache_clear()
-    chebpoly._lp_minimax.cache_clear()
+    chebpoly._minimax_fit.cache_clear()
     alpha_schedule(0.5, 0.05, 1.0)
     # the ramp and one erf truncation are rejected on the probe
     assert outcomes == Counter(rejected=2, survived=3)
@@ -250,7 +250,7 @@ def test_least_bad_matches_an_eager_fold_over_every_failure():
 
 def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
     """Under a degree-5 cap the ramp and the degree-5 minimax fit both fail;
-    the fit misses each plateau by 1.48e-7, the ramp by 0.0757, and the
+    the fit misses each plateau by 1.95e-9, the ramp by 0.0757, and the
     CapacityError carries the fit's report."""
     spec = StepSpec(0.05, 0.7985613664386098)
     tried = []
@@ -271,8 +271,8 @@ def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
     assert reports[0].max_low_violation == pytest.approx(0.0757, abs=1e-4)
     assert reports[0].max_high_violation == pytest.approx(0.0757, abs=1e-4)
     assert info.value.report == reports[1]
-    assert reports[1].max_low_violation == pytest.approx(1.4809e-7, rel=1e-4)
-    assert reports[1].max_high_violation == pytest.approx(1.4809e-7, rel=1e-4)
+    assert reports[1].max_low_violation == pytest.approx(1.9524e-9, rel=1e-4)
+    assert reports[1].max_high_violation == pytest.approx(1.9524e-9, rel=1e-4)
     assert reports[1].max_abs_excess <= 0.0
 
 
@@ -286,7 +286,7 @@ def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
         monkeypatch.setattr(chebpoly, name,
                             lambda *args, fn=fn, name=name: counts.update([name]) or fn(*args))
     chebpoly._build_cached.cache_clear()
-    chebpoly._lp_minimax.cache_clear()
+    chebpoly._minimax_fit.cache_clear()
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
             alpha_schedule(alpha, eps, 1.0)
@@ -513,7 +513,7 @@ def test_build_rejects_degree_budget_below_one():
 
 # Smallest certified degree under a tight cap, or None for CapacityError,
 # frozen from the builder before its unreachable branches were deleted.
-# _lp_path certifies 4 of these 27 builds, (delta, eta, max_degree) =
+# _minimax_path certifies 4 of these 27 builds, (delta, eta, max_degree) =
 # (0.07, 0.3, 21), (0.07, 0.6, 9), (0.2, 0.6, 3) and (0.45, 0.3, 3).
 _TIGHT_CAP_DEGREES = {
     (0.07, 0.1): (None, None, None),
@@ -561,7 +561,8 @@ def test_bisected_builds_frozen(delta, eta, max_degree, want):
 def test_bisect_odd_finds_the_threshold_of_monotone_predicates(half_lo, n, t):
     """On d >= t, _bisect_odd probes odd degrees in (lo, hi] only, hi
     first; it finds the smallest feasible one in at most
-    1 + ceil(log2((hi - lo) / 2)) probes, or stops after hi alone."""
+    1 + ceil(log2((hi - lo) / 2)) probes, and returns it, or stops after
+    hi alone and returns None."""
     lo = 2 * half_lo - 1
     hi = lo + 2 * n
     probes = []
@@ -570,13 +571,13 @@ def test_bisect_odd_finds_the_threshold_of_monotone_predicates(half_lo, n, t):
         probes.append(d)
         return d >= t
 
-    chebpoly._bisect_odd(feasible, lo, hi)
+    found = chebpoly._bisect_odd(feasible, lo, hi)
     assert probes[0] == hi
     assert all(d % 2 == 1 and lo < d <= hi for d in probes)
     if t > hi:
-        assert probes == [hi]
+        assert probes == [hi] and found is None
         return
-    assert min(d for d in probes if d >= t) == max(t + (t % 2 == 0), lo + 2)
+    assert found == min(d for d in probes if d >= t) == max(t + (t % 2 == 0), lo + 2)
     assert len(probes) <= 1 + math.ceil(math.log2(n))
 
 
@@ -676,19 +677,19 @@ def test_min_eta_nonincreasing_in_degree():
     assert values[0] >= values[1] >= values[2]
 
 
-def test_frontier_solves_each_minimax_lp_once():
-    """Each eta probe stops at its first certified candidate, so the LP path
-    only ever fits the frontier degree itself, once for every probe, and
+def test_frontier_fits_each_minimax_once():
+    """Each eta probe stops at its first certified candidate, so the minimax
+    path only ever fits the frontier degree itself, once for every probe, and
     the probes build nothing into the build cache."""
     chebpoly._build_cached.cache_clear()
-    chebpoly._lp_minimax.cache_clear()
+    chebpoly._minimax_fit.cache_clear()
     min_eta_for_degree(0.2, 21)
-    assert chebpoly._lp_minimax.cache_info().misses == 1
+    assert chebpoly._minimax_fit.cache_info().misses == 1
     min_eta_for_degree(0.2, 15)
-    assert chebpoly._lp_minimax.cache_info().misses == 2
-    assert chebpoly._lp_minimax.cache_info().currsize == 2
-    min_eta_for_degree(0.2, 15)  # infeasible probes rerun the LP path
-    assert chebpoly._lp_minimax.cache_info().misses == 2
+    assert chebpoly._minimax_fit.cache_info().misses == 2
+    assert chebpoly._minimax_fit.cache_info().currsize == 2
+    min_eta_for_degree(0.2, 15)  # infeasible probes rerun the minimax path
+    assert chebpoly._minimax_fit.cache_info().misses == 2
     assert chebpoly._build_cached.cache_info().currsize == 0
 
 
@@ -710,9 +711,11 @@ def test_first_certification_probe_agrees_with_the_build(delta, eta, degree):
 
 
 def _full_grid_lp(delta, degree):
-    """Every row of the minimax LP on its whole grid, and one dense solve.
+    """Optimum t_LP of the retired discrete-minimax LP, as an oracle.
 
-    Returns (A_ub, b_ub, t*) over the variables (odd coefficients, t).
+    Minimises the worst plateau shortfall t over the odd coefficients
+    subject to every row of the old fit's grid: 1 - q <= t on the plateau
+    points, |q| <= 1 - 1e-9 on all of them.  One dense HiGHS solve.
     """
     xs = np.unique(np.concatenate([
         np.linspace(0.0, 1.0, 2501), np.linspace(delta, 1.0, 1500),
@@ -730,25 +733,143 @@ def _full_grid_lp(delta, degree):
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
                   bounds=[(None, None)] * n_var + [(0.0, None)], method="highs")
     assert res.success
-    return a_ub, b_ub, res.fun
+    return res.fun
+
+
+def _cos_sum(theta, odd):
+    """q, q' and q'' in theta of sum_j a_j cos((2j+1) theta), term by term."""
+    q, dq, ddq = (np.zeros_like(theta) for _ in range(3))
+    for j, a in enumerate(odd):
+        m = 2 * j + 1
+        q += a * np.cos(m * theta)
+        dq -= m * a * np.sin(m * theta)
+        ddq -= m * m * a * np.cos(m * theta)
+    return q, dq, ddq
+
+
+def _sampled_and_refined(odd, degree):
+    """q on a 64 d grid over theta in [0, pi/2], and its interior extrema.
+
+    Each sign change of the sampled slope starts Newton on q'(theta) = 0,
+    kept between the two grid neighbours.  Returns (grid, q on it, extrema).
+    """
+    grid = np.linspace(0.0, 0.5 * math.pi, 64 * degree + 1)
+    vals = _cos_sum(grid, odd)[0]
+    slope = np.diff(vals)
+    idx = np.flatnonzero(slope[:-1] * slope[1:] < 0.0) + 1
+    theta = grid[idx]
+    for _ in range(10):
+        _, dq, ddq = _cos_sum(theta, odd)
+        theta = np.clip(theta - dq / ddq, grid[idx - 1], grid[idx + 1])
+    return grid, vals, theta
+
+
+def _error_from_t_star(t_star):
+    """E such that t* = 1 - (1 - 1e-13)(1 - E)/(1 + E)."""
+    ratio = (1.0 - t_star) / (1.0 - 1e-13)
+    return (1.0 - ratio) / (1.0 + ratio)
+
+
+def _assert_sound_between_grid_points(delta, degree, t_star, coeffs):
+    """|q| <= 1 on [0, 1] and q >= 1 - t* on [delta, 1], at every grid point
+    and every refined extremum of an independent cosine sum.  Returns the
+    plateau's refined extrema, both ends included, and q there."""
+    odd = np.asarray(coeffs)[1::2]
+    assert not any(coeffs[0::2])
+    edge = math.acos(delta)
+    grid, vals, extrema = _sampled_and_refined(odd, degree)
+    theta = np.concatenate([grid, extrema, [edge]])
+    q = np.concatenate([vals, _cos_sum(extrema, odd)[0], _cos_sum(np.array([edge]), odd)[0]])
+    assert np.max(np.abs(q)) <= 1.0
+    assert np.min(q[theta <= edge]) >= 1.0 - t_star - 1e-14
+    ref = np.concatenate([[0.0], extrema[extrema < edge], [edge]])
+    return ref, _cos_sum(ref, odd)[0]
 
 
 @pytest.mark.parametrize("delta, degree",
                          [(0.2, d) for d in range(3, 22, 2)]
-                         + [(0.05, 41), (0.05, 81)])
+                         + [(0.05, 41), (0.05, 81), (0.45, 11), (0.1, 21)])
 def test_lp_minimax_matches_full_grid_lp(delta, degree):
-    """Constraint generation reaches the full-grid optimum, within the 1e-7
-    feasibility tolerance of HiGHS, and its fit meets every grid row."""
-    a_ub, b_ub, t_full = _full_grid_lp(delta, degree)
-    t_star, coeffs = chebpoly._lp_minimax(delta, degree)
-    assert abs(t_star - t_full) <= 1e-7
-    x = np.concatenate([np.asarray(coeffs)[1::2], [t_star]])
-    assert not any(coeffs[0::2])
-    assert np.max(a_ub @ x - b_ub) <= 1e-7
+    """The Remez fit against the retired LP's full-grid optimum t_LP.
+
+    The continuous optimum lies above the grid LP's, which only sees its
+    grid points, by 4e-9 at (0.2, 3) up to 1e-6 at (0.05, 41).  The error
+    1 - q/c, with c the centre of q on the plateau, alternates in sign on
+    (d + 3)/2 refined extrema with equal size E up to 1e-6 E + 1e-14, so by
+    de la Vallee Poussin no odd polynomial of degree d does better than
+    E (1 - 1e-6) - 1e-14; and t* is the scaled fit's shortfall exactly."""
+    t_lp = _full_grid_lp(delta, degree)
+    t_star, coeffs = chebpoly._minimax_fit(delta, degree)
+    assert t_lp - 1e-7 <= t_star <= t_lp + 2e-6
+    ref, q = _assert_sound_between_grid_points(delta, degree, t_star, coeffs)
+    assert ref.size == (degree + 3) // 2
+    centre = 0.5 * (q.max() + q.min())
+    err = 1.0 - q / centre
+    assert np.all(err[:-1] * err[1:] < 0.0)
+    big = np.max(np.abs(err))
+    assert big - np.min(np.abs(err)) <= 1e-6 * big + 1e-14
+    assert t_star == pytest.approx(
+        1.0 - (1.0 - 1e-13) * (1.0 - big) / (1.0 + big), rel=0.0, abs=1e-14)
 
 
-def _lp_candidates(eta):
-    """The odd parts _lp_path hands to certification at delta 0.2, degree <= 21."""
+def _eremenko_yuditskii(delta, degree):
+    """Asymptotic best error of an odd degree-d sign fit on [delta, 1]:
+    (1 - delta)/sqrt(pi delta m) ((1 - delta)/(1 + delta))^m, d = 2m + 1
+    (Eremenko and Yuditskii, arXiv:math/0604324)."""
+    m = (degree - 1) // 2
+    return (1.0 - delta) / math.sqrt(math.pi * delta * m) * ((1.0 - delta) / (1.0 + delta)) ** m
+
+
+@pytest.mark.parametrize("delta", (0.45, 0.2, 0.1, 0.05, 0.0125))
+def test_minimax_fit_levels_down_to_its_float_floor(delta):
+    """Sampled odd degrees up to 159: every call returns a sound fit or None
+    and raises nothing.  Each fit's E lies between 0.15 and 1 times the
+    Eremenko-Yuditskii asymptote, which it approaches from below, so a
+    None where that asymptote is under 1e-11 has E < 1e-11.  Measured: the
+    smallest E fitted is 2.3e-12, and None starts at E = 1.6e-12 (0.2, 125)
+    and 1.05e-12 (0.45, 53), where float64 rounding, about 1e-15, leaves
+    the reference errors more than 1e-3 E apart."""
+    for degree in list(range(3, 160, 8)) + [159]:
+        fit = chebpoly._minimax_fit(delta, degree)
+        bound = _eremenko_yuditskii(delta, degree)
+        if fit is None:
+            assert bound < 1e-11, degree
+            continue
+        assert 0.15 * bound <= _error_from_t_star(fit[0]) <= bound, degree
+        _assert_sound_between_grid_points(delta, degree, *fit)
+
+
+@pytest.mark.parametrize("delta", (0.05, 0.1, 0.2, 0.3))
+def test_every_minimax_fit_certifies_at_its_own_t_star(delta):
+    """Sound between grid points, each fit at odd d in 3..21 certifies at
+    eta = t* (1 + 1e-12), alone and as the build under a degree-d cap."""
+    for degree in range(3, 22, 2):
+        t_star, coeffs = chebpoly._minimax_fit(delta, degree)
+        spec = StepSpec(delta, t_star * (1.0 + 1e-12))
+        assert verify_bounds(chebpoly._step_from_odd(coeffs, delta), spec).passes, degree
+        poly = build_step_approx(spec, max_degree=degree)
+        assert poly.degree <= degree and verify_bounds(poly, spec).passes
+
+
+def test_no_lp_is_solved(monkeypatch):
+    """chebpoly.linprog stays bound for perfbench's tracer; the frontier and
+    the four tight-cap builds that certify a minimax fit never call it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(chebpoly, "linprog", refuse)
+    chebpoly._build_cached.cache_clear()
+    chebpoly._minimax_fit.cache_clear()
+    assert min_eta_for_degree(0.2, 21) == float.fromhex("0x1.4600021ad12b8p-7")
+    for delta, eta, cap in ((0.07, 0.3, 21), (0.07, 0.6, 9), (0.2, 0.6, 3), (0.45, 0.3, 3)):
+        got = build_step_approx(StepSpec(delta, eta), max_degree=cap).degree
+        assert got == _TIGHT_CAP_DEGREES[delta, eta][(3, 9, 21).index(cap)]
+    assert chebpoly._minimax_fit.cache_info().misses >= 5
+
+
+def _minimax_candidates(eta):
+    """The odd parts _minimax_path hands to certification at delta 0.2, degree <= 21."""
     search = chebpoly._Search(StepSpec(0.2, eta))
     tried = []
     try_odd = search.try_odd
@@ -758,19 +879,19 @@ def _lp_candidates(eta):
         return try_odd(odd_coeffs)
 
     search.try_odd = recording
-    chebpoly._lp_path(search, 21)
+    chebpoly._minimax_path(search, 21)
     return tried
 
 
-def test_lp_fit_reaches_certification_and_cache_safety():
+def test_minimax_fit_reaches_certification_and_cache_safety():
     """At eta = t*, the cached fit's own coefficient tuple goes to
     certification, whatever t* says, and handing it over leaves the cache
     entry as it was."""
-    fit = chebpoly._lp_minimax(0.2, 21)
+    fit = chebpoly._minimax_fit(0.2, 21)
     t_star, coeffs = fit
-    tried = _lp_candidates(t_star)
+    tried = _minimax_candidates(t_star)
     assert tried and tried[0] is coeffs and len(coeffs) == 22
-    assert chebpoly._lp_minimax(0.2, 21) == fit
+    assert chebpoly._minimax_fit(0.2, 21) == fit
 
 
 @pytest.mark.parametrize("delta, degree", [(0.05, 3), (0.1, 3), (0.2, 3), (0.3, 11)])
@@ -778,7 +899,7 @@ def test_certified_tight_cap_fit_is_returned(delta, degree):
     """Each fit certifies on the grid from an eta below t* + 1e-8, so a
     check of t* with that margin would refuse it; the build just above the
     grid threshold returns a certified step within the cap."""
-    t_star, coeffs = chebpoly._lp_minimax(delta, degree)
+    t_star, coeffs = chebpoly._minimax_fit(delta, degree)
     report = verify_bounds(chebpoly._step_from_odd(coeffs, delta), StepSpec(delta, 0.5))
     assert report.max_abs_excess <= chebpoly.GRID_TOL
     worst = max(report.max_low_violation, report.max_high_violation)
@@ -789,13 +910,41 @@ def test_certified_tight_cap_fit_is_returned(delta, degree):
     assert poly.degree <= degree and verify_bounds(poly, spec).passes
 
 
-def test_lp_path_skips_fits_no_degree_under_cap_can_reach_eta():
+def test_minimax_path_skips_fits_no_degree_under_cap_can_reach_eta():
     """delta = 1.95e-4, eta = 0.5: even degree 159 rises only
     159 asin(delta) = 0.031 from q(0), far below the 1 - eta it needs."""
-    chebpoly._lp_minimax.cache_clear()
+    chebpoly._minimax_fit.cache_clear()
     with pytest.raises(CapacityError):
         build_step_approx(StepSpec(0.0001953125, 0.5))
-    assert chebpoly._lp_minimax.cache_info().misses == 0
+    assert chebpoly._minimax_fit.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("delta, eta, cap, want", [
+    (0.9, 1e-6, 21, 9), (0.9, 1e-6, 25, 9), (0.45, 1e-7, 61, 33), (0.3, 1e-9, 101, 61)])
+def test_minimax_path_drops_below_degrees_without_a_fit(delta, eta, cap, want):
+    """The cap's fit is None, below E's float64 floor, and the erf path
+    needs more than the cap, yet a lower fit certifies.  The LP fit the
+    exchange replaced built degree 9 at (0.9, 1e-6) under caps 21 and 27
+    and raised CapacityError under 23 and 25; at (0.45, 1e-7) it built 35
+    under caps 35 to 51 and raised under 61; at (0.3, 1e-9, 101) it raised."""
+    assert chebpoly._minimax_fit(delta, cap) is None
+    spec = StepSpec(delta, eta)
+    poly = build_step_approx(spec, max_degree=cap)
+    assert poly.degree == want and verify_bounds(poly, spec).passes
+
+
+@pytest.mark.parametrize("delta, cap", [
+    (0.3, 83), (0.45, 53), (0.6, 39), (0.7, 31), (0.8, 25), (0.9, 21), (0.95, 21)])
+def test_build_certifies_at_the_t_star_of_the_largest_fit_under_the_cap(delta, cap):
+    """Just above t* of the largest odd degree under the cap that has a fit,
+    the build returns, though the cap's own fit is None."""
+    top = cap
+    while chebpoly._minimax_fit(delta, top) is None:
+        top -= 2
+    assert top < cap
+    spec = StepSpec(delta, chebpoly._minimax_fit(delta, top)[0] * (1.0 + 1e-12))
+    poly = build_step_approx(spec, max_degree=cap)
+    assert poly.degree <= top and verify_bounds(poly, spec).passes
 
 
 @settings(max_examples=40, deadline=None)

@@ -116,7 +116,7 @@ def test_poly_degree_rejects_build_only_flags(capsys, tmp_path, monkeypatch,
 
 def test_poly_capacity_reports_the_least_bad_of_two_candidates(capsys):
     """The ramp misses each plateau by 0.0757; the degree-5 minimax fit
-    misses by 1.48e-7, and its report is the one printed."""
+    misses by 1.95e-9, and its report is the one printed."""
     rc, out, err = run_cli(capsys, ["poly", "--delta", "0.05", "--eta",
                                     "0.7985613664386098", "--max-degree", "5"])
     assert rc == 1
@@ -124,8 +124,8 @@ def test_poly_capacity_reports_the_least_bad_of_two_candidates(capsys):
     assert err == (
         "capacity: no certified step polynomial of degree <= 5 for "
         "delta=0.05, eta=0.7985613664386098; least-bad candidate: "
-        "max_low_violation 1.4809193554787825e-07 max_high_violation "
-        "1.480919356033894e-07 max_abs_excess -5.000000413701855e-10\n")
+        "max_low_violation 1.9524297178996619e-09 max_high_violation "
+        "1.9524296623885107e-09 max_abs_excess -4.9960036108132044e-14\n")
 
 
 def test_poly_capacity_can_report_a_minimax_fit(capsys):
@@ -137,8 +137,27 @@ def test_poly_capacity_can_report_a_minimax_fit(capsys):
     assert err == (
         "capacity: no certified step polynomial of degree <= 3 for "
         "delta=0.45, eta=0.02; least-bad candidate: "
-        "max_low_violation 0.090984097451595095 max_high_violation "
-        "0.090984097451595081 max_abs_excess -4.5781789470566991e-09\n")
+        "max_low_violation 0.09098409750873733 max_high_violation "
+        "0.090984097508737261 max_abs_excess -4.6497830030745035e-09\n")
+
+
+def test_poly_certifies_the_degree_3_minimax_fit_just_below_its_t_star(capsys):
+    """eta = 0.54842426 lies 2e-9 below the degree-3 fit's t* = 0.548424262,
+    within the 1e-9 certification tolerance on each plateau (the step is
+    (1 + q)/2, so it misses by half that); the fit itself is returned."""
+    rc, out, err = run_cli(capsys, ["poly", "--delta", "0.2", "--eta", "0.54842426",
+                                    "--max-degree", "3"])
+    assert (rc, err) == (0, "")
+    assert out == (
+        "delta 0.20000000000000001\n"
+        "eta 0.54842426\n"
+        "degree 3\n"
+        "parity none\n"
+        "constant_C 0.30196268868790799\n"
+        "max_low_violation 9.8613972543404316e-10\n"
+        "max_high_violation 9.8613972543404316e-10\n"
+        "max_abs_excess -8.8151708155237429e-13\n"
+        "certified 1\n")
 
 
 def test_estimate_frozen_ramp(capsys):

@@ -90,22 +90,23 @@ def _scan_line(delta, eta, max_degree):
 def test_build_scan():
     """125 builds: each certified polynomial's coefficients as float hex, or
     the least-bad BoundReport of each of the 47 capacity errors.  25 of
-    those report the LP path's minimax fit, the other 22 the degree-1 ramp,
-    the only candidate they tried."""
+    those report the minimax path's Remez fit, the other 22 the degree-1
+    ramp, the only candidate they tried; 13 certified lines are Remez fits."""
     lines = [_scan_line(delta, eta, cap)
              for delta in (0.01, 0.03, 0.07, 0.2, 0.45)
              for eta in (0.02, 0.1, 0.3, 0.6, 0.9)
              for cap in (3, 9, 21, 61, 4096)]
     assert sum(line.startswith("capacity") for line in lines) == 47
     assert sha256("\n".join(lines).encode()) == (
-        "81749c864b9cb6bd6322f31bcd00fd584940d008d247483da44e59c61e2ff633")
+        "d8aad982fbeea25f3393e5d8f1ab8a7baa4238fe810490588d01d2a26c1d965f")
 
 
 def test_random_builds():
     """40 seeded random builds: delta = 10^U(-2, -0.05), eta = 10^U(-4, -0.01)
     and a cap from a fixed list, written as in test_build_scan.  As in that
     scan, no erf candidate was tried in any of the 29 capacity errors: 11
-    report the LP path's minimax fit, the other 18 the degree-1 ramp."""
+    report the minimax path's Remez fit, the other 18 the degree-1 ramp;
+    one certified line is a Remez fit."""
     rng = np.random.default_rng(20261019)
     caps = (1, 2, 3, 5, 8, 15, 33, 64, 121, 400, 4096)
     lines = []
@@ -115,7 +116,7 @@ def test_random_builds():
         lines.append(_scan_line(delta, eta, int(rng.choice(caps))))
     assert sum(line.startswith("capacity") for line in lines) == 29
     assert sha256("\n".join(lines).encode()) == (
-        "557a90c8da603167d7e25ac95a0c93a23e640caa04fd171b3c45f4402bc1ab16")
+        "496440e47c99bf04faa613a8be572e0b20c576efac14cb250599b95352ce23b1")
 
 
 def test_eta_frontier_table():

@@ -14,7 +14,7 @@ import pytest
 # (workload, ops per pass, failed ops at most, depth_sum at most)
 CONTRACT = [
     ("sweep_cold", 25, 13, 935),
-    ("frontier", 5, 1, 47),
+    ("frontier", 5, 0, 47),
     ("estimate_mix", 1204, 4, 171120),
 ]
 
