@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 # Unused here; perfbench's tracer wraps chebpoly.linprog by this name.
@@ -38,7 +38,8 @@ _LEVEL_TOL = 1e-9
 _ROUNDING = 4e-15
 _MAX_SPREAD = 1e-3
 # Entries kept by each builder memo.  The eta frontier at degrees up to 21
-# leaves 4 minimax fits, the 5x5 acceptance sweep 25 builds.
+# leaves 4 minimax fits, their 4 candidates and 1 ramp, the 5x5 acceptance
+# sweep 25 builds and 5 ramps, one per delta.
 _CACHE_SIZE = 256
 # Deltas whose certification and rescale grids are kept, about 2.8 MB.
 _GRID_CACHE_SIZE = 16
@@ -121,6 +122,7 @@ class ChebPoly:
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "_halves", _split_halves(self.coeffs))
+        object.__setattr__(self, "_extremes", None)
 
     @property
     def degree(self):
@@ -166,6 +168,20 @@ class ChebPoly:
         if not inside:
             raise ValueError("evaluation point outside [-1, 1]")
         return _clenshaw_split(xs, *self._halves)
+
+    def _cert_extremes(self, delta):
+        """Max P on the left plateau, min P on the right one, max |P| and the
+        point count, all on _cert_grid(delta).
+
+        None of them depends on eta, so they are kept for the last delta
+        asked: a candidate judged again at another eta evaluates nothing.
+        """
+        if self._extremes is None or self._extremes[0] != delta:
+            vals = self.eval(_cert_grid(delta))
+            object.__setattr__(self, "_extremes", (
+                delta, float(np.max(vals[:_PLATEAU_POINTS])),
+                float(np.min(vals[-_PLATEAU_POINTS:])), float(np.max(np.abs(vals))), vals.size))
+        return self._extremes[1:]
 
 
 @dataclass(frozen=True)
@@ -217,13 +233,11 @@ def _cert_grid(delta):
 
 
 def verify_bounds(poly, spec):
-    """Certify the step bounds for poly with one evaluation on _cert_grid."""
-    vals = poly.eval(_cert_grid(spec.delta))
-    low = float(np.max(vals[:_PLATEAU_POINTS]) - spec.eta / 2.0)
-    high = float((1.0 - spec.eta / 2.0) - np.min(vals[-_PLATEAU_POINTS:]))
-    excess = float(np.max(np.abs(vals)) - 1.0)
-    return BoundReport(max_low_violation=low, max_high_violation=high,
-                       max_abs_excess=excess, grid_size=vals.size)
+    """Certify the step bounds for poly from its extremes on _cert_grid."""
+    low_max, high_min, peak, size = poly._cert_extremes(spec.delta)
+    return BoundReport(max_low_violation=low_max - spec.eta / 2.0,
+                       max_high_violation=(1.0 - spec.eta / 2.0) - high_min,
+                       max_abs_excess=peak - 1.0, grid_size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +270,10 @@ def _step_from_odd(odd_coeffs, delta):
     q is evaluated by the parity-split recurrence, which is exactly odd,
     on |x| of a uniform BOX_GRID_POINTS grid over [-1, 1] and on the
     plateau, window and edge grids; the rescale makes |q| <= 1 at every
-    one of those points.  After _misses_plateau's probe, this is the
-    candidate's only evaluation before verify_bounds certifies it.  Only the
-    edge grid depends on the degree, and is appended to the per-delta
-    points as it is: a point it repeats cannot change the peak.
+    one of those points.  A _Candidate makes its step once, at the first
+    judgment that passes the plateau probe, and keeps it.  Only the edge
+    grid depends on the degree, and is appended to the per-delta points as
+    it is: a point it repeats cannot change the peak.
     """
     d = len(odd_coeffs) - 1
     grid = np.concatenate([_rescale_grid(delta), _edge_grid(d)])
@@ -284,8 +298,8 @@ def _plateau_probe(delta):
     return _cert_grid(delta)[-_PLATEAU_POINTS::_PROBE_STRIDE]
 
 
-def _misses_plateau(odd_coeffs, spec):
-    """True when the step _step_from_odd makes of q must fail verify_bounds.
+def _probe_top(odd_coeffs, delta):
+    """Upper bound on the certified right-plateau minimum of q's step.
 
     q is evaluated once on _plateau_probe(delta).  Those points belong to
     _rescale_grid(delta) as well, and the evaluation is elementwise, so the
@@ -293,21 +307,54 @@ def _misses_plateau(odd_coeffs, spec):
     monotone, so the rescale's factor s is at most s_up = _scale_for(probe's
     max|q|).  The probe's argmin of q is a point of the certification
     grid's right plateau, where the step is at most
-    0.5 + 0.5 s_up max(min q, 0) up to rounding.  The candidate is rejected
-    when even that misses 1 - eta/2 by more than GRID_TOL, so its
-    max_high_violation exceeds GRID_TOL.  The slack 8 (d + 1)^2 u sum|c_k|,
+    0.5 + 0.5 s_up max(min q, 0) up to rounding.  A candidate whose top
+    misses 1 - eta/2 by more than GRID_TOL has a max_high_violation above
+    GRID_TOL, so _Candidate.misses rejects it.  The slack 8 (d + 1)^2 u sum|c_k|,
     u = 2^-53, covers the rounding of the step's coefficients 0.5 s c_k, of
     this comparison and of the two parity-split Clenshaw sums (q here, the
     step in verify_bounds), whose errors at |x| <= 1 grow like
     (d + 1)^2 u sum|c_k|.  On the acceptance sweep it is at most 1.1e-9,
     and every rejection misses by at least 1.9e-5.
     """
-    q = _clenshaw_split(_plateau_probe(spec.delta), *_split_halves(odd_coeffs))
+    q = _clenshaw_split(_plateau_probe(delta), *_split_halves(odd_coeffs))
     s_up = _scale_for(float(np.max(np.abs(q))))
     d = len(odd_coeffs) - 1
     slack = 8.0 * (d + 1) ** 2 * 2.0 ** -53 * float(np.sum(np.abs(odd_coeffs)))
-    top = 0.5 + 0.5 * s_up * max(float(np.min(q)), 0.0) + slack
-    return top < 1.0 - spec.eta / 2.0 - GRID_TOL
+    return 0.5 + 0.5 * s_up * max(float(np.min(q)), 0.0) + slack
+
+
+class _Candidate:
+    """An odd q with its eta-free work, judged against any eta in O(1).
+
+    top is the plateau probe's bound (_probe_top); step is the rescaled
+    step, made at the first judgment that passes the probe, and the step
+    keeps its certificate extremes (ChebPoly._cert_extremes).  The ramp and
+    the minimax fits, which every frontier probe judges again, are cached
+    as candidates; an erf truncation is made afresh each time.
+    """
+
+    def __init__(self, odd_coeffs, delta):
+        self.odd = odd_coeffs
+        self.delta = delta
+        self.top = _probe_top(odd_coeffs, delta)
+
+    def misses(self, eta):
+        """True when the probe shows the step must fail verify_bounds."""
+        return self.top < 1.0 - eta / 2.0 - GRID_TOL
+
+    @cached_property
+    def step(self):
+        return _step_from_odd(self.odd, self.delta)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _ramp(delta):
+    """Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2.
+
+    It is optimal among affine candidates and certifies exactly when
+    eta >= 1 - delta.
+    """
+    return _Candidate((0.0, 1.0), delta)
 
 
 def _badness(report):
@@ -325,8 +372,8 @@ class _Search:
     Each certified candidate has a lower degree than any before it, so it
     replaces best outright; with stop_at_first, the first one raises
     _Certified instead.  A failure, rejected by the probe or by
-    verify_bounds, is kept as its odd coefficients; least_bad recomputes
-    their reports, which only a CapacityError needs.
+    verify_bounds, is kept as its _Candidate; least_bad computes their
+    reports, which only a CapacityError needs.
     """
 
     def __init__(self, spec, stop_at_first=False):
@@ -335,37 +382,56 @@ class _Search:
         self.best = None
         self.failures = []
 
-    def try_odd(self, odd_coeffs):
-        if not _misses_plateau(odd_coeffs, self.spec):
-            poly = _step_from_odd(odd_coeffs, self.spec.delta)
-            if verify_bounds(poly, self.spec).passes:
-                self.best = poly
-                if self.stop_at_first:
-                    raise _Certified
-                return True
-        self.failures.append(odd_coeffs)
+    def try_odd(self, cand):
+        if not cand.misses(self.spec.eta) and verify_bounds(cand.step, self.spec).passes:
+            self.best = cand.step
+            if self.stop_at_first:
+                raise _Certified
+            return True
+        self.failures.append(cand)
         return False
 
     def least_bad(self):
         """The failure with the smallest summed excess, the first on ties."""
-        return min((verify_bounds(_step_from_odd(f, self.spec.delta), self.spec)
-                    for f in self.failures), key=_badness)
+        return min((verify_bounds(f.step, self.spec) for f in self.failures), key=_badness)
+
+
+def _erf_odd_terms(k, m_lo, m_hi):
+    """Chebyshev coefficients c_{2m+1} of erf(k x) for m_lo <= m < m_hi.
+
+    The Low-Chuang expansion (arXiv:1707.05391) gives, with z = k^2/2,
+    c_{2m+1} = (2k/sqrt(pi)) (-1)^m (e^{-z} I_m(z) + e^{-z} I_{m+1}(z)) / (2m+1).
+    scipy's ive is e^{-z} I_m(z) itself, so nothing overflows.  Each term
+    takes the same float steps whatever the range around it.
+    """
+    m = np.arange(m_lo, m_hi)
+    scaled = ive(np.arange(m_lo, m_hi + 1), 0.5 * k * k)  # e^{-z} I_j(z), m_lo <= j <= m_hi
+    sign = np.where(m % 2, -1.0, 1.0)
+    return 2.0 * k / math.sqrt(math.pi) * sign * (scaled[:-1] + scaled[1:]) / (2 * m + 1)
 
 
 def _erf_odd_coeffs(k, n_terms):
     """Chebyshev coefficients c_0 .. c_{n_terms} of erf(k x), in closed form.
 
-    The Low-Chuang expansion (arXiv:1707.05391) gives, with z = k^2/2,
-    c_{2m+1} = (2k/sqrt(pi)) (-1)^m (e^{-z} I_m(z) + e^{-z} I_{m+1}(z)) / (2m+1)
-    and c_{2m} = 0.  scipy's ive is e^{-z} I_m(z) itself, so nothing
-    overflows, and the work and memory are O(n_terms).
+    The even ones are zero; the work and memory are O(n_terms).
     """
-    m = np.arange((n_terms + 1) // 2)
-    scaled = ive(np.arange(m.size + 1), 0.5 * k * k)  # e^{-z} I_j(z), j <= m.size
-    sign = np.where(m % 2, -1.0, 1.0)
     coeffs = np.zeros(n_terms + 1)
-    coeffs[1::2] = 2.0 * k / math.sqrt(math.pi) * sign * (scaled[:-1] + scaled[1:]) / (2 * m + 1)
+    coeffs[1::2] = _erf_odd_terms(k, 0, (n_terms + 1) // 2)
     return coeffs
+
+
+def _tail_over_cap(k, cap, n_terms, plateau_err, eta):
+    """True when c_j of erf(k x), j the first odd index above cap, alone
+    breaks the budget that _erf_path's start degree d0 must fit.
+
+    Every tail at an index up to cap sums |c_j| among nonnegative terms, so
+    in floating point too it is at least |c_j|, and then every such index
+    fails: d0 > cap.  A j past n_terms is in no tail and decides nothing.
+    """
+    m = (cap + 1) // 2
+    if 2 * m + 1 > n_terms:
+        return False
+    return plateau_err + 2.0 * abs(_erf_odd_terms(k, m, m + 1)[0]) > eta * (1.0 - 1e-9)
 
 
 def _bisect_odd(feasible, lo, hi):
@@ -388,17 +454,23 @@ def _bisect_odd(feasible, lo, hi):
     return hi
 
 
+# Plateau losses erfc(k delta), as fractions of eta, that _erf_path tries.
+_ERF_FRACS = tuple(np.geomspace(0.98, 1e-6, 24).tolist())
+
+
 def _erf_path(search, limit):
     """Sweep the erf steepness k, taking the smallest certified truncation.
 
     For each k the plateau already loses erfc(k*delta), so the Chebyshev
     tail of the truncation must fit in the remaining eta budget; the tail
     sums give a starting degree d0, about 1.6x too high, and a bisection of
-    the odd truncation degrees below it lowers it.
+    the odd truncation degrees below it lowers it.  A k whose d0 must pass
+    the cap, by its rough degree or by one coefficient (_tail_over_cap), is
+    skipped before its coefficients are built.
     """
     spec = search.spec
     delta, eta = spec.delta, spec.eta
-    for frac in np.geomspace(0.98, 1e-6, 24).tolist():
+    for frac in _ERF_FRACS:
         plateau_err = eta * frac
         budget = eta - plateau_err
         if budget <= 0.0:  # a subnormal eta: eta * frac rounds back to eta
@@ -409,6 +481,8 @@ def _erf_path(search, limit):
         if rough > 3.0 * cap:
             continue
         n_terms = max(int(math.ceil(12.2 * k)) + 96, 192)
+        if _tail_over_cap(k, cap, n_terms, plateau_err, eta):
+            continue
         coeffs = _erf_odd_coeffs(k, n_terms)
         tails = np.concatenate([np.cumsum(np.abs(coeffs)[::-1])[::-1][1:], [0.0]])
         # Index n_terms passes (its tail is 0 and frac < 1), and the first
@@ -417,7 +491,7 @@ def _erf_path(search, limit):
         # at least the series' value erf(k) at 1, and erfc(k delta) + 2 erf(k) > 1.
         d0 = int(np.flatnonzero(plateau_err + 2.0 * tails <= eta * (1.0 - 1e-9))[0])
         if d0 <= cap:  # lo = -1: degree 1 is still open
-            _bisect_odd(lambda d: search.try_odd(coeffs[:d + 1]), -1, d0)
+            _bisect_odd(lambda d: search.try_odd(_Candidate(coeffs[:d + 1], delta)), -1, d0)
 
 
 def _odd_cos_sums(theta, odd):
@@ -549,6 +623,13 @@ def _minimax_fit(delta, degree):
     return t_star, tuple(full.tolist())
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _fit_candidate(delta, degree):
+    """The minimax fit's _Candidate, or None where _minimax_fit has no fit."""
+    fit = _minimax_fit(delta, degree)
+    return None if fit is None else _Candidate(fit[1], delta)
+
+
 def _minimax_path(search, limit):
     """Bisect the smallest odd degree whose minimax fit certifies.
 
@@ -577,8 +658,8 @@ def _minimax_path(search, limit):
             return
 
     def feasible(d):
-        fit = _minimax_fit(spec.delta, d)
-        return fit is not None and search.try_odd(fit[1])
+        cand = _fit_candidate(spec.delta, d)
+        return cand is not None and search.try_odd(cand)
 
     _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 
@@ -591,10 +672,7 @@ def _run_search(spec, max_degree, stop_at_first=False):
     """
     search = _Search(spec, stop_at_first)
     try:
-        # Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2, is
-        # optimal among affine candidates and certifies exactly when
-        # eta >= 1 - delta.
-        search.try_odd([0.0, 1.0])
+        search.try_odd(_ramp(spec.delta))
         if search.best is None:
             _erf_path(search, max_degree)
         if search.best is None:
@@ -648,9 +726,10 @@ def min_eta_for_degree(delta, degree):
     candidate depends on a later one, so the two take the same steps up to
     it, and the probe is True exactly when the build returns.  The minimax
     path then fits only the degree it tries first, the largest odd one
-    within the budget that has a fit; that fit does not depend on eta, so
-    it is made once per (delta, degree), in milliseconds.  Probes add
-    nothing to the build cache.
+    within the budget that has a fit.  Neither that fit nor the ramp
+    depends on eta: each is fitted, probed, rescaled and evaluated on the
+    certification grid once per (delta, degree), and every later probe
+    judges it again in O(1).  Probes add nothing to the build cache.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")

@@ -106,10 +106,18 @@ def test_box_bound_certified_not_enforced_on_construction():
         apply_poly(h, poly)
 
 
+def _clear_candidate_caches():
+    for memo in (chebpoly._build_cached, chebpoly._minimax_fit,
+                 chebpoly._fit_candidate, chebpoly._ramp):
+        memo.cache_clear()
+
+
 def test_candidates_are_evaluated_once_before_certification(monkeypatch):
-    """Each candidate, the ramp included, is probed once; a survivor is then
-    evaluated once for its rescale and once for certification, a rejected
-    one for neither."""
+    """Each candidate, the ramp included, is probed once when it is made; a
+    survivor is then evaluated once for its rescale and once for
+    certification, a rejected one for neither.  A cached candidate judged
+    again, the ramp or a minimax fit at a later frontier probe, evaluates
+    nothing."""
     counts = Counter()
 
     def counted(name, fn):
@@ -124,42 +132,46 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     ChebPoly.from_coeffs([0.0, 1.2])
     assert counts["evals"] == 0
 
-    probe = chebpoly._misses_plateau
-
-    def probe_counted(odd_coeffs, spec):
-        counts["probes"] += 1
-        rejected = probe(odd_coeffs, spec)
-        counts["rejections"] += rejected
-        return rejected
-
-    for name, fn in [("_misses_plateau", probe_counted),
+    for name, fn in [("_probe_top", counted("probes", chebpoly._probe_top)),
                      ("_step_from_odd", counted("rescales", chebpoly._step_from_odd)),
                      ("verify_bounds", counted("certifications", chebpoly.verify_bounds))]:
         monkeypatch.setattr(chebpoly, name, fn)
     try_odd = chebpoly._Search.try_odd
     outcomes = Counter()
 
-    def try_odd_checked(search, odd_coeffs):
+    def try_odd_checked(search, cand):
         before = counts.copy()
-        accepted = try_odd(search, odd_coeffs)
-        seen = counts - before
-        assert seen["probes"] == 1
-        if seen["rejections"]:
-            assert not accepted
-            assert seen == Counter(probes=1, rejections=1, evals=1)
-        else:
-            assert seen == Counter(probes=1, rescales=1, certifications=1, evals=3)
-        outcomes["rejected" if seen["rejections"] else "survived"] += 1
-        return accepted
+        try:
+            return try_odd(search, cand)
+        finally:  # a frontier probe's search raises at its certification
+            seen = counts - before
+            if cand.misses(search.spec.eta):
+                outcome, want = "rejected", Counter()
+            elif seen["rescales"]:
+                outcome, want = "survived", Counter(rescales=1, certifications=1, evals=2)
+            else:
+                outcome, want = "judged again", Counter(certifications=1)
+            assert seen == want
+            outcomes[outcome] += 1
 
     monkeypatch.setattr(chebpoly._Search, "try_odd", try_odd_checked)
-    chebpoly._build_cached.cache_clear()
-    chebpoly._minimax_fit.cache_clear()
+    _clear_candidate_caches()
     alpha_schedule(0.5, 0.05, 1.0)
     # the ramp and one erf truncation are rejected on the probe
     assert outcomes == Counter(rejected=2, survived=3)
     assert counts["certifications"] == counts["rescales"] == 3
     assert counts["evals"] == counts["probes"] + 2 * 3 == 11
+
+    # 30 judgments over the frontier's 15 eta probes: the ramp at each, the
+    # degree-21 fit at 7 and erf truncations at 8.  Only the truncations are
+    # probed and rescaled again when the pass is repeated.
+    for probes, rescales, again in ((6, 5, 6), (4, 4, 7)):
+        counts.clear()
+        outcomes.clear()
+        min_eta_for_degree(0.2, 21)
+        assert counts == Counter(probes=probes, rescales=rescales, certifications=11,
+                                 evals=probes + 2 * rescales)
+        assert outcomes == Counter({"rejected": 19, "survived": rescales, "judged again": again})
 
 
 @pytest.mark.parametrize("delta", (0.2, 0.05, 0.0123, 0.7071, 0.99))
@@ -186,7 +198,7 @@ def test_probe_rejects_only_candidates_that_fail_certification(
     spec = StepSpec(10.0 ** log_delta, 10.0 ** log_eta)
     k = k_factor * float(chebpoly.erfcinv(spec.eta * 10.0 ** log_frac)) / spec.delta
     odd = chebpoly._erf_odd_coeffs(k, 2 * half_degree + 1)
-    if chebpoly._misses_plateau(odd, spec):
+    if chebpoly._Candidate(odd, spec.delta).misses(spec.eta):
         report = verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)
         assert report.max_high_violation > chebpoly.GRID_TOL
         assert not report.passes
@@ -209,7 +221,7 @@ def test_probe_is_sound_at_the_certification_threshold(
     eta = 2.0 * (1.0 - chebpoly.GRID_TOL - low - sign * 10.0 ** log_miss)
     assume(0.0 < eta < 1.0)
     spec = StepSpec(delta, eta)
-    if chebpoly._misses_plateau(odd, spec):
+    if chebpoly._Candidate(odd, delta).misses(eta):
         assert verify_bounds(step, spec).max_high_violation > chebpoly.GRID_TOL
 
 
@@ -235,16 +247,16 @@ def test_least_bad_matches_an_eager_fold_over_every_failure():
             else:
                 odd = chebpoly._erf_odd_coeffs(float(rng.uniform(1.0, 40.0)),
                                                2 * int(rng.integers(0, 40)) + 1)
-            search.try_odd(odd)
+            search.try_odd(chebpoly._Candidate(odd, spec.delta))
             report = verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)
             if not report.passes:
-                assert search.failures[fails] is odd
+                assert search.failures[fails].odd is odd
                 if eager is None or badness(report) < eager[0]:
                     eager = (badness(report), report, fails)
                 fails += 1
         assert len(search.failures) == fails
         assert search.least_bad() == eager[1]
-        winners.add(chebpoly._misses_plateau(search.failures[eager[2]], spec))
+        winners.add(search.failures[eager[2]].misses(spec.eta))
     assert winners == {True, False}
 
 
@@ -256,9 +268,9 @@ def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
     tried = []
     try_odd = chebpoly._Search.try_odd
 
-    def recording(search, odd_coeffs):
-        tried.append(odd_coeffs)
-        return try_odd(search, odd_coeffs)
+    def recording(search, cand):
+        tried.append(cand.odd)
+        return try_odd(search, cand)
 
     monkeypatch.setattr(chebpoly._Search, "try_odd", recording)
     chebpoly._build_cached.cache_clear()
@@ -279,18 +291,18 @@ def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
 def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
     """Work counts over the 5x5 sweep grid: the probe rejects 90 of the 163
     candidates, the 25 ramps among them, before their rescale, and the
-    73 survivors are each rescaled and certified once."""
+    73 survivors are each rescaled and certified once.  The ramp is probed
+    once per delta, and the sweep has 5 deltas, so 143 probes are made."""
     counts = Counter()
-    for name in ("_misses_plateau", "_step_from_odd", "verify_bounds"):
+    for name in ("_probe_top", "_step_from_odd", "verify_bounds"):
         fn = getattr(chebpoly, name)
         monkeypatch.setattr(chebpoly, name,
                             lambda *args, fn=fn, name=name: counts.update([name]) or fn(*args))
-    chebpoly._build_cached.cache_clear()
-    chebpoly._minimax_fit.cache_clear()
+    _clear_candidate_caches()
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
             alpha_schedule(alpha, eps, 1.0)
-    assert counts == Counter(_misses_plateau=163, _step_from_odd=73, verify_bounds=73)
+    assert counts == Counter(_probe_top=143, _step_from_odd=73, verify_bounds=73)
 
 
 def _verify_bounds_three_grids(poly, spec):
@@ -610,6 +622,50 @@ def test_erf_coefficients_take_linear_memory():
     assert peak < 1 << 20
 
 
+@settings(max_examples=200, deadline=None)
+@given(log_delta=st.floats(-2.0, -0.05), log_eta=st.floats(-6.0, -0.01),
+       frac=st.sampled_from(chebpoly._ERF_FRACS),
+       offset=st.integers(-8, 8) | st.integers(-800, 800))
+def test_one_coefficient_skip_fires_only_when_the_start_degree_passes_the_cap(
+        log_delta, log_eta, frac, offset):
+    """Oracle: d0 from the full coefficient vector, as _erf_path computed it
+    before the skip; the cap lies offset from d0, mostly close to it.  The
+    single coefficient is the vector's own, bit for bit."""
+    delta, eta = 10.0 ** log_delta, 10.0 ** log_eta
+    plateau_err = eta * frac
+    k = float(chebpoly.erfcinv(plateau_err)) / delta
+    n_terms = max(int(math.ceil(12.2 * k)) + 96, 192)
+    coeffs = chebpoly._erf_odd_coeffs(k, n_terms)
+    tails = np.concatenate([np.cumsum(np.abs(coeffs)[::-1])[::-1][1:], [0.0]])
+    d0 = int(np.flatnonzero(plateau_err + 2.0 * tails <= eta * (1.0 - 1e-9))[0])
+    cap = max(d0 + offset, 1)
+    m = (cap + 1) // 2
+    if 2 * m + 1 <= n_terms:
+        assert chebpoly._erf_odd_terms(k, m, m + 1)[0] == coeffs[2 * m + 1]
+    if chebpoly._tail_over_cap(k, cap, n_terms, plateau_err, eta):
+        assert d0 > cap
+
+
+def test_cold_frontier_builds_few_erf_vectors(monkeypatch):
+    """At delta 0.2, degrees 1, 3, 7, 15 and 21, the frontier's erf path
+    passes the rough-degree check 148 times; one coefficient rules out 132
+    of those steepnesses, so 16 coefficient vectors are built."""
+    counts = Counter()
+    over_cap, build = chebpoly._tail_over_cap, chebpoly._erf_odd_coeffs
+
+    def counted_over_cap(*args):
+        skip = over_cap(*args)
+        counts.update(checked=1, skipped=int(skip))
+        return skip
+
+    monkeypatch.setattr(chebpoly, "_tail_over_cap", counted_over_cap)
+    monkeypatch.setattr(chebpoly, "_erf_odd_coeffs",
+                        lambda *args: counts.update(["built"]) or build(*args))
+    for degree in (1, 3, 7, 15, 21):
+        min_eta_for_degree(0.2, degree)
+    assert counts == Counter(checked=148, skipped=132, built=16)
+
+
 def test_high_degree_builds_are_small_and_search_short(monkeypatch):
     """alpha = 0 steps of degree 675 and 1349, with the memory bound first:
     a build that regresses to a quadratic-memory construction fails it at
@@ -839,6 +895,36 @@ def test_minimax_fit_levels_down_to_its_float_floor(delta):
         _assert_sound_between_grid_points(delta, degree, *fit)
 
 
+@pytest.mark.parametrize("delta", (0.45, 0.2, 0.1, 0.05))
+def test_minimax_error_rises_towards_the_eremenko_yuditskii_asymptote(delta):
+    """Every eighth odd degree from 21 to 157 with a fit and E >= 1e-12:
+    E / E_EY lies in [0.7, 1] and rises strictly with d.  Measured: from
+    0.775 (delta 0.05, d 21) to 0.980 (delta 0.2, d 117)."""
+    ratios = []
+    for degree in range(21, 158, 8):
+        fit = chebpoly._minimax_fit(delta, degree)
+        if fit is None or _error_from_t_star(fit[0]) < 1e-12:
+            continue
+        ratios.append(_error_from_t_star(fit[0]) / _eremenko_yuditskii(delta, degree))
+    assert len(ratios) >= 4
+    assert 0.7 <= min(ratios) and max(ratios) <= 1.0
+    assert all(a < b for a, b in zip(ratios, ratios[1:])), ratios
+
+
+@pytest.mark.parametrize("delta", (0.45, 0.2, 0.1, 0.05))
+def test_frontier_never_undercuts_the_minimax_optimum(delta):
+    """At odd d from 3 to 61 with a fit, min eta(d) >= t*(d) - 2 GRID_TOL.
+
+    Certification tolerates GRID_TOL on the step P = (1 + q)/2, which is
+    2 GRID_TOL on eta: at (0.45, 39) the frontier returns its floor 1e-9,
+    under t* = 2.048e-9.  Away from that floor the smallest margin measured
+    is +3.98e-7."""
+    for degree in range(3, 62, 2):
+        fit = chebpoly._minimax_fit(delta, degree)
+        if fit is not None:
+            assert min_eta_for_degree(delta, degree) >= fit[0] - 2.0 * chebpoly.GRID_TOL, degree
+
+
 @pytest.mark.parametrize("delta", (0.05, 0.1, 0.2, 0.3))
 def test_every_minimax_fit_certifies_at_its_own_t_star(delta):
     """Sound between grid points, each fit at odd d in 3..21 certifies at
@@ -874,9 +960,9 @@ def _minimax_candidates(eta):
     tried = []
     try_odd = search.try_odd
 
-    def recording(odd_coeffs):
-        tried.append(odd_coeffs)
-        return try_odd(odd_coeffs)
+    def recording(cand):
+        tried.append(cand.odd)
+        return try_odd(cand)
 
     search.try_odd = recording
     chebpoly._minimax_path(search, 21)
@@ -887,6 +973,7 @@ def test_minimax_fit_reaches_certification_and_cache_safety():
     """At eta = t*, the cached fit's own coefficient tuple goes to
     certification, whatever t* says, and handing it over leaves the cache
     entry as it was."""
+    _clear_candidate_caches()
     fit = chebpoly._minimax_fit(0.2, 21)
     t_star, coeffs = fit
     tried = _minimax_candidates(t_star)
