@@ -8,6 +8,8 @@ operator's eigenvalues, and the reader for the matrix file format.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,6 +85,15 @@ class HermitianOp:
     def from_matrix(cls, m):
         return cls(m)
 
+    @classmethod
+    def _exact(cls, arr):
+        """Wrap arr, already finite and exactly Hermitian with a real
+        diagonal, without validating it again; arr becomes read-only."""
+        arr.setflags(write=False)
+        op = object.__new__(cls)
+        object.__setattr__(op, "matrix", arr)
+        return op
+
     @property
     def dim(self):
         return self.matrix.shape[0]
@@ -126,22 +137,37 @@ def _check_norm_bound(h, gamma):
 def _shift_denominator(mu0, gamma):
     """gamma + |mu0|, which maps [-gamma, gamma] - mu0 into [-1, 1].
 
-    Requires gamma > 0 and |mu0| <= gamma; the negated comparisons reject
-    NaN as well.
+    Requires gamma > 0, |mu0| <= gamma and a finite 2 gamma + |mu0|; the
+    negated comparisons reject NaN as well.  The last bound keeps every
+    H - mu0 I finite when ||H|| <= gamma (1 + NORM_TOL), not only the
+    denominator.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     if not abs(mu0) <= gamma:
         raise ValueError("|mu0| must not exceed gamma")
-    return gamma + abs(mu0)
+    denom = gamma + abs(mu0)
+    if not math.isfinite(denom + gamma):
+        raise ValueError("gamma + |mu0| must be finite with room for gamma")
+    return denom
 
 
 def shift_and_scale(h, mu0, gamma):
-    """Return (H - mu0 I) / (gamma + |mu0|), spectrum mapped into [-1, 1]."""
+    """Return (H - mu0 I) / (gamma + |mu0|), spectrum mapped into [-1, 1].
+
+    h is finite and exactly Hermitian with a real diagonal.  Subtracting a
+    real multiple of I and dividing by a positive real keeps it so, since
+    each IEEE operation treats an entry and its mirror alike, and
+    _shift_denominator keeps the shifted entries finite.  So the result is
+    wrapped as a HermitianOp without a second validation; mu0 and gamma
+    must be real numbers.
+    """
+    if not (isinstance(mu0, numbers.Real) and isinstance(gamma, numbers.Real)):
+        raise ValueError("mu0 and gamma must be real")
+    mu0, gamma = float(mu0), float(gamma)
     denom = _shift_denominator(mu0, gamma)
     _check_norm_bound(h, gamma)
-    shifted = (h.matrix - mu0 * np.eye(h.dim)) / denom
-    return HermitianOp.from_matrix(shifted)
+    return HermitianOp._exact((h.matrix - mu0 * np.eye(h.dim)) / denom)
 
 
 def _chebyshev_stack(m, degree):
@@ -167,19 +193,23 @@ def apply_poly(hp, poly):
     """Apply the polynomial to hp's eigenvalues through T_k(hp) matrices.
 
     Builds the stack T_0(hp), ..., T_d(hp) by index doubling, about log2(d)
-    batched matrix products, and contracts it with the coefficients; the
-    query count equals the polynomial degree.  The stack holds (d + 1) n^2
+    batched matrix products, and contracts it with the coefficients in one
+    matmul on the poly's read-only coefficient array; the query count
+    equals the polynomial degree.  The stack holds (d + 1) n^2
     complex values (5.4 KB at n = 2, d = 337).  A Clenshaw recurrence,
     on matrices or on the state vector, would need about d sequential steps
     of small-array calls; at the dimensions simulated here that per-call
     overhead, not arithmetic, is the cost.  hp is never diagonalised, so the
     result stays an independent check on eigenvalue-based evaluation.
     shift_and_scale puts hp's spectrum in [-1, 1].  P(hp) comes back
-    read-only and exactly Hermitian; a spectral radius above 1 + RADIUS_TOL raises.
+    read-only and exactly Hermitian; a spectral radius above 1 + RADIUS_TOL,
+    or a NaN one, raises.
     """
-    acc = np.tensordot(poly.coeffs, _chebyshev_stack(hp.matrix, poly.degree), axes=1)
+    n = hp.dim
+    stack = _chebyshev_stack(hp.matrix, poly.degree).reshape(poly.degree + 1, n * n)
+    acc = (poly._array @ stack).reshape(n, n)
     acc = 0.5 * (acc + acc.conj().T)  # discard rounding skew; exactly Hermitian
-    if np.max(np.abs(np.linalg.eigvalsh(acc))) > 1.0 + RADIUS_TOL:
+    if not np.max(np.abs(np.linalg.eigvalsh(acc))) <= 1.0 + RADIUS_TOL:
         raise ValueError("transformed operator has spectral radius above 1")
     acc.setflags(write=False)
     return acc

@@ -121,7 +121,10 @@ class ChebPoly:
             raise ValueError("need at least one coefficient")
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "_halves", _split_halves(self.coeffs))
+        arr = np.array(self.coeffs, dtype=float)
+        arr.setflags(write=False)  # apply_poly contracts its stack with it
+        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "_halves", _split_halves(arr))
         object.__setattr__(self, "_extremes", None)
 
     @property

@@ -33,6 +33,13 @@ _P0 = np.diag([1.0, 0.0])
 _P1 = np.diag([0.0, 1.0])
 
 
+def _kron(a, b):
+    """np.kron(a, b) for 2-D a and b: the same elementwise products,
+    broadcast without np.kron's set-up for general shapes."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 @dataclass(frozen=True, eq=False)
 class PEInstance:
     """Unitary, the preparation of its eigenstate U_psi|0>, and hidden phase."""
@@ -107,14 +114,15 @@ def pe_to_ae(inst):
     up to a global phase, so the good (ancilla-1) amplitude is |sin(phi/2)|.
     Returns the instance and the recovery map a_bar -> 2*arcsin(clamp(a_bar)).
     Costs in source units: each A call is one U_psi plus one ctrl-U, so the
-    reduction carries time and depth multipliers of 2.
+    reduction carries time and depth multipliers of 2.  The tensor products
+    are _kron's, bit for bit np.kron's.
     """
     n = inst.U.shape[0]
     eye_n = np.eye(n)
-    ctrl_u = np.kron(eye_n, _P0) + np.kron(inst.U, _P1)
-    had = np.kron(eye_n, _HADAMARD)
-    a_mat = had @ ctrl_u @ had @ np.kron(inst.U_psi, np.eye(2))
-    good = np.kron(eye_n, _P1)
+    ctrl_u = _kron(eye_n, _P0) + _kron(inst.U, _P1)
+    had = _kron(eye_n, _HADAMARD)
+    a_mat = had @ ctrl_u @ had @ _kron(inst.U_psi, np.eye(2))
+    good = _kron(eye_n, _P1)
     amp = abs(math.sin(inst.true_phi / 2.0))
 
     def recover(a_bar):
@@ -144,7 +152,8 @@ def ae_block_encoding(inst):
     The circuit is ancilla-H, controlled-Q, anti-controlled-Q-dagger,
     ancilla-H.  Q and Q-dagger are each assembled from their own counted
     constituent calls, so one encoding query costs exactly two A, two
-    A-dagger, and two O_A applications (time and depth multiplier 6).
+    A-dagger, and two O_A applications (time and depth multiplier 6).  The
+    tensor products are _kron's, bit for bit np.kron's.
     """
     dim = inst.A.shape[0]
     q = grover_operator(inst)
@@ -153,9 +162,9 @@ def ae_block_encoding(inst):
     # Hermitian; built from fresh calls to keep the count honest.
     q_dag = inst.call_oracle() @ inst.call_a() @ refl @ inst.call_a_dagger()
     eye = np.eye(dim)
-    ctrl_q = np.kron(_P0, eye) + np.kron(_P1, q)
-    anti_ctrl_qdag = np.kron(_P0, q_dag) + np.kron(_P1, eye)
-    had = np.kron(_HADAMARD, eye)
+    ctrl_q = _kron(_P0, eye) + _kron(_P1, q)
+    anti_ctrl_qdag = _kron(_P0, q_dag) + _kron(_P1, eye)
+    had = _kron(_HADAMARD, eye)
     u = had @ anti_ctrl_qdag @ ctrl_q @ had
     encoded = HermitianOp.from_matrix(0.5 * (q + q.conj().T))
     return BlockEncoding(unitary=u, encoded=encoded)

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsvtsim.blockenc import (RADIUS_TOL, BlockEncoding, HermitianOp,
-                              MatrixFormatError, apply_poly, read_matrix,
-                              right_probability, shift_and_scale)
+                              MatrixFormatError, _chebyshev_stack, apply_poly,
+                              read_matrix, right_probability, shift_and_scale)
 from qsvtsim.chebpoly import ChebPoly, StepSpec, build_step_approx
+from qsvtsim.estimator import alpha_schedule
 
 
 def random_hermitian(rng, n, norm=0.9):
@@ -69,6 +70,81 @@ def test_shift_keeps_the_spectrum_in_the_unit_interval(n, seed, decade, fill, fr
     gamma = 10.0 ** decade
     h = random_hermitian(np.random.default_rng(seed), n, norm=fill * gamma)
     assert shift_and_scale(h, frac * gamma, gamma).spectral_norm <= 1.0 + RADIUS_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.floats(-3.0, 300.0),
+       st.floats(0.0, 1.0), st.floats(-1.0, 1.0))
+def test_shift_is_exactly_hermitian_without_revalidation(n, seed, decade, fill, frac):
+    """shift_and_scale wraps its result without HermitianOp's validation.
+    Validating it again returns an equal matrix: the shift is exactly
+    Hermitian, with a real, finite diagonal, for gamma from 1e-3 to 1e300."""
+    gamma = 10.0 ** decade
+    h = random_hermitian(np.random.default_rng(seed), n, norm=fill * gamma)
+    hp = shift_and_scale(h, frac * gamma, gamma)
+    m = hp.matrix
+    assert np.array_equal(HermitianOp.from_matrix(m).matrix, m)
+    assert np.array_equal(m, m.conj().T)
+    assert np.all(m.diagonal().imag == 0.0)
+    assert np.isfinite(m).all()
+    assert not m.flags.writeable
+
+
+def test_shift_rejects_a_denominator_that_overflows():
+    """Nothing after the shift checks that its entries are finite, so
+    _shift_denominator refuses these.  The second input passes the norm
+    check by NORM_TOL and leaves gamma + |mu0| finite, but H - mu0 I would
+    overflow."""
+    h = HermitianOp.from_matrix(np.diag([1e308, -1e308]))
+    with pytest.raises(ValueError, match="gamma"):
+        shift_and_scale(h, -1e308, 1e308)
+    gamma = 0.5 * np.finfo(float).max * (1.0 - 1e-14)
+    h = HermitianOp.from_matrix(np.diag([-gamma * (1.0 + 5e-13)]))
+    with pytest.raises(ValueError, match="gamma"):
+        shift_and_scale(h, gamma, gamma)
+
+
+@pytest.mark.parametrize("mu0, gamma", [(0.25j, 1.0), (np.complex128(0.25), 1.0),
+                                        (0.0, np.complex128(1.0 + 0.5j))])
+def test_shift_rejects_a_complex_shift_or_scale(mu0, gamma):
+    # A non-real mu0 would leave a non-real diagonal that nothing checks.
+    with pytest.raises(ValueError, match="must be real"):
+        shift_and_scale(HermitianOp.from_matrix(np.diag([0.5, -0.25])), mu0, gamma)
+
+
+@pytest.mark.parametrize("coeff", [np.nan, np.inf])
+def test_apply_poly_rejects_a_nan_spectral_radius(coeff):
+    """NaN fails every comparison, so the radius check is negated."""
+    h = HermitianOp.from_matrix(np.diag([0.5, -0.25]))
+    with pytest.raises(ValueError, match="spectral radius"), np.errstate(invalid="ignore"):
+        apply_poly(h, ChebPoly((coeff,)))
+
+
+def _tensordot_transform(hp, poly):
+    """Reference: the stack contracted by np.tensordot on the coefficient tuple."""
+    acc = np.tensordot(poly.coeffs, _chebyshev_stack(hp.matrix, poly.degree), axes=1)
+    return 0.5 * (acc + acc.conj().T)
+
+
+def test_matmul_contraction_equals_tensordot_on_the_estimate_mix_schedules():
+    """Bit for bit, on the polynomials of the six estimate_mix schedules and
+    the operator sizes that workload shifts: 2 (diagonal and amplitude
+    instances), 4 (phase instances) and 16 (dense instances).  Operators whose
+    transform overshoots are drawn again; apply_poly refuses those."""
+    rng = np.random.default_rng(24)
+    for alpha in (0.0, 0.5, 1.0):
+        for eps in (0.05, 0.0125):
+            poly = alpha_schedule(alpha, eps, 1.0).poly
+            for n in (2, 4, 16):
+                for _ in range(3):
+                    while True:
+                        hp = shift_and_scale(random_hermitian(rng, n, norm=0.95),
+                                             rng.uniform(-1.0, 1.0), 1.0)
+                        want = _tensordot_transform(hp, poly)
+                        if np.max(np.abs(np.linalg.eigvalsh(want))) <= 1.0 + RADIUS_TOL:
+                            break
+                    got = apply_poly(hp, poly)
+                    assert got.tobytes() == want.tobytes(), (alpha, eps, n)
 
 
 def test_apply_poly_identity_polynomial():

@@ -925,6 +925,25 @@ def test_frontier_never_undercuts_the_minimax_optimum(delta):
             assert min_eta_for_degree(delta, degree) >= fit[0] - 2.0 * chebpoly.GRID_TOL, degree
 
 
+def test_sweep_degrees_stay_within_twice_the_minimax_degree():
+    """Each of the 25 sweep cells builds a degree D with d* <= D <= 2 d*,
+    where d* is the smallest odd degree whose minimax fit has t* <= eta.
+    t* falls with d, so d* is bisected below D; a cell whose D were under d*
+    would beat the optimum.  Measured: the worst premium D/d* is 33/17 =
+    1.94 (alpha 0.25, eps 0.05); every alpha = 1 cell is the ramp, D = d* = 1."""
+    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
+            sched = alpha_schedule(alpha, eps, 1.0)
+
+            def reaches(degree):
+                fit = chebpoly._minimax_fit(sched.delta, degree)
+                return fit is not None and fit[0] <= sched.eta
+
+            d_star = chebpoly._bisect_odd(reaches, -1, sched.degree)
+            assert d_star is not None, (alpha, eps)
+            assert sched.degree <= 2 * d_star, (alpha, eps, sched.degree, d_star)
+
+
 @pytest.mark.parametrize("delta", (0.05, 0.1, 0.2, 0.3))
 def test_every_minimax_fit_certifies_at_its_own_t_star(delta):
     """Sound between grid points, each fit at odd d in 3..21 certifies at

@@ -15,7 +15,7 @@ from qsvtsim.blockenc import HermitianOp
 from qsvtsim.estimator import diag_instance
 from qsvtsim.reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
                                 PE_TO_AE_DEPTH_MULT, PE_TO_AE_TIME_MULT,
-                                AEInstance, PEInstance, ae_block_encoding,
+                                AEInstance, PEInstance, _kron, ae_block_encoding,
                                 ae_instance_from_amplitude, ae_to_ee,
                                 composed_phase_tolerance, grover_operator,
                                 pe_instance_from_phase, pe_to_ae,
@@ -27,6 +27,26 @@ from qsvtsim.sampler import ResourceLedger, RngStream
 def test_multiplier_constants():
     assert (PE_TO_AE_TIME_MULT, PE_TO_AE_DEPTH_MULT) == (2, 2)
     assert (AE_TO_EE_TIME_MULT, AE_TO_EE_DEPTH_MULT) == (6, 6)
+
+
+@pytest.mark.parametrize("a_complex", [False, True])
+@pytest.mark.parametrize("b_complex", [False, True])
+def test_kron_equals_numpy_kron_entry_for_entry(a_complex, b_complex):
+    """_kron on square inputs of size 1 to 4, real or complex, with signed
+    zeros among the entries; np.kron stays the reference."""
+    rng = np.random.default_rng(4)
+
+    def square(n, cplx):
+        m = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if cplx else 0.0)
+        m[rng.random((n, n)) < 0.3] *= -0.0
+        return m
+
+    for p in range(1, 5):
+        for q in range(1, 5):
+            a, b = square(p, a_complex), square(q, b_complex)
+            got, want = _kron(a, b), np.kron(a, b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (p, q)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
