@@ -332,13 +332,18 @@ def cmd_fit(args):
 
 def cmd_reduce(args):
     rng = RngStream(args.seed, 0)
+    for flag, value, mode in (("--phi", args.phi, "pe"), ("--dim", args.dim, "pe"),
+                              ("--amp", args.amp, "ae")):
+        if value is not None and mode != args.mode:
+            raise ValueError(f"{flag} applies only with {mode}, not {args.mode}")
+    dim = 1 if args.dim is None else args.dim
     if args.mode == "pe":
         if args.phi is None:
             raise ValueError("reduce pe needs --phi")
         if not 0.0 <= args.phi <= math.pi:
             raise ValueError("--phi must lie in [0, pi] (the reduction "
                              "recovers phases on that branch)")
-        if not 1 <= args.dim <= DEFAULT_DIM_CAP // 2:  # the EE operator is 2 * dim
+        if not 1 <= dim <= DEFAULT_DIM_CAP // 2:  # the EE operator is 2 * dim
             raise ValueError(f"--dim must lie in [1, {DEFAULT_DIM_CAP // 2}]")
     elif args.amp is None:
         raise ValueError("reduce ae needs --amp")
@@ -346,9 +351,9 @@ def cmd_reduce(args):
     # reduced eigenvalue problem has gamma = 1.
     schedule_targets(args.alpha, args.eps, 1.0)
     if args.mode == "pe":
-        pe = pe_instance_from_phase(args.phi, dim=args.dim)
+        pe = pe_instance_from_phase(args.phi, dim=dim)
         ae, recover_phase = pe_to_ae(pe)
-        head = [f"phi {_fmt(pe.true_phi)}", f"dim {args.dim}",
+        head = [f"phi {_fmt(pe.true_phi)}", f"dim {dim}",
                 f"true_amp {_fmt(ae.true_amp)}"]
     else:
         ae = ae_instance_from_amplitude(args.amp)
@@ -437,7 +442,7 @@ def build_parser():
     p_red = sub.add_parser("reduce", help="phase/amplitude via eigenvalues")
     p_red.add_argument("mode", choices=["pe", "ae"])
     p_red.add_argument("--phi", type=float)
-    p_red.add_argument("--dim", type=int, default=1)
+    p_red.add_argument("--dim", type=int, help="pe only (default 1)")
     p_red.add_argument("--amp", type=float)
     p_red.add_argument("--eps", type=float, required=True)
     p_red.add_argument("--alpha", type=float, required=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockenc import (HERMITIAN_TOL, STATE_TOL, BlockEncoding, HermitianOp,
-                       _check_hermitian, _check_unitary)
+from .blockenc import (DEFAULT_DIM_CAP, HERMITIAN_TOL, STATE_TOL, BlockEncoding,
+                       HermitianOp, _check_hermitian, _check_unitary)
 from .estimator import EEInstance, estimate_ee
 from .sampler import ResourceLedger
 
@@ -56,7 +56,7 @@ class PEInstance:
         if not 0.0 <= self.true_phi < 2.0 * math.pi:
             raise ValueError("true_phi must lie in [0, 2*pi)")
         psi = prep[:, 0]
-        if np.linalg.norm(u @ psi - np.exp(1j * self.true_phi) * psi) > STATE_TOL:
+        if not np.linalg.norm(u @ psi - np.exp(1j * self.true_phi) * psi) <= STATE_TOL:
             raise ValueError("U_psi|0> is not an eigenstate of U with phase true_phi")
         for name, arr in (("U", u), ("U_psi", prep)):
             arr.setflags(write=False)
@@ -70,6 +70,7 @@ class AEInstance:
     The oracle O_A = I - 2 * good_projector reflects about the good
     subspace.  The call_* accessors hand out the matrices while counting
     accesses, so constructions can be audited for their oracle budgets.
+    The three matrices are read-only; what is derived from them is unchecked.
     """
 
     A: np.ndarray
@@ -82,16 +83,20 @@ class AEInstance:
     def __post_init__(self):
         a = np.array(self.A, dtype=complex)
         proj = np.array(self.good_projector, dtype=complex)
+        if a.shape[0] > DEFAULT_DIM_CAP:  # the encoded operator has A's dimension
+            raise ValueError(f"A's dimension must not exceed {DEFAULT_DIM_CAP}")
         _check_unitary(a, "A")
         _check_hermitian(proj, "good_projector")
-        if np.max(np.abs(proj @ proj - proj)) > HERMITIAN_TOL:
+        if not np.max(np.abs(proj @ proj - proj)) <= HERMITIAN_TOL:
             raise ValueError("good_projector is not an orthogonal projector")
         if not 0.0 <= self.true_amp <= 1.0:
             raise ValueError("true_amp must lie in [0, 1]")
-        if abs(np.linalg.norm(proj @ a[:, 0]) - self.true_amp) > STATE_TOL:
+        if not abs(np.linalg.norm(proj @ a[:, 0]) - self.true_amp) <= STATE_TOL:
             raise ValueError("true_amp does not match the prepared good amplitude")
         self.A, self.good_projector = a, proj
         self.oracle_OA = np.eye(proj.shape[0]) - 2.0 * proj
+        for arr in (a, proj, self.oracle_OA):
+            arr.setflags(write=False)
 
     def call_a(self):
         self.calls["A"] += 1
@@ -138,12 +143,10 @@ def _reflection_about_e0(dim):
 
 
 def grover_operator(inst):
-    """Q = A (2|0><0| - I) A^dagger O_A from one counted call each, checked unitary."""
+    """Q = A (2|0><0| - I) A^dagger O_A from one counted call each, unitary as A is."""
     dim = inst.A.shape[0]
     refl = _reflection_about_e0(dim)
-    q = inst.call_a() @ refl @ inst.call_a_dagger() @ inst.call_oracle()
-    _check_unitary(q, "Q")
-    return q
+    return inst.call_a() @ refl @ inst.call_a_dagger() @ inst.call_oracle()
 
 
 def ae_block_encoding(inst):
@@ -153,7 +156,8 @@ def ae_block_encoding(inst):
     ancilla-H.  Q and Q-dagger are each assembled from their own counted
     constituent calls, so one encoding query costs exactly two A, two
     A-dagger, and two O_A applications (time and depth multiplier 6).  The
-    tensor products are _kron's, bit for bit np.kron's.
+    tensor products are _kron's, bit for bit np.kron's.  (Q + Q^dagger)/2 is
+    finite and exactly Hermitian (IEEE treats an entry and its mirror alike).
     """
     dim = inst.A.shape[0]
     q = grover_operator(inst)
@@ -166,8 +170,8 @@ def ae_block_encoding(inst):
     anti_ctrl_qdag = _kron(_P0, q_dag) + _kron(_P1, eye)
     had = _kron(_HADAMARD, eye)
     u = had @ anti_ctrl_qdag @ ctrl_q @ had
-    encoded = HermitianOp.from_matrix(0.5 * (q + q.conj().T))
-    return BlockEncoding(unitary=u, encoded=encoded)
+    u.setflags(write=False)
+    return BlockEncoding(unitary=u, encoded=HermitianOp._exact(0.5 * (q + q.conj().T)))
 
 
 def ae_to_ee(inst):
@@ -246,8 +250,8 @@ def pe_instance_from_phase(phi, dim=1, rng=None):
     phi = float(phi) % (2.0 * math.pi)
     if phi == 2.0 * math.pi:  # a tiny negative phi rounds up to 2 pi
         phi = 0.0
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    if not 1 <= dim <= DEFAULT_DIM_CAP // 2:  # before any draw; pe_to_ae doubles dim
+        raise ValueError(f"dim must lie in [1, {DEFAULT_DIM_CAP // 2}]")
     if dim == 1:
         u = np.array([[np.exp(1j * phi)]])
         return PEInstance(U=u, U_psi=np.eye(1, dtype=complex), true_phi=phi)

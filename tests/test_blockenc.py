@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsvtsim.blockenc import (RADIUS_TOL, BlockEncoding, HermitianOp,
-                              MatrixFormatError, _chebyshev_stack, apply_poly,
+from qsvtsim.blockenc import (RADIUS_TOL, HermitianOp, MatrixFormatError,
+                              _chebyshev_stack, _check_norm_bound, apply_poly,
                               read_matrix, right_probability, shift_and_scale)
 from qsvtsim.chebpoly import ChebPoly, StepSpec, build_step_approx
 from qsvtsim.estimator import alpha_schedule
@@ -324,18 +324,12 @@ def test_spectral_norm_is_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_block_encoding_validation():
+def test_norm_bound_refuses_a_nan_gamma():
     h = HermitianOp.from_matrix(np.diag([0.5]))
-    with pytest.raises(ValueError, match="top-left block does not reproduce"):
-        BlockEncoding(unitary=np.eye(2), encoded=h)
-    with pytest.raises(ValueError, match="block-encoding matrix is not unitary"):
-        BlockEncoding(unitary=0.5 * np.eye(2), encoded=h)
-    # The dimension rule is the only guard that leaves room for an ancilla.
-    with pytest.raises(ValueError, match="unitary dimension incompatible"):
-        BlockEncoding(unitary=np.eye(1), encoded=h)
-    h2 = HermitianOp.from_matrix(np.diag([0.5, -0.5]))
-    with pytest.raises(ValueError, match="unitary dimension incompatible"):
-        BlockEncoding(unitary=np.eye(3), encoded=h2)
+    _check_norm_bound(h, 0.5)
+    for gamma in (float("nan"), 0.0, 0.4):
+        with pytest.raises(ValueError, match="gamma must bound"):
+            _check_norm_bound(h, gamma)
 
 
 def test_matrix_io_round_trip(tmp_path):

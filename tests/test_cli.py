@@ -643,6 +643,22 @@ def test_reduce_pe_rejects_schedule_before_encoding(capsys, monkeypatch, eps,
     assert not calls
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["ae", "--amp", "0.5", "--phi", "9", "--dim", "99"],
+     "error: --phi applies only with pe, not ae\n"),
+    (["ae", "--amp", "0.5", "--dim", "1"],
+     "error: --dim applies only with pe, not ae\n"),
+    (["pe", "--phi", "1.0", "--amp", "0.5"],
+     "error: --amp applies only with ae, not pe\n"),
+])
+def test_reduce_rejects_flags_of_the_other_mode(capsys, argv, expected):
+    """As poly --degree refuses --eta-only flags; --dim defaults to None,
+    so even --dim 1 is refused with ae."""
+    rc, out, err = run_cli(capsys, [
+        "reduce", *argv, "--eps", "0.05", "--alpha", "0.5"])
+    assert (rc, out, err) == (2, "", expected)
+
+
 def test_reduce_missing_arguments(capsys):
     rc, _, err = run_cli(capsys, [
         "reduce", "pe", "--eps", "0.05", "--alpha", "0.5"])

@@ -5,10 +5,11 @@ from the documented multipliers alone.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsvtsim.blockenc import HermitianOp
@@ -84,6 +85,43 @@ def test_ae_instance_validation():
                    true_amp=0.5)
     with pytest.raises(ValueError):
         ae_instance_from_amplitude(1.2)
+
+
+def _nan_at(m, i, j):
+    m = np.array(m, dtype=complex)
+    m[i, j] = np.nan
+    return m
+
+
+# NaN, not inf: an inf entry warns in matmul, and warnings are errors here.
+@pytest.mark.parametrize("build", [
+    lambda: AEInstance(A=_nan_at(np.eye(2), 1, 1),
+                       good_projector=np.diag([0.0, 1.0]), true_amp=0.0),
+    lambda: AEInstance(A=np.eye(2), good_projector=_nan_at(np.diag([0.0, 1.0]), 0, 0),
+                       true_amp=0.0),
+    lambda: PEInstance(U=_nan_at(np.eye(2), 1, 1), U_psi=np.eye(2), true_phi=0.0),
+], ids=["A", "good_projector", "U"])
+def test_instances_refuse_a_nan_entry_at_construction(build):
+    with pytest.raises(ValueError, match="not unitary|not Hermitian"):
+        build()
+
+
+def test_ae_instance_refuses_a_dimension_above_the_cap():
+    proj = np.zeros((66, 66))
+    proj[0, 0] = 1.0
+    with pytest.raises(ValueError, match="must not exceed 64"):
+        AEInstance(A=np.eye(66), good_projector=proj, true_amp=1.0)
+    AEInstance(A=np.eye(64), good_projector=proj[:64, :64], true_amp=1.0)
+
+
+def test_ae_instance_arrays_are_read_only():
+    rot = np.array([[0.8, -0.6], [0.6, 0.8]])
+    for inst in (AEInstance(A=rot, good_projector=np.diag([0.0, 1.0]), true_amp=0.6),
+                 pe_to_ae(pe_instance_from_phase(1.0, dim=2))[0]):
+        for arr in (inst.A, inst.good_projector, inst.oracle_OA):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+    assert rot.flags.writeable  # the caller's array is copied, not frozen
 
 
 def test_oracle_is_the_reflection_about_the_good_subspace():
@@ -172,6 +210,44 @@ def test_block_encoding_costs_and_block():
     assert np.max(np.abs(u[:2, :2] - 0.5 * (q + q.conj().T))) <= 1e-10
 
 
+_AE_INSTANCES = st.one_of(
+    st.floats(0.0, 1.0).map(ae_instance_from_amplitude),
+    st.builds(lambda phi, dim, seed: pe_to_ae(
+        pe_instance_from_phase(phi, dim=dim, rng=RngStream(seed, 0)))[0],
+        st.floats(-10.0, 10.0), st.integers(1, 4), st.integers(0, 2**32)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_AE_INSTANCES)
+def test_block_encoding_is_sound_without_revalidation(inst):
+    """Stands for the checks the encoding no longer runs: Q's unitarity,
+    BlockEncoding's unitary, dimension and block checks, and the encoded
+    operator's HermitianOp validation."""
+    be = ae_block_encoding(inst)
+    assert inst.calls == {"A": 2, "A_dagger": 2, "O_A": 2}
+    q = grover_operator(inst)
+    n = inst.A.shape[0]
+    u, enc = be.unitary, be.encoded.matrix
+    assert u.shape == (2 * n, 2 * n)
+    for m in (q, u):
+        assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-12
+    assert np.max(np.abs(u[:n, :n] - enc)) <= 1e-10
+    assert np.array_equal(enc, enc.conj().T) and not enc.diagonal().imag.any()
+    assert np.array_equal(HermitianOp.from_matrix(enc).matrix, enc)
+    assert not u.flags.writeable and not enc.flags.writeable
+
+
+def test_instance_at_the_unitary_tolerance_estimates_through_the_encoding():
+    """A = (1 + 4.5e-13) R passes AEInstance (A^dagger A is off by 9e-13),
+    while its Q is off by 1.8e-12: a Q check at the same tolerance refused
+    it.  The estimate is the exact rotation's, draw for draw."""
+    inst = AEInstance(A=(1.0 + 4.5e-13) * ae_instance_from_amplitude(0.6).A,
+                      good_projector=np.diag([0.0, 1.0]), true_amp=0.6)
+    got = solve_ae_via_ee(inst, 0.1, 1.0, RngStream(2, 0))
+    assert got == solve_ae_via_ee(ae_instance_from_amplitude(0.6), 0.1, 1.0,
+                                  RngStream(2, 0))
+
+
 def test_ae_to_ee_eigenvalue_map():
     ee, recover = ae_to_ee(ae_instance_from_amplitude(math.sqrt(0.5)))
     assert ee.true_mu == pytest.approx(0.0, abs=1e-12)
@@ -253,6 +329,24 @@ def test_solve_pe_ledger_is_six_times_inner():
     phi_hat, led = solve_pe_via_ee(inst, 0.1, 0.5, RngStream(0, 0))
     assert led.total_queries % AE_TO_EE_TIME_MULT == 0
     assert led.max_depth % AE_TO_EE_DEPTH_MULT == 0
+
+
+class _Untouchable:
+    def __getattr__(self, name):
+        raise AssertionError(f"used {name} before checking dim")
+
+
+@pytest.mark.parametrize("dim", [0, 33, 10**6])
+def test_pe_factory_refuses_dim_before_drawing(dim):
+    """pe_to_ae doubles dim, so 33 would build a 66-dim A."""
+    stream = SimpleNamespace(generator=_Untouchable())
+    with pytest.raises(ValueError, match=r"dim must lie in \[1, 32\]"):
+        pe_instance_from_phase(1.0, dim=dim, rng=stream)
+
+
+def test_pe_factory_at_the_dim_cap_fits_the_encoding():
+    ae, _ = pe_to_ae(pe_instance_from_phase(1.0, dim=32, rng=RngStream(0, 0)))
+    assert ae_block_encoding(ae).encoded.dim == 64
 
 
 def test_factory_validation():
