@@ -1,9 +1,9 @@
 """Dense block-encodings of Hermitian operators and polynomial transforms.
 
-Everything here is explicit matrix arithmetic on small operators: the
-validated Hermitian type, the block-encoding record, spectral shifts, the
-Chebyshev recurrence that applies a bounded polynomial to an encoded
-operator's eigenvalues, and the reader for the matrix file format.
+Everything here is explicit matrix arithmetic on small operators: the one
+matrix gate, the validated Hermitian type, the block-encoding record,
+spectral shifts, the Chebyshev recurrence that applies a bounded polynomial
+to an encoded operator's eigenvalues, and the matrix file reader.
 """
 
 from __future__ import annotations
@@ -31,17 +31,6 @@ class MatrixFormatError(ValueError):
     """Raised when a matrix file does not parse."""
 
 
-def _check_unitary(u, what):
-    eye = np.eye(u.shape[0])
-    if not np.max(np.abs(u.conj().T @ u - eye)) <= UNITARY_TOL:
-        raise ValueError(f"{what} is not unitary within tolerance")
-
-
-def _check_hermitian(m, what):
-    if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
-        raise ValueError(f"{what} is not Hermitian within tolerance")
-
-
 def _as_state(psi, dim, what):
     vec = np.array(psi, dtype=complex).reshape(-1)
     if not np.isfinite(vec).all():
@@ -53,11 +42,43 @@ def _as_state(psi, dim, what):
     return vec
 
 
-def _as_matrix(m):
+def _as_matrix(m, what, cap=DEFAULT_DIM_CAP):
+    """m as a fresh complex array, square, of dimension 1..cap and finite: the
+    one place a matrix's shape, size and finiteness are checked."""
     arr = np.array(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
+    if not 1 <= arr.shape[0] <= cap:
+        raise ValueError(f"{what} dimension must be in [1, {cap}]")
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"{what} entry at row {i}, column {j} is not finite: {arr[i, j]}")
     return arr
+
+
+def _unitary(m, what, cap=DEFAULT_DIM_CAP):
+    u = _as_matrix(m, what, cap)
+    if not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= UNITARY_TOL:
+        raise ValueError(f"{what} is not unitary within tolerance")
+    return u
+
+
+def _hermitian(m, what):
+    arr = _as_matrix(m, what)
+    if not np.max(np.abs(arr - arr.conj().T)) <= HERMITIAN_TOL:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
+    return arr
+
+
+def _unchecked(cls, **fields):
+    """A cls of fields derived from validated objects, built without running
+    __post_init__ (nothing is checked again); array fields become read-only."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +88,7 @@ class HermitianOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.matrix)
-        if not 1 <= arr.shape[0] <= DEFAULT_DIM_CAP:
-            raise ValueError(f"dimension must be in [1, {DEFAULT_DIM_CAP}]")
-        if not np.isfinite(arr).all():
-            i, j = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"matrix entry at row {i}, column {j} is not finite: {arr[i, j]}")
-        _check_hermitian(arr, "matrix")
+        arr = _hermitian(self.matrix, "matrix")
         # Mirror the lower triangle, the one eigh reads; shifts keep it exact.
         arr = np.where(np.tri(arr.shape[0], dtype=bool), arr, arr.conj().T)
         np.fill_diagonal(arr.imag, 0.0)
@@ -83,15 +98,6 @@ class HermitianOp:
     @classmethod
     def from_matrix(cls, m):
         return cls(m)
-
-    @classmethod
-    def _exact(cls, arr):
-        """Wrap arr, already finite and exactly Hermitian with a real
-        diagonal, without validating it again; arr becomes read-only."""
-        arr.setflags(write=False)
-        op = object.__new__(cls)
-        object.__setattr__(op, "matrix", arr)
-        return op
 
     @property
     def dim(self):
@@ -144,19 +150,18 @@ def _shift_denominator(mu0, gamma):
 def shift_and_scale(h, mu0, gamma):
     """Return (H - mu0 I) / (gamma + |mu0|), spectrum mapped into [-1, 1].
 
-    h is finite and exactly Hermitian with a real diagonal.  Subtracting a
-    real multiple of I and dividing by a positive real keeps it so, since
-    each IEEE operation treats an entry and its mirror alike, and
-    _shift_denominator keeps the shifted entries finite.  So the result is
-    wrapped as a HermitianOp without a second validation; mu0 and gamma
-    must be real numbers.
+    Requires ||h|| <= gamma (1 + NORM_TOL); EEInstance checks it, so this
+    does not.  h is finite and exactly Hermitian with a real diagonal.
+    Subtracting a real multiple of I and dividing by a positive real keeps
+    it so, since each IEEE operation treats an entry and its mirror alike,
+    and _shift_denominator keeps the shifted entries finite.  So the result
+    is wrapped unchecked; mu0 and gamma must be real numbers.
     """
     if not (isinstance(mu0, numbers.Real) and isinstance(gamma, numbers.Real)):
         raise ValueError("mu0 and gamma must be real")
     mu0, gamma = float(mu0), float(gamma)
     denom = _shift_denominator(mu0, gamma)
-    _check_norm_bound(h, gamma)
-    return HermitianOp._exact((h.matrix - mu0 * np.eye(h.dim)) / denom)
+    return _unchecked(HermitianOp, matrix=(h.matrix - mu0 * np.eye(h.dim)) / denom)
 
 
 def _chebyshev_stack(m, degree):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockenc import (DEFAULT_DIM_CAP, HERMITIAN_TOL, STATE_TOL, BlockEncoding,
-                       HermitianOp, _check_hermitian, _check_unitary)
+                       HermitianOp, _hermitian, _unchecked, _unitary)
 from .estimator import EEInstance, estimate_ee
 from .sampler import ResourceLedger
 
@@ -49,10 +49,10 @@ class PEInstance:
     true_phi: float
 
     def __post_init__(self):
-        u = np.array(self.U, dtype=complex)
-        prep = np.array(self.U_psi, dtype=complex)
-        _check_unitary(u, "U")
-        _check_unitary(prep, "U_psi")
+        cap = DEFAULT_DIM_CAP // 2  # pe_to_ae doubles the dimension
+        u, prep = _unitary(self.U, "U", cap), _unitary(self.U_psi, "U_psi", cap)
+        if prep.shape != u.shape:
+            raise ValueError(f"U_psi's shape {prep.shape} does not match U's {u.shape}")
         if not 0.0 <= self.true_phi < 2.0 * math.pi:
             raise ValueError("true_phi must lie in [0, 2*pi)")
         psi = prep[:, 0]
@@ -70,7 +70,8 @@ class AEInstance:
     The oracle O_A = I - 2 * good_projector reflects about the good
     subspace.  The call_* accessors hand out the matrices while counting
     accesses, so constructions can be audited for their oracle budgets.
-    The three matrices are read-only; what is derived from them is unchecked.
+    The three matrices are read-only.  pe_to_ae builds its instance unchecked,
+    and nothing derived from an instance is checked again.
     """
 
     A: np.ndarray
@@ -81,12 +82,9 @@ class AEInstance:
                         default_factory=lambda: {"A": 0, "A_dagger": 0, "O_A": 0})
 
     def __post_init__(self):
-        a = np.array(self.A, dtype=complex)
-        proj = np.array(self.good_projector, dtype=complex)
-        if a.shape[0] > DEFAULT_DIM_CAP:  # the encoded operator has A's dimension
-            raise ValueError(f"A's dimension must not exceed {DEFAULT_DIM_CAP}")
-        _check_unitary(a, "A")
-        _check_hermitian(proj, "good_projector")
+        a, proj = _unitary(self.A, "A"), _hermitian(self.good_projector, "good_projector")
+        if proj.shape != a.shape:
+            raise ValueError(f"good_projector's shape {proj.shape} does not match A's {a.shape}")
         if not np.max(np.abs(proj @ proj - proj)) <= HERMITIAN_TOL:
             raise ValueError("good_projector is not an orthogonal projector")
         if not 0.0 <= self.true_amp <= 1.0:
@@ -120,20 +118,23 @@ def pe_to_ae(inst):
     Returns the instance and the recovery map a_bar -> 2*arcsin(clamp(a_bar)).
     Costs in source units: each A call is one U_psi plus one ctrl-U, so the
     reduction carries time and depth multipliers of 2.  The tensor products
-    are _kron's, bit for bit np.kron's.
+    are _kron's, bit for bit np.kron's.  The instance is not checked again:
+    A is a product of PEInstance's unitaries, of at most DEFAULT_DIM_CAP rows.
     """
     n = inst.U.shape[0]
     eye_n = np.eye(n)
     ctrl_u = _kron(eye_n, _P0) + _kron(inst.U, _P1)
     had = _kron(eye_n, _HADAMARD)
     a_mat = had @ ctrl_u @ had @ _kron(inst.U_psi, np.eye(2))
-    good = _kron(eye_n, _P1)
+    good = _kron(eye_n, _P1).astype(complex)
     amp = abs(math.sin(inst.true_phi / 2.0))
 
     def recover(a_bar):
         return 2.0 * math.asin(min(max(a_bar, 0.0), 1.0))
 
-    return AEInstance(A=a_mat, good_projector=good, true_amp=amp), recover
+    return _unchecked(AEInstance, A=a_mat, good_projector=good, true_amp=amp,
+                      oracle_OA=np.eye(2 * n) - 2.0 * good,
+                      calls={"A": 0, "A_dagger": 0, "O_A": 0}), recover
 
 
 def _reflection_about_e0(dim):
@@ -171,7 +172,8 @@ def ae_block_encoding(inst):
     had = _kron(_HADAMARD, eye)
     u = had @ anti_ctrl_qdag @ ctrl_q @ had
     u.setflags(write=False)
-    return BlockEncoding(unitary=u, encoded=HermitianOp._exact(0.5 * (q + q.conj().T)))
+    enc = _unchecked(HermitianOp, matrix=0.5 * (q + q.conj().T))
+    return BlockEncoding(unitary=u, encoded=enc)
 
 
 def ae_to_ee(inst):
@@ -181,10 +183,12 @@ def ae_to_ee(inst):
     eigenvalue 1 - 2 a^2; the recovery map sends an eigenvalue estimate
     mu_bar to the probability estimate (1 - mu_bar)/2.  State preparation
     reads inst.A directly; only the encoding query consumes counted calls.
+    The EEInstance is not checked again: psi is a column of the unitary A,
+    ||H|| <= ||Q|| is 1 within a few UNITARY_TOL and true_mu is in [-1, 1].
     """
     be = ae_block_encoding(inst)
     mu = 1.0 - 2.0 * inst.true_amp ** 2
-    ee = EEInstance(H=be.encoded, gamma=1.0, psi=inst.A[:, 0], true_mu=mu)
+    ee = _unchecked(EEInstance, H=be.encoded, gamma=1.0, psi=inst.A[:, 0].copy(), true_mu=mu)
 
     def recover(mu_bar):
         return 0.5 * (1.0 - mu_bar)

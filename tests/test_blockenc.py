@@ -92,9 +92,9 @@ def test_shift_is_exactly_hermitian_without_revalidation(n, seed, decade, fill, 
 
 def test_shift_rejects_a_denominator_that_overflows():
     """Nothing after the shift checks that its entries are finite, so
-    _shift_denominator refuses these.  The second input passes the norm
-    check by NORM_TOL and leaves gamma + |mu0| finite, but H - mu0 I would
-    overflow."""
+    _shift_denominator refuses these.  The second input meets the shift's
+    precondition ||H|| <= gamma (1 + NORM_TOL) and leaves gamma + |mu0|
+    finite, but H - mu0 I would overflow."""
     h = HermitianOp.from_matrix(np.diag([1e308, -1e308]))
     with pytest.raises(ValueError, match="gamma"):
         shift_and_scale(h, -1e308, 1e308)

@@ -9,10 +9,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qsvtsim.blockenc import HermitianOp
+from qsvtsim.blockenc import STATE_TOL, UNITARY_TOL, HermitianOp
 from qsvtsim.estimator import diag_instance
 from qsvtsim.reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
                                 PE_TO_AE_DEPTH_MULT, PE_TO_AE_TIME_MULT,
@@ -93,7 +93,6 @@ def _nan_at(m, i, j):
     return m
 
 
-# NaN, not inf: an inf entry warns in matmul, and warnings are errors here.
 @pytest.mark.parametrize("build", [
     lambda: AEInstance(A=_nan_at(np.eye(2), 1, 1),
                        good_projector=np.diag([0.0, 1.0]), true_amp=0.0),
@@ -102,14 +101,33 @@ def _nan_at(m, i, j):
     lambda: PEInstance(U=_nan_at(np.eye(2), 1, 1), U_psi=np.eye(2), true_phi=0.0),
 ], ids=["A", "good_projector", "U"])
 def test_instances_refuse_a_nan_entry_at_construction(build):
-    with pytest.raises(ValueError, match="not unitary|not Hermitian"):
+    with pytest.raises(ValueError, match="is not finite"):
+        build()
+
+
+@pytest.mark.parametrize("name, build", [
+    ("U", lambda: PEInstance(U=np.array([1.0]), U_psi=np.eye(1), true_phi=0.0)),
+    ("A", lambda: AEInstance(A=np.array([1.0]), good_projector=np.eye(1), true_amp=1.0)),
+    ("U_psi", lambda: PEInstance(U=np.eye(2), U_psi=np.eye(2, 1), true_phi=0.0)),
+    ("U_psi", lambda: PEInstance(U=np.eye(2), U_psi=np.eye(1), true_phi=0.0)),
+    ("good_projector", lambda: AEInstance(A=np.eye(2), good_projector=np.eye(1),
+                                          true_amp=1.0)),
+    ("U", lambda: PEInstance(U=np.eye(33), U_psi=np.eye(33), true_phi=0.0)),
+    ("U_psi", lambda: PEInstance(U=np.eye(2), U_psi=np.diag([1.0, np.inf]), true_phi=0.0)),
+], ids=["1-D U", "1-D A", "non-square U_psi", "U and U_psi shapes",
+        "A and projector shapes", "33-dim U", "inf entry"])
+def test_malformed_matrices_raise_a_value_error_naming_the_argument(name, build):
+    """Never an IndexError or a numpy gufunc or matmul-warning message: the
+    matrix gate, or the shape match after it, refuses first.  33 rows is
+    over PEInstance's cap of 32, since pe_to_ae doubles the dimension."""
+    with pytest.raises(ValueError, match=f"^{name}[ ']"):
         build()
 
 
 def test_ae_instance_refuses_a_dimension_above_the_cap():
     proj = np.zeros((66, 66))
     proj[0, 0] = 1.0
-    with pytest.raises(ValueError, match="must not exceed 64"):
+    with pytest.raises(ValueError, match=r"dimension must be in \[1, 64\]"):
         AEInstance(A=np.eye(66), good_projector=proj, true_amp=1.0)
     AEInstance(A=np.eye(64), good_projector=proj[:64, :64], true_amp=1.0)
 
@@ -210,31 +228,102 @@ def test_block_encoding_costs_and_block():
     assert np.max(np.abs(u[:2, :2] - 0.5 * (q + q.conj().T))) <= 1e-10
 
 
+_EDGE_T = st.sampled_from([-4.9e-13, 4.9e-13]) | st.floats(-4.9e-13, 4.9e-13)
+
+
+@st.composite
+def _edge_pe_pairs(draw):
+    """(edge, exact): a factory PE instance of dim 1 to 4, and it with U and
+    U_psi scaled by 1 + t, |t| <= 4.9e-13, kept if PEInstance accepts it."""
+    exact = pe_instance_from_phase(draw(st.floats(-10.0, 10.0)), dim=draw(st.integers(1, 4)),
+                                   rng=RngStream(draw(st.integers(0, 2**32)), 0))
+    t_u, t_psi = draw(_EDGE_T), draw(_EDGE_T)
+    try:
+        edge = PEInstance(U=(1.0 + t_u) * exact.U, U_psi=(1.0 + t_psi) * exact.U_psi,
+                          true_phi=exact.true_phi)
+    except ValueError:
+        assume(False)
+    return edge, exact
+
+
 _AE_INSTANCES = st.one_of(
     st.floats(0.0, 1.0).map(ae_instance_from_amplitude),
     st.builds(lambda phi, dim, seed: pe_to_ae(
         pe_instance_from_phase(phi, dim=dim, rng=RngStream(seed, 0)))[0],
-        st.floats(-10.0, 10.0), st.integers(1, 4), st.integers(0, 2**32)))
+        st.floats(-10.0, 10.0), st.integers(1, 4), st.integers(0, 2**32)),
+    _edge_pe_pairs().map(lambda pair: pe_to_ae(pair[0])[0]))
+
+
+def _unitary_defect(m):
+    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_AE_INSTANCES)
 def test_block_encoding_is_sound_without_revalidation(inst):
-    """Stands for the checks the encoding no longer runs: Q's unitarity,
-    BlockEncoding's unitary, dimension and block checks, and the encoded
-    operator's HermitianOp validation."""
+    """Stands for the checks the chain no longer runs: pe_to_ae's AEInstance
+    validation, Q's unitarity, BlockEncoding's unitary, dimension and block
+    checks, the encoded operator's HermitianOp validation and ae_to_ee's
+    EEInstance validation.  Q and u are unitary within 1e-12, or within
+    four times A's own defect on a tolerance-edge instance."""
     be = ae_block_encoding(inst)
     assert inst.calls == {"A": 2, "A_dagger": 2, "O_A": 2}
     q = grover_operator(inst)
-    n = inst.A.shape[0]
+    a, proj = inst.A, inst.good_projector
+    n = a.shape[0]
     u, enc = be.unitary, be.encoded.matrix
     assert u.shape == (2 * n, 2 * n)
+    assert _unitary_defect(a) <= 4 * UNITARY_TOL
     for m in (q, u):
-        assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-12
+        assert _unitary_defect(m) <= max(1e-12, 4 * _unitary_defect(a))
+    assert np.array_equal(proj @ proj, proj) and np.array_equal(proj, proj.conj().T)
+    assert abs(np.linalg.norm(proj @ a[:, 0]) - inst.true_amp) <= STATE_TOL
     assert np.max(np.abs(u[:n, :n] - enc)) <= 1e-10
     assert np.array_equal(enc, enc.conj().T) and not enc.diagonal().imag.any()
     assert np.array_equal(HermitianOp.from_matrix(enc).matrix, enc)
     assert not u.flags.writeable and not enc.flags.writeable
+    ee, _ = ae_to_ee(inst)
+    psi, h = ee.psi, ee.H
+    assert abs(np.linalg.norm(psi) - 1.0) <= STATE_TOL and psi.shape == (n,)
+    assert np.linalg.norm(h.matrix @ psi - ee.true_mu * psi) <= STATE_TOL
+    assert h.spectral_norm <= 1.0 + 4 * UNITARY_TOL and -1.0 <= ee.true_mu <= 1.0
+    assert ee.gamma == 1.0 and not psi.flags.writeable
+
+
+# apply_poly's radius check while the degree-337 step overshoots 1 near
+# x = 0.01024 (the strict xfail in test_estimator.py).
+_FAULT_B = "transformed operator has spectral radius above 1"
+
+
+def _statevector_outcome(inst, eps, alpha, seed):
+    try:
+        return solve_pe_via_ee(inst, eps, alpha, RngStream(seed, 0), use_statevector=True)
+    except ValueError as exc:
+        return str(exc)
+
+
+_EDGE_SCALE = 1.0 + 4.5e-13
+
+
+@settings(max_examples=50, deadline=None)
+@given(_edge_pe_pairs(), st.integers(0, 2**16))
+@example((PEInstance(U=_EDGE_SCALE * np.array([[np.exp(1j)]]), U_psi=_EDGE_SCALE * np.eye(1),
+                     true_phi=1.0),
+          pe_instance_from_phase(1.0)), 0)
+def test_tolerance_edge_pe_instances_estimate_as_the_exact_ones(pair, seed):
+    """A PE instance that PEInstance accepts at its tolerance edge is not
+    refused further down the chain: it estimates exactly as the unscaled
+    instance does, draw for draw, on the fast and the statevector path, and
+    the two paths agree.  Where fault (b) makes the statevector path raise,
+    it raises for both instances alike.  The explicit example's derived A is
+    1.35e-12 off unitary, and a re-validating pe_to_ae refused it."""
+    edge, exact = pair
+    for alpha, eps in ((1.0, 0.05), (0.0, 0.0125)):
+        fast = solve_pe_via_ee(edge, eps, alpha, RngStream(seed, 0))
+        assert fast == solve_pe_via_ee(exact, eps, alpha, RngStream(seed, 0))
+        slow = _statevector_outcome(edge, eps, alpha, seed)
+        assert slow == _statevector_outcome(exact, eps, alpha, seed)
+        assert slow in (fast, _FAULT_B)
 
 
 def test_instance_at_the_unitary_tolerance_estimates_through_the_encoding():
