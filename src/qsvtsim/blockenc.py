@@ -197,13 +197,15 @@ def apply_poly(hp, poly):
     result stays an independent check on eigenvalue-based evaluation.
     shift_and_scale puts hp's spectrum in [-1, 1].  P(hp) comes back
     read-only and exactly Hermitian; a spectral radius above 1 + RADIUS_TOL,
-    or a NaN one, raises.
+    or a non-finite entry, raises.  Finiteness is checked first: eigvalsh
+    of an overflowed P(hp) can return finite eigenvalues such as [0, -0].
     """
     n = hp.dim
     stack = _chebyshev_stack(hp.matrix, poly.degree).reshape(poly.degree + 1, n * n)
     acc = (poly._array @ stack).reshape(n, n)
     acc = 0.5 * (acc + acc.conj().T)  # discard rounding skew; exactly Hermitian
-    if not np.max(np.abs(np.linalg.eigvalsh(acc))) <= 1.0 + RADIUS_TOL:
+    if not (np.isfinite(acc).all()
+            and np.max(np.abs(np.linalg.eigvalsh(acc))) <= 1.0 + RADIUS_TOL):
         raise ValueError("transformed operator has spectral radius above 1")
     acc.setflags(write=False)
     return acc

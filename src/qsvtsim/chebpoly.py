@@ -111,18 +111,20 @@ class ChebPoly:
     """Polynomial in the Chebyshev basis; verify_bounds certifies |P| <= 1.
 
     coeffs holds (c_0, ..., c_d) for P(x) = sum_k c_k T_k(x); the degree
-    and the parity are read off it.
+    and the parity are read off it.  The constructor takes any nonempty 1-D
+    sequence of finite numbers, trims exact trailing zeros but keeps c_0,
+    and stores a tuple of floats; anything else raises ValueError.
     """
 
     coeffs: tuple
 
     def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("need at least one coefficient")
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0.0:
-            raise ValueError("leading coefficient must be nonzero")
         arr = np.array(self.coeffs, dtype=float)
+        if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
+            raise ValueError("coeffs must be a nonempty 1-D sequence of finite numbers")
+        arr = arr[:len(np.trim_zeros(arr, "b")) or 1]
         arr.setflags(write=False)  # apply_poly contracts its stack with it
+        object.__setattr__(self, "coeffs", tuple(arr.tolist()))
         object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "_halves", _split_halves(arr))
         object.__setattr__(self, "_extremes", None)
@@ -139,14 +141,6 @@ class ChebPoly:
         if all(c == 0.0 for c in self.coeffs[0::2]):
             return "odd"
         return "none"
-
-    @classmethod
-    def from_coeffs(cls, coeffs):
-        """Build from a coefficient sequence, trimming exact trailing zeros."""
-        arr = [float(c) for c in coeffs]
-        while len(arr) > 1 and arr[-1] == 0.0:
-            arr.pop()
-        return cls(coeffs=tuple(arr))
 
     def eval(self, x):
         """Evaluate P at x in [-1, 1] by the parity-split Clenshaw recurrence.
@@ -284,7 +278,7 @@ def _step_from_odd(odd_coeffs, delta):
     step = np.zeros(d + 1)
     step[0] = 0.5
     step[1::2] = 0.5 * _scale_for(peak) * np.asarray(odd_coeffs)[1::2]
-    return ChebPoly.from_coeffs(step)
+    return ChebPoly(step)
 
 
 def _scale_for(peak):

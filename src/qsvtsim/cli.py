@@ -20,8 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .blockenc import (DEFAULT_DIM_CAP, HermitianOp, MatrixFormatError,
-                       read_matrix)
+from .blockenc import DEFAULT_DIM_CAP, HermitianOp, read_matrix
 from .chebpoly import (DEFAULT_MAX_DEGREE, CapacityError, StepSpec,
                        build_step_approx, degree_constant, min_eta_for_degree,
                        to_text, verify_bounds, write_curve_csv)
@@ -398,7 +397,7 @@ def build_parser():
     p_poly.add_argument("--delta", type=float, required=True)
     target = p_poly.add_mutually_exclusive_group()
     target.add_argument("--eta", type=float)
-    target.add_argument("--degree", nargs="+",
+    target.add_argument("--degree", nargs="+", action="extend",
                         help="report minimal eta at these degrees instead "
                              "(space or comma separated)")
     p_poly.add_argument("--max-degree", type=int,
@@ -427,8 +426,8 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="grid of runs, CSV output")
     add_instance_args(p_sweep)
-    p_sweep.add_argument("--alphas", type=float, nargs="+", required=True)
-    p_sweep.add_argument("--eps-list", type=float, nargs="+", required=True)
+    p_sweep.add_argument("--alphas", type=float, nargs="+", action="extend", required=True)
+    p_sweep.add_argument("--eps-list", type=float, nargs="+", action="extend", required=True)
     p_sweep.add_argument("--runs", type=int, default=1)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", default="-", help="CSV path, - for stdout")
@@ -465,7 +464,7 @@ def main(argv=None):
               f"{_fmt(report.max_high_violation)} max_abs_excess "
               f"{_fmt(report.max_abs_excess)}", file=sys.stderr)
         return 1
-    except (MatrixFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,7 +56,7 @@ def test_eval_matches_power_basis_oracle():
     raw = rng.normal(size=10)
     xs = np.linspace(-1.0, 1.0, 2001)
     raw /= np.max(np.abs(np.polynomial.chebyshev.chebval(xs, raw))) * 1.01
-    poly = ChebPoly.from_coeffs(raw)
+    poly = ChebPoly(raw)
     mono = power_basis(raw)
     for x in rng.uniform(-1.0, 1.0, 100):
         assert abs(poly.eval(float(x)) - horner(mono, float(x))) <= 1e-11
@@ -66,38 +66,55 @@ def test_eval_matches_cosine_identity():
     # T_k(cos t) = cos(k t), checked for each basis polynomial separately
     for k in range(1, 31):
         coeffs = [0.0] * k + [1.0]
-        poly = ChebPoly.from_coeffs(coeffs)
+        poly = ChebPoly(coeffs)
         for t in np.linspace(0.0, math.pi, 57):
             x = math.cos(t)
             assert abs(poly.eval(x) - math.cos(k * t)) <= 1e-10
 
 
 def test_degree_one_step_midpoint():
-    poly = ChebPoly.from_coeffs([0.5, 0.5])
+    poly = ChebPoly([0.5, 0.5])
     assert poly.eval(0.0) == pytest.approx(0.5, abs=1e-15)
     assert poly.degree == 1
 
 
-def test_from_coeffs_trims_trailing_zeros():
-    poly = ChebPoly.from_coeffs([0.25, 0.5, 0.0, 0.0])
+def test_constructor_trims_trailing_zeros():
+    poly = ChebPoly([0.25, 0.5, 0.0, -0.0])
     assert poly.degree == 1
     assert poly.coeffs == (0.25, 0.5)
-    assert ChebPoly.from_coeffs([0.0, 0.0]).coeffs == (0.0,)
-    with pytest.raises(ValueError, match="at least one coefficient"):
-        ChebPoly.from_coeffs([])
-    with pytest.raises(ValueError, match="leading coefficient"):
-        ChebPoly(coeffs=(0.25, 0.5, 0.0))
+    assert ChebPoly(coeffs=(0.25, 0.5, 0.0)) == poly
+    assert ChebPoly([0.0, 0.0]).coeffs == (0.0,)
+
+
+def test_constructor_takes_any_1d_sequence():
+    """An array, a list and a tuple with a trailing zero make one value."""
+    polys = [ChebPoly(np.array([0.5, 0.5])), ChebPoly([0.5, 0.5]),
+             ChebPoly((0.5, 0.5, 0.0)), ChebPoly(np.float32([0.5, 0.5]))]
+    assert all(p == polys[0] and hash(p) == hash(polys[0]) for p in polys)
+    assert all(type(c) is float for p in polys for c in p.coeffs)
+    raw = np.array([0.25, 0.5])
+    poly = ChebPoly(raw)
+    raw[0] = 1.0
+    assert poly.coeffs == (0.25, 0.5) and not poly._array.flags.writeable
+
+
+@pytest.mark.parametrize("coeffs", [[], [[0.5]], (0.5, math.nan), (math.inf,),
+                                    np.zeros((1, 2)), 0.5],
+                         ids=["empty", "2-D", "nan", "inf", "2-D array", "scalar"])
+def test_constructor_refuses_what_is_not_a_finite_1d_sequence(coeffs):
+    with pytest.raises(ValueError, match="nonempty 1-D sequence of finite numbers"):
+        ChebPoly(coeffs)
 
 
 def test_parity_classification():
-    assert ChebPoly.from_coeffs([0.0, 1.0]).parity == "odd"
-    assert ChebPoly.from_coeffs([0.5, 0.0, 0.5]).parity == "even"
-    assert ChebPoly.from_coeffs([0.5, 0.5]).parity == "none"
-    assert ChebPoly.from_coeffs([1.0]).parity == "even"
+    assert ChebPoly([0.0, 1.0]).parity == "odd"
+    assert ChebPoly([0.5, 0.0, 0.5]).parity == "even"
+    assert ChebPoly([0.5, 0.5]).parity == "none"
+    assert ChebPoly([1.0]).parity == "even"
 
 
 def test_box_bound_certified_not_enforced_on_construction():
-    poly = ChebPoly.from_coeffs([0.0, 1.2])
+    poly = ChebPoly([0.0, 1.2])
     report = verify_bounds(poly, StepSpec(0.2, 0.5))
     assert report.max_abs_excess == pytest.approx(0.2)
     assert not report.passes
@@ -128,8 +145,8 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
 
     monkeypatch.setattr(chebpoly, "_clenshaw_split",
                         counted("evals", chebpoly._clenshaw_split))
-    ChebPoly.from_coeffs([0.5, 0.5])
-    ChebPoly.from_coeffs([0.0, 1.2])
+    ChebPoly([0.5, 0.5])
+    ChebPoly([0.0, 1.2])
     assert counts["evals"] == 0
 
     for name, fn in [("_probe_top", counted("probes", chebpoly._probe_top)),
@@ -341,7 +358,7 @@ def _step_over_unique_grid(odd_coeffs, delta):
 
 def _assert_certification_unchanged(odd_coeffs, spec):
     poly = chebpoly._step_from_odd(odd_coeffs, spec.delta)
-    assert poly.coeffs == ChebPoly.from_coeffs(
+    assert poly.coeffs == ChebPoly(
         _step_over_unique_grid(odd_coeffs, spec.delta)).coeffs
     assert verify_bounds(poly, spec) == _verify_bounds_three_grids(poly, spec)
 
@@ -362,7 +379,7 @@ def test_certification_on_per_delta_grids_is_exact_for_seeded_candidates(seed):
         odd *= rng.uniform(0.5, 3.0) / np.sum(np.abs(odd))
     eta = float(rng.choice([1e-3, 0.05, 0.5]))
     _assert_certification_unchanged(odd, StepSpec(delta, eta))
-    raw = ChebPoly.from_coeffs(odd)
+    raw = ChebPoly(odd)
     assert verify_bounds(raw, StepSpec(delta, eta)) \
         == _verify_bounds_three_grids(raw, StepSpec(delta, eta))
 
@@ -382,14 +399,14 @@ def test_certification_on_per_delta_grids_is_exact_for_sweep_schedules(alpha):
 def test_per_delta_grids_are_shared_and_read_only():
     assert chebpoly._cert_grid(0.2) is chebpoly._cert_grid(0.2)
     assert chebpoly._cert_grid(0.2).size == verify_bounds(
-        ChebPoly.from_coeffs([0.5, 0.5]), StepSpec(0.2, 0.5)).grid_size == 10_001
+        ChebPoly([0.5, 0.5]), StepSpec(0.2, 0.5)).grid_size == 10_001
     for grid in (chebpoly._cert_grid(0.2), chebpoly._rescale_grid(0.2)):
         with pytest.raises(ValueError, match="read-only"):
             grid[0] = 0.0
 
 
 def test_eval_outside_domain_rejected():
-    poly = ChebPoly.from_coeffs([0.5, 0.5])
+    poly = ChebPoly([0.5, 0.5])
     # NaN compares false with any bound, so it needs rejecting explicitly
     for bad in (1.01, -1.01, math.nan, math.inf, -math.inf, np.float64("nan"),
                 np.array(math.nan), [0.1, math.nan], np.array([0.0, 1.01]),
@@ -405,7 +422,7 @@ def test_eval_outside_domain_rejected():
 
 
 def test_eval_input_contract():
-    poly = ChebPoly.from_coeffs([0.1, 0.3, 0.2, -0.25])
+    poly = ChebPoly([0.1, 0.3, 0.2, -0.25])
     for x in (0.25, 0, np.float64(0.25), np.array(0.25), np.int64(1)):
         out = poly.eval(x)
         assert type(out) is float
@@ -418,7 +435,7 @@ def test_eval_input_contract():
         flat = np.ravel(x)
         assert [poly.eval(float(v)) for v in flat] == list(out.ravel())
     # a constant still answers with the shape of its input
-    assert ChebPoly.from_coeffs([0.25]).eval(np.zeros((2, 3))).shape == (2, 3)
+    assert ChebPoly([0.25]).eval(np.zeros((2, 3))).shape == (2, 3)
 
 
 @st.composite
@@ -441,7 +458,7 @@ def bounded_series(draw):
 @given(bounded_series(), st.floats(-1.0, 1.0))
 def test_eval_properties(series, x):
     kind, coeffs = series
-    poly = ChebPoly.from_coeffs(coeffs)
+    poly = ChebPoly(coeffs)
     value = poly.eval(x)
     # an independent cosine sum: T_k(cos t) = cos(k t)
     theta = math.acos(x)
@@ -505,7 +522,7 @@ def test_bound_certificates_across_grid():
 def test_verify_bounds_reports_violation():
     # the bare ramp is far too shallow for a tight eta
     spec = StepSpec(0.2, 0.1)
-    report = verify_bounds(ChebPoly.from_coeffs([0.5, 0.5]), spec)
+    report = verify_bounds(ChebPoly([0.5, 0.5]), spec)
     assert not report.passes
     # at x=delta the ramp sits at 0.6 versus the required 0.95
     assert report.max_high_violation == pytest.approx(0.35, abs=1e-9)
@@ -720,6 +737,8 @@ def test_ramp_certifies_as_eta_approaches_one(delta):
 def test_min_eta_degree_one_boundary():
     eta = min_eta_for_degree(0.2, 1)
     assert 0.8 - 1e-4 <= eta <= 0.8 + 1e-4
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        min_eta_for_degree(0.2, 0)
 
 
 def test_min_eta_takes_no_tolerance():

@@ -86,6 +86,8 @@ def test_poly_needs_eta_or_degree(capsys):
     rc, _, err = run_cli(capsys, ["poly", "--delta", "0.2"])
     assert rc == 2
     assert err == "error: poly needs either --eta or --degree\n"
+    rc, out, err = run_cli(capsys, ["poly", "--delta", "0.2", "--degree", ","])
+    assert (rc, out, err) == (2, "", "error: --degree wants positive integers\n")
 
 
 def test_poly_rejects_eta_with_degree(capsys):
@@ -232,6 +234,9 @@ def test_estimate_rejects_bad_builtin(capsys):
         "estimate", "--builtin", "foo:1", "--eps", "0.1", "--alpha", "1"])
     assert rc == 2
     assert err.startswith("error:")
+    rc, out, err = run_cli(capsys, [
+        "estimate", "--builtin", "diag:0.5,x", "--eps", "0.1", "--alpha", "1"])
+    assert (rc, out, err) == (2, "", "error: bad builtin spec 'diag:0.5,x'\n")
 
 
 def test_estimate_rejects_bad_matrix_file(capsys, tmp_path):
@@ -355,6 +360,22 @@ def test_sweep_rejects_runs_below_one(capsys, tmp_path, runs):
     assert rc == 2
     assert err.startswith("error: runs must be at least 1")
     assert not out_path.exists()
+
+
+def test_repeated_list_flags_accumulate(capsys):
+    """A list flag given twice extends its list; neither use is dropped."""
+    rc, out, _ = run_cli(capsys, ["poly", "--delta", "0.2", "--degree", "1",
+                                  "--degree", "3"])
+    assert (rc, out.splitlines()) == (0, ["degree 1 min_eta 0.80004882752490225",
+                                          "degree 3 min_eta 0.54846191396557609"])
+    head = ["sweep", "--builtin", "diag:0.5,-0.25", "--out", "-"]
+    rc, out, _ = run_cli(capsys, [*head, "--alphas", "0", "0.5", "--alphas", "1",
+                                  "--eps-list", "0.25", "--eps-list", "0.2"])
+    assert rc == 0
+    cells = [tuple(map(float, line.split(",")[:2])) for line in out.splitlines()[1:]]
+    assert sorted(cells) == [(a, e) for a in (0.0, 0.5, 1.0) for e in (0.2, 0.25)]
+    assert run_cli(capsys, [*head, "--alphas", "0", "0.5", "1",
+                            "--eps-list", "0.25", "0.2"]) == (0, out, "")
 
 
 def test_sweep_stdout_header(capsys):

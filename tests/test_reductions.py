@@ -85,6 +85,9 @@ def test_ae_instance_validation():
                    true_amp=0.5)
     with pytest.raises(ValueError):
         ae_instance_from_amplitude(1.2)
+    for amp in (1.5, math.nan):
+        with pytest.raises(ValueError, match=r"true_amp must lie in \[0, 1\]"):
+            AEInstance(A=np.eye(2), good_projector=np.diag([0.0, 1.0]), true_amp=amp)
 
 
 def _nan_at(m, i, j):

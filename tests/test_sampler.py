@@ -24,6 +24,7 @@ def test_child_offsets_stream_id():
     assert kid.stream_id == 105
     same = RngStream(3, 105)
     assert kid.generator.integers(10**9) == same.generator.integers(10**9)
+    assert repr(RngStream(3, 5)) == "RngStream(seed=3, stream_id=5)"
 
 
 def test_distinct_streams_disagree():

@@ -35,7 +35,7 @@ def test_tracer_installs_records_and_restores():
         assert cli.estimate_ee is not functions["qsvtsim.estimator", "estimate_ee"]
         _, ledger = estimator.estimate_ee(estimator.diag_instance([0.5, -0.25]),
                                           0.25, 1.0, RngStream(0, 0))
-        ChebPoly.from_coeffs([0.5, 0.5])
+        ChebPoly([0.5, 0.5])
     finally:
         tracer.uninstall()
     summary = tracer.summary(0)
