@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 # Unused here; perfbench's tracer wraps chebpoly.linprog by this name.
@@ -37,9 +37,10 @@ _NEWTON_STEPS = 6
 _LEVEL_TOL = 1e-9
 _ROUNDING = 4e-15
 _MAX_SPREAD = 1e-3
-# Entries kept by each builder memo.  The eta frontier at degrees up to 21
-# leaves 4 minimax fits, their 4 candidates and 1 ramp, the 5x5 acceptance
-# sweep 25 builds and 5 ramps, one per delta.
+# Entries kept by each builder memo.  A cold 5x5 acceptance sweep leaves
+# 25 builds, 143 probes, 73 rescales and 73 certificate extremes; a cold
+# eta frontier at degrees 1, 3, 7, 15 and 21 leaves 4 minimax fits and 10
+# probes, rescales and certificate extremes.
 _CACHE_SIZE = 256
 # Deltas whose certification and rescale grids are kept, about 2.8 MB.
 _GRID_CACHE_SIZE = 16
@@ -112,22 +113,25 @@ class ChebPoly:
 
     coeffs holds (c_0, ..., c_d) for P(x) = sum_k c_k T_k(x); the degree
     and the parity are read off it.  The constructor takes any nonempty 1-D
-    sequence of finite numbers, trims exact trailing zeros but keeps c_0,
-    and stores a tuple of floats; anything else raises ValueError.
+    sequence of finite real numbers, trims exact trailing zeros but keeps
+    c_0, and stores a tuple of floats; anything else, complex numbers
+    included, raises ValueError.
     """
 
     coeffs: tuple
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
+        try:
+            arr = None if np.iscomplexobj(self.coeffs) else np.array(self.coeffs, dtype=float)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
             raise ValueError("coeffs must be a nonempty 1-D sequence of finite numbers")
         arr = arr[:len(np.trim_zeros(arr, "b")) or 1]
         arr.setflags(write=False)  # apply_poly contracts its stack with it
         object.__setattr__(self, "coeffs", tuple(arr.tolist()))
         object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "_halves", _split_halves(arr))
-        object.__setattr__(self, "_extremes", None)
 
     @property
     def degree(self):
@@ -165,20 +169,6 @@ class ChebPoly:
         if not inside:
             raise ValueError("evaluation point outside [-1, 1]")
         return _clenshaw_split(xs, *self._halves)
-
-    def _cert_extremes(self, delta):
-        """Max P on the left plateau, min P on the right one, max |P| and the
-        point count, all on _cert_grid(delta).
-
-        None of them depends on eta, so they are kept for the last delta
-        asked: a candidate judged again at another eta evaluates nothing.
-        """
-        if self._extremes is None or self._extremes[0] != delta:
-            vals = self.eval(_cert_grid(delta))
-            object.__setattr__(self, "_extremes", (
-                delta, float(np.max(vals[:_PLATEAU_POINTS])),
-                float(np.min(vals[-_PLATEAU_POINTS:])), float(np.max(np.abs(vals))), vals.size))
-        return self._extremes[1:]
 
 
 @dataclass(frozen=True)
@@ -229,9 +219,22 @@ def _cert_grid(delta):
     return grid
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cert_extremes(poly, delta):
+    """Max P on the left plateau, min P on the right one, max |P| and the
+    point count, all on _cert_grid(delta).
+
+    None of them depends on eta, so a polynomial judged again at another
+    eta evaluates nothing.
+    """
+    vals = poly.eval(_cert_grid(delta))
+    return (float(np.max(vals[:_PLATEAU_POINTS])), float(np.min(vals[-_PLATEAU_POINTS:])),
+            float(np.max(np.abs(vals))), vals.size)
+
+
 def verify_bounds(poly, spec):
     """Certify the step bounds for poly from its extremes on _cert_grid."""
-    low_max, high_min, peak, size = poly._cert_extremes(spec.delta)
+    low_max, high_min, peak, size = _cert_extremes(poly, spec.delta)
     return BoundReport(max_low_violation=low_max - spec.eta / 2.0,
                        max_high_violation=(1.0 - spec.eta / 2.0) - high_min,
                        max_abs_excess=peak - 1.0, grid_size=size)
@@ -261,23 +264,25 @@ def _rescale_grid(delta):
     return grid
 
 
-def _step_from_odd(odd_coeffs, delta):
-    """Map an odd sign-like polynomial q to the step (1 + q)/2, renormalised.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _step_from_odd(odd, delta):
+    """Map an odd sign-like q, its coefficient tuple odd, to the step (1 + q)/2.
 
     q is evaluated by the parity-split recurrence, which is exactly odd,
     on |x| of a uniform BOX_GRID_POINTS grid over [-1, 1] and on the
     plateau, window and edge grids; the rescale makes |q| <= 1 at every
-    one of those points.  A _Candidate makes its step once, at the first
-    judgment that passes the plateau probe, and keeps it.  Only the edge
-    grid depends on the degree, and is appended to the per-delta points as
-    it is: a point it repeats cannot change the peak.
+    one of those points.  A search rescales only a candidate that passes
+    the plateau probe, once per (odd, delta).  Only the edge grid depends
+    on the degree, and is appended to the per-delta points as it is: a
+    point it repeats cannot change the peak.
     """
-    d = len(odd_coeffs) - 1
+    coeffs = np.asarray(odd)
+    d = coeffs.size - 1
     grid = np.concatenate([_rescale_grid(delta), _edge_grid(d)])
-    peak = float(np.max(np.abs(_clenshaw_split(grid, *_split_halves(odd_coeffs)))))
+    peak = float(np.max(np.abs(_clenshaw_split(grid, *_split_halves(coeffs)))))
     step = np.zeros(d + 1)
     step[0] = 0.5
-    step[1::2] = 0.5 * _scale_for(peak) * np.asarray(odd_coeffs)[1::2]
+    step[1::2] = 0.5 * _scale_for(peak) * coeffs[1::2]
     return ChebPoly(step)
 
 
@@ -295,10 +300,12 @@ def _plateau_probe(delta):
     return _cert_grid(delta)[-_PLATEAU_POINTS::_PROBE_STRIDE]
 
 
-def _probe_top(odd_coeffs, delta):
+@lru_cache(maxsize=_CACHE_SIZE)
+def _probe_top(odd, delta):
     """Upper bound on the certified right-plateau minimum of q's step.
 
-    q is evaluated once on _plateau_probe(delta).  Those points belong to
+    q, given as its coefficient tuple odd, is evaluated once per
+    (odd, delta) on _plateau_probe(delta).  Those points belong to
     _rescale_grid(delta) as well, and the evaluation is elementwise, so the
     probe's max|q| is at most the rescale's peak; rounded division is
     monotone, so the rescale's factor s is at most s_up = _scale_for(probe's
@@ -306,52 +313,19 @@ def _probe_top(odd_coeffs, delta):
     grid's right plateau, where the step is at most
     0.5 + 0.5 s_up max(min q, 0) up to rounding.  A candidate whose top
     misses 1 - eta/2 by more than GRID_TOL has a max_high_violation above
-    GRID_TOL, so _Candidate.misses rejects it.  The slack 8 (d + 1)^2 u sum|c_k|,
+    GRID_TOL, so _Search.try_odd rejects it.  The slack 8 (d + 1)^2 u sum|c_k|,
     u = 2^-53, covers the rounding of the step's coefficients 0.5 s c_k, of
     this comparison and of the two parity-split Clenshaw sums (q here, the
     step in verify_bounds), whose errors at |x| <= 1 grow like
     (d + 1)^2 u sum|c_k|.  On the acceptance sweep it is at most 1.1e-9,
     and every rejection misses by at least 1.9e-5.
     """
-    q = _clenshaw_split(_plateau_probe(delta), *_split_halves(odd_coeffs))
+    coeffs = np.asarray(odd)
+    q = _clenshaw_split(_plateau_probe(delta), *_split_halves(coeffs))
     s_up = _scale_for(float(np.max(np.abs(q))))
-    d = len(odd_coeffs) - 1
-    slack = 8.0 * (d + 1) ** 2 * 2.0 ** -53 * float(np.sum(np.abs(odd_coeffs)))
+    d = coeffs.size - 1
+    slack = 8.0 * (d + 1) ** 2 * 2.0 ** -53 * float(np.sum(np.abs(coeffs)))
     return 0.5 + 0.5 * s_up * max(float(np.min(q)), 0.0) + slack
-
-
-class _Candidate:
-    """An odd q with its eta-free work, judged against any eta in O(1).
-
-    top is the plateau probe's bound (_probe_top); step is the rescaled
-    step, made at the first judgment that passes the probe, and the step
-    keeps its certificate extremes (ChebPoly._cert_extremes).  The ramp and
-    the minimax fits, which every frontier probe judges again, are cached
-    as candidates; an erf truncation is made afresh each time.
-    """
-
-    def __init__(self, odd_coeffs, delta):
-        self.odd = odd_coeffs
-        self.delta = delta
-        self.top = _probe_top(odd_coeffs, delta)
-
-    def misses(self, eta):
-        """True when the probe shows the step must fail verify_bounds."""
-        return self.top < 1.0 - eta / 2.0 - GRID_TOL
-
-    @cached_property
-    def step(self):
-        return _step_from_odd(self.odd, self.delta)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _ramp(delta):
-    """Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2.
-
-    It is optimal among affine candidates and certifies exactly when
-    eta >= 1 - delta.
-    """
-    return _Candidate((0.0, 1.0), delta)
 
 
 def _badness(report):
@@ -368,9 +342,9 @@ class _Search:
 
     Each certified candidate has a lower degree than any before it, so it
     replaces best outright; with stop_at_first, the first one raises
-    _Certified instead.  A failure, rejected by the probe or by
-    verify_bounds, is kept as its _Candidate; least_bad computes their
-    reports, which only a CapacityError needs.
+    _Certified instead.  A candidate is q's coefficient tuple, and a
+    failure, rejected by the probe or by verify_bounds, is kept as it is;
+    least_bad computes their reports, which only a CapacityError needs.
     """
 
     def __init__(self, spec, stop_at_first=False):
@@ -379,18 +353,22 @@ class _Search:
         self.best = None
         self.failures = []
 
-    def try_odd(self, cand):
-        if not cand.misses(self.spec.eta) and verify_bounds(cand.step, self.spec).passes:
-            self.best = cand.step
-            if self.stop_at_first:
-                raise _Certified
-            return True
-        self.failures.append(cand)
+    def try_odd(self, odd):
+        delta, eta = self.spec.delta, self.spec.eta
+        if not _probe_top(odd, delta) < 1.0 - eta / 2.0 - GRID_TOL:
+            step = _step_from_odd(odd, delta)
+            if verify_bounds(step, self.spec).passes:
+                self.best = step
+                if self.stop_at_first:
+                    raise _Certified
+                return True
+        self.failures.append(odd)
         return False
 
     def least_bad(self):
         """The failure with the smallest summed excess, the first on ties."""
-        return min((verify_bounds(f.step, self.spec) for f in self.failures), key=_badness)
+        return min((verify_bounds(_step_from_odd(f, self.spec.delta), self.spec)
+                    for f in self.failures), key=_badness)
 
 
 def _erf_odd_terms(k, m_lo, m_hi):
@@ -488,7 +466,7 @@ def _erf_path(search, limit):
         # at least the series' value erf(k) at 1, and erfc(k delta) + 2 erf(k) > 1.
         d0 = int(np.flatnonzero(plateau_err + 2.0 * tails <= eta * (1.0 - 1e-9))[0])
         if d0 <= cap:  # lo = -1: degree 1 is still open
-            _bisect_odd(lambda d: search.try_odd(_Candidate(coeffs[:d + 1], delta)), -1, d0)
+            _bisect_odd(lambda d: search.try_odd(tuple(coeffs[:d + 1].tolist())), -1, d0)
 
 
 def _odd_cos_sums(theta, odd):
@@ -620,13 +598,6 @@ def _minimax_fit(delta, degree):
     return t_star, tuple(full.tolist())
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _fit_candidate(delta, degree):
-    """The minimax fit's _Candidate, or None where _minimax_fit has no fit."""
-    fit = _minimax_fit(delta, degree)
-    return None if fit is None else _Candidate(fit[1], delta)
-
-
 def _minimax_path(search, limit):
     """Bisect the smallest odd degree whose minimax fit certifies.
 
@@ -655,8 +626,8 @@ def _minimax_path(search, limit):
             return
 
     def feasible(d):
-        cand = _fit_candidate(spec.delta, d)
-        return cand is not None and search.try_odd(cand)
+        fit = _minimax_fit(spec.delta, d)
+        return fit is not None and search.try_odd(fit[1])
 
     _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 
@@ -669,7 +640,10 @@ def _run_search(spec, max_degree, stop_at_first=False):
     """
     search = _Search(spec, stop_at_first)
     try:
-        search.try_odd(_ramp(spec.delta))
+        # Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2.  It
+        # is optimal among affine candidates and certifies exactly when
+        # eta >= 1 - delta.
+        search.try_odd((0.0, 1.0))
         if search.best is None:
             _erf_path(search, max_degree)
         if search.best is None:

@@ -99,8 +99,10 @@ def test_constructor_takes_any_1d_sequence():
 
 
 @pytest.mark.parametrize("coeffs", [[], [[0.5]], (0.5, math.nan), (math.inf,),
-                                    np.zeros((1, 2)), 0.5],
-                         ids=["empty", "2-D", "nan", "inf", "2-D array", "scalar"])
+                                    np.zeros((1, 2)), 0.5, np.array([0.5, 1 + 1j]),
+                                    [1j], [object()], ["a"]],
+                         ids=["empty", "2-D", "nan", "inf", "2-D array", "scalar",
+                              "complex array", "complex", "object", "string"])
 def test_constructor_refuses_what_is_not_a_finite_1d_sequence(coeffs):
     with pytest.raises(ValueError, match="nonempty 1-D sequence of finite numbers"):
         ChebPoly(coeffs)
@@ -124,17 +126,32 @@ def test_box_bound_certified_not_enforced_on_construction():
 
 
 def _clear_candidate_caches():
-    for memo in (chebpoly._build_cached, chebpoly._minimax_fit,
-                 chebpoly._fit_candidate, chebpoly._ramp):
+    for memo in (chebpoly._build_cached, chebpoly._minimax_fit, chebpoly._probe_top,
+                 chebpoly._step_from_odd, chebpoly._cert_extremes):
         memo.cache_clear()
 
 
+_MEMOS = {"probes": chebpoly._probe_top, "rescales": chebpoly._step_from_odd,
+          "extremes": chebpoly._cert_extremes}
+
+
+def _memo_misses():
+    """Misses so far of the probe, rescale and certificate-extremes memos."""
+    return Counter({name: memo.cache_info().misses for name, memo in _MEMOS.items()})
+
+
+def _probe_rejects(odd, spec):
+    """The plateau probe's verdict on odd, as _Search.try_odd reads it."""
+    return chebpoly._probe_top(odd, spec.delta) < 1.0 - spec.eta / 2.0 - chebpoly.GRID_TOL
+
+
 def test_candidates_are_evaluated_once_before_certification(monkeypatch):
-    """Each candidate, the ramp included, is probed once when it is made; a
+    """Each candidate, the ramp included, is probed once per delta; a
     survivor is then evaluated once for its rescale and once for
-    certification, a rejected one for neither.  A cached candidate judged
-    again, the ramp or a minimax fit at a later frontier probe, evaluates
-    nothing."""
+    certification, a rejected one for neither.  A candidate judged again,
+    the ramp or a minimax fit at a later frontier probe, or a whole pass
+    repeated, evaluates nothing.  Counts are memo misses, so a call that the
+    memo answers counts as no work."""
     counts = Counter()
 
     def counted(name, fn):
@@ -149,23 +166,26 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     ChebPoly([0.0, 1.2])
     assert counts["evals"] == 0
 
-    for name, fn in [("_probe_top", counted("probes", chebpoly._probe_top)),
-                     ("_step_from_odd", counted("rescales", chebpoly._step_from_odd)),
-                     ("verify_bounds", counted("certifications", chebpoly.verify_bounds))]:
-        monkeypatch.setattr(chebpoly, name, fn)
+    monkeypatch.setattr(chebpoly, "verify_bounds",
+                        counted("certifications", chebpoly.verify_bounds))
     try_odd = chebpoly._Search.try_odd
     outcomes = Counter()
 
-    def try_odd_checked(search, cand):
-        before = counts.copy()
+    def work():
+        return counts + _memo_misses()
+
+    def try_odd_checked(search, odd):
+        before = work()
         try:
-            return try_odd(search, cand)
+            return try_odd(search, odd)
         finally:  # a frontier probe's search raises at its certification
-            seen = counts - before
-            if cand.misses(search.spec.eta):
-                outcome, want = "rejected", Counter()
+            seen = work() - before
+            probed = Counter(probes=1, evals=1) if seen["probes"] else Counter()
+            if _probe_rejects(odd, search.spec):
+                outcome, want = "rejected", probed
             elif seen["rescales"]:
-                outcome, want = "survived", Counter(rescales=1, certifications=1, evals=2)
+                outcome, want = "survived", probed + Counter(
+                    rescales=1, extremes=1, certifications=1, evals=2)
             else:
                 outcome, want = "judged again", Counter(certifications=1)
             assert seen == want
@@ -173,21 +193,22 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
 
     monkeypatch.setattr(chebpoly._Search, "try_odd", try_odd_checked)
     _clear_candidate_caches()
+    start = work()
     alpha_schedule(0.5, 0.05, 1.0)
     # the ramp and one erf truncation are rejected on the probe
     assert outcomes == Counter(rejected=2, survived=3)
-    assert counts["certifications"] == counts["rescales"] == 3
-    assert counts["evals"] == counts["probes"] + 2 * 3 == 11
+    assert work() - start == Counter(probes=5, rescales=3, extremes=3, certifications=3,
+                                     evals=5 + 2 * 3)
 
     # 30 judgments over the frontier's 15 eta probes: the ramp at each, the
-    # degree-21 fit at 7 and erf truncations at 8.  Only the truncations are
-    # probed and rescaled again when the pass is repeated.
-    for probes, rescales, again in ((6, 5, 6), (4, 4, 7)):
-        counts.clear()
+    # degree-21 fit at 7 and erf truncations at 8.  A repeated pass finds
+    # every probe, rescale and certificate in the memos.
+    for probes, rescales, again in ((6, 5, 6), (0, 0, 11)):
+        start = work()
         outcomes.clear()
         min_eta_for_degree(0.2, 21)
-        assert counts == Counter(probes=probes, rescales=rescales, certifications=11,
-                                 evals=probes + 2 * rescales)
+        assert work() - start == Counter(probes=probes, rescales=rescales, extremes=rescales,
+                                         certifications=11, evals=probes + 2 * rescales)
         assert outcomes == Counter({"rejected": 19, "survived": rescales, "judged again": again})
 
 
@@ -214,8 +235,8 @@ def test_probe_rejects_only_candidates_that_fail_certification(
     erf path's for an eta * frac plateau loss, spread by k_factor."""
     spec = StepSpec(10.0 ** log_delta, 10.0 ** log_eta)
     k = k_factor * float(chebpoly.erfcinv(spec.eta * 10.0 ** log_frac)) / spec.delta
-    odd = chebpoly._erf_odd_coeffs(k, 2 * half_degree + 1)
-    if chebpoly._Candidate(odd, spec.delta).misses(spec.eta):
+    odd = tuple(chebpoly._erf_odd_coeffs(k, 2 * half_degree + 1).tolist())
+    if _probe_rejects(odd, spec):
         report = verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)
         assert report.max_high_violation > chebpoly.GRID_TOL
         assert not report.passes
@@ -232,13 +253,13 @@ def test_probe_is_sound_at_the_certification_threshold(
     of the threshold must still fail verify_bounds."""
     delta = 10.0 ** log_delta
     k = float(chebpoly.erfcinv(10.0 ** log_frac)) / delta
-    odd = chebpoly._erf_odd_coeffs(k, 2 * half_degree + 1)
+    odd = tuple(chebpoly._erf_odd_coeffs(k, 2 * half_degree + 1).tolist())
     step = chebpoly._step_from_odd(odd, delta)
     low = float(np.min(step.eval(chebpoly._cert_grid(delta)[-chebpoly._PLATEAU_POINTS:])))
     eta = 2.0 * (1.0 - chebpoly.GRID_TOL - low - sign * 10.0 ** log_miss)
     assume(0.0 < eta < 1.0)
     spec = StepSpec(delta, eta)
-    if chebpoly._Candidate(odd, delta).misses(eta):
+    if _probe_rejects(odd, spec):
         assert verify_bounds(step, spec).max_high_violation > chebpoly.GRID_TOL
 
 
@@ -260,20 +281,20 @@ def test_least_bad_matches_an_eager_fold_over_every_failure():
         eager, fails = None, 0
         for _ in range(12):
             if rng.random() < 0.3:  # q = u x, rescaled to the ramp when u > 1
-                odd = [0.0, float(rng.uniform(0.6, 1.2))]
+                odd = (0.0, float(rng.uniform(0.6, 1.2)))
             else:
-                odd = chebpoly._erf_odd_coeffs(float(rng.uniform(1.0, 40.0)),
-                                               2 * int(rng.integers(0, 40)) + 1)
-            search.try_odd(chebpoly._Candidate(odd, spec.delta))
+                odd = tuple(chebpoly._erf_odd_coeffs(float(rng.uniform(1.0, 40.0)),
+                                                     2 * int(rng.integers(0, 40)) + 1).tolist())
+            search.try_odd(odd)
             report = verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)
             if not report.passes:
-                assert search.failures[fails].odd is odd
+                assert search.failures[fails] is odd
                 if eager is None or badness(report) < eager[0]:
                     eager = (badness(report), report, fails)
                 fails += 1
         assert len(search.failures) == fails
         assert search.least_bad() == eager[1]
-        winners.add(search.failures[eager[2]].misses(spec.eta))
+        winners.add(_probe_rejects(search.failures[eager[2]], spec))
     assert winners == {True, False}
 
 
@@ -285,9 +306,9 @@ def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
     tried = []
     try_odd = chebpoly._Search.try_odd
 
-    def recording(search, cand):
-        tried.append(cand.odd)
-        return try_odd(search, cand)
+    def recording(search, odd):
+        tried.append(odd)
+        return try_odd(search, odd)
 
     monkeypatch.setattr(chebpoly._Search, "try_odd", recording)
     chebpoly._build_cached.cache_clear()
@@ -309,17 +330,35 @@ def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
     """Work counts over the 5x5 sweep grid: the probe rejects 90 of the 163
     candidates, the 25 ramps among them, before their rescale, and the
     73 survivors are each rescaled and certified once.  The ramp is probed
-    once per delta, and the sweep has 5 deltas, so 143 probes are made."""
-    counts = Counter()
-    for name in ("_probe_top", "_step_from_odd", "verify_bounds"):
-        fn = getattr(chebpoly, name)
-        monkeypatch.setattr(chebpoly, name,
-                            lambda *args, fn=fn, name=name: counts.update([name]) or fn(*args))
-    _clear_candidate_caches()
-    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
-            alpha_schedule(alpha, eps, 1.0)
-    assert counts == Counter(_probe_top=143, _step_from_odd=73, verify_bounds=73)
+    once per delta, and the sweep has 5 deltas, so 143 probes are made.
+    A cold eta frontier at delta 0.2, degrees 1, 3, 7, 15 and 21, probes,
+    rescales and evaluates 10 candidates for its 43 certifications: the
+    bisections over eta of two degrees meet the same erf truncations, which
+    the memos hold."""
+    verify = chebpoly.verify_bounds
+    calls = Counter()
+    monkeypatch.setattr(chebpoly, "verify_bounds",
+                        lambda *args: calls.update(["certifications"]) or verify(*args))
+
+    def cold_misses(run):
+        _clear_candidate_caches()
+        calls.clear()
+        run()
+        return _memo_misses() + calls
+
+    def sweep():
+        for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
+                alpha_schedule(alpha, eps, 1.0)
+
+    def frontier():
+        for degree in (1, 3, 7, 15, 21):
+            min_eta_for_degree(0.2, degree)
+
+    assert cold_misses(sweep) == Counter(probes=143, rescales=73, extremes=73,
+                                         certifications=73)
+    assert cold_misses(frontier) == Counter(probes=10, rescales=10, extremes=10,
+                                            certifications=43)
 
 
 def _verify_bounds_three_grids(poly, spec):
@@ -357,7 +396,7 @@ def _step_over_unique_grid(odd_coeffs, delta):
 
 
 def _assert_certification_unchanged(odd_coeffs, spec):
-    poly = chebpoly._step_from_odd(odd_coeffs, spec.delta)
+    poly = chebpoly._step_from_odd(tuple(np.asarray(odd_coeffs).tolist()), spec.delta)
     assert poly.coeffs == ChebPoly(
         _step_over_unique_grid(odd_coeffs, spec.delta)).coeffs
     assert verify_bounds(poly, spec) == _verify_bounds_three_grids(poly, spec)
@@ -728,7 +767,7 @@ def test_subnormal_eta_ends_in_capacity_without_warnings():
 def test_ramp_certifies_as_eta_approaches_one(delta):
     """min_eta_for_degree starts its bisection at eta = 1 - 1e-9, where the
     ramp's excesses are (1e-9 - delta)/2 twice and 0, so it never fails."""
-    ramp = chebpoly._step_from_odd([0.0, 1.0], delta)
+    ramp = chebpoly._step_from_odd((0.0, 1.0), delta)
     assert ramp == ChebPoly((0.5, 0.5))
     assert verify_bounds(ramp, StepSpec(delta, 1.0 - 1e-9)).passes
     assert 1e-9 <= min_eta_for_degree(delta, 1) <= 1.0 - 1e-9
@@ -998,9 +1037,9 @@ def _minimax_candidates(eta):
     tried = []
     try_odd = search.try_odd
 
-    def recording(cand):
-        tried.append(cand.odd)
-        return try_odd(cand)
+    def recording(odd):
+        tried.append(odd)
+        return try_odd(odd)
 
     search.try_odd = recording
     chebpoly._minimax_path(search, 21)

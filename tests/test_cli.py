@@ -237,6 +237,11 @@ def test_estimate_rejects_bad_builtin(capsys):
     rc, out, err = run_cli(capsys, [
         "estimate", "--builtin", "diag:0.5,x", "--eps", "0.1", "--alpha", "1"])
     assert (rc, out, err) == (2, "", "error: bad builtin spec 'diag:0.5,x'\n")
+    for idx in ("2", "-1"):
+        rc, out, err = run_cli(capsys, [
+            "estimate", "--builtin", "diag:0.5,-0.25", "--eig-index", idx,
+            "--eps", "0.1", "--alpha", "1"])
+        assert (rc, out, err) == (2, "", f"error: eig-index {idx} out of range for dim 2\n")
 
 
 def test_estimate_rejects_bad_matrix_file(capsys, tmp_path):

@@ -305,6 +305,17 @@ def _statevector_outcome(inst, eps, alpha, seed):
         return str(exc)
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="fault (b) reaches the chain: the degree-337 step overshoots 1 "
+                          "at an eigenvalue of the derived operator, so the radius check "
+                          "refuses it; ROADMAP item 2's sound certificates remove this marker")
+def test_statevector_chain_matches_the_fast_path_at_an_overshoot():
+    inst = pe_instance_from_phase(3.6852033335017333)
+    fast = solve_pe_via_ee(inst, 0.0125, 0.0, RngStream(0, 0))
+    assert fast[0] == 2.5897548758943563
+    assert solve_pe_via_ee(inst, 0.0125, 0.0, RngStream(0, 0), use_statevector=True) == fast
+
+
 _EDGE_SCALE = 1.0 + 4.5e-13
 
 

@@ -37,22 +37,26 @@ def test_workload_pass_meets_its_checks(workloads, name, ops, failed, depth):
 def test_clearing_the_caches_makes_a_frontier_degree_cold_again(workloads, monkeypatch):
     """Every memo a frontier degree fills is a cache that the benchmark's
     clear_polynomial_caches empties, so no warm memo counts as a gain: after
-    it, min_eta_for_degree(0.2, 21) fits, rescales and evaluates as much as
+    it, min_eta_for_degree(0.2, 21) fits, probes, rescales and evaluates as much as
     it did cold, and more than a warm rerun does."""
     counts = Counter()
-    rescale, evaluate = chebpoly._step_from_odd, chebpoly.ChebPoly.eval
-    monkeypatch.setattr(chebpoly, "_step_from_odd",
-                        lambda *args: counts.update(["rescales"]) or rescale(*args))
+    evaluate = chebpoly.ChebPoly.eval
     monkeypatch.setattr(chebpoly.ChebPoly, "eval",
                         lambda poly, x: counts.update(["evals"]) or evaluate(poly, x))
+    memos = {"fits": chebpoly._minimax_fit, "probes": chebpoly._probe_top,
+             "rescales": chebpoly._step_from_odd}
+
+    def misses():
+        return Counter({name: memo.cache_info().misses for name, memo in memos.items()})
+
     runs = []
     for clear in (True, False, True):
         if clear:
             workloads.clear_polynomial_caches()
         counts.clear()
-        misses = chebpoly._minimax_fit.cache_info().misses
+        before = misses()
         chebpoly.min_eta_for_degree(0.2, 21)
-        runs.append(Counter(counts, fits=chebpoly._minimax_fit.cache_info().misses - misses))
+        runs.append(counts + misses() - before)
     cold, warm, again = runs
     assert again == cold and cold["fits"] == 1
     assert warm["fits"] == 0 and warm["rescales"] < cold["rescales"]
