@@ -2,8 +2,10 @@
 
 Builds polynomials that stay within [0, eta/2] on [-1, -delta] and within
 [1 - eta/2, 1] on [delta, 1] while remaining bounded by 1 everywhere on
-[-1, 1], certifies those bounds on dense grids, and searches for the
-smallest degree that meets a given (delta, eta) target.
+[-1, 1], certifies those bounds on one grid of points ±x, and searches for
+the smallest degree that meets a given (delta, eta) target.  The search
+judges each candidate from a single evaluation of its odd part on the
+points x >= 0 of that grid.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ _LEVEL_TOL = 1e-9
 _ROUNDING = 4e-15
 _MAX_SPREAD = 1e-3
 # Entries kept by each builder memo.  A cold 5x5 acceptance sweep leaves
-# 25 builds, 143 probes, 73 rescales and 73 certificate extremes; a cold
-# eta frontier at degrees 1, 3, 7, 15 and 21 leaves 4 minimax fits and 10
-# probes, rescales and certificate extremes.
+# 25 builds, 143 probes and 73 extremes; a cold eta frontier at degrees 1,
+# 3, 7, 15 and 21 leaves 4 minimax fits, 10 probes and 10 extremes.  A
+# probe or extremes entry holds its key, about 32 bytes per coefficient,
+# and a few floats; a build entry holds its step.
 _CACHE_SIZE = 256
-# Deltas whose certification and rescale grids are kept, about 2.8 MB.
+# Deltas whose rescale grid and plateau probe are kept, about 2.0 MB.
 _GRID_CACHE_SIZE = 16
 # Width of the eta interval at which min_eta_for_degree stops bisecting.
 _ETA_TOL = 1e-4
@@ -114,17 +117,19 @@ class ChebPoly:
     coeffs holds (c_0, ..., c_d) for P(x) = sum_k c_k T_k(x); the degree
     and the parity are read off it.  The constructor takes any nonempty 1-D
     sequence of finite real numbers, trims exact trailing zeros but keeps
-    c_0, and stores a tuple of floats; anything else, complex numbers
-    included, raises ValueError.
+    c_0, and stores a tuple of floats; anything else, strings and complex
+    numbers included, raises ValueError.
     """
 
     coeffs: tuple
 
     def __post_init__(self):
         try:
-            arr = None if np.iscomplexobj(self.coeffs) else np.array(self.coeffs, dtype=float)
-        except (TypeError, ValueError):
-            arr = None
+            arr = np.asarray(self.coeffs)
+        except (TypeError, ValueError):  # a ragged nesting
+            arr = np.asarray(None)
+        # strings, bytes, objects and complex numbers are not real numbers
+        arr = arr.astype(float) if arr.dtype.kind in "biuf" else None
         if arr is None or arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
             raise ValueError("coeffs must be a nonempty 1-D sequence of finite numbers")
         arr = arr[:len(np.trim_zeros(arr, "b")) or 1]
@@ -205,45 +210,8 @@ class BoundReport:
                 and self.max_abs_excess <= GRID_TOL)
 
 
-# Points of the certification grid on each plateau; the window gets 2001.
+# Points of the uniform plateau grid, which the rescale grid contains.
 _PLATEAU_POINTS = 4000
-
-
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _cert_grid(delta):
-    """Read-only left plateau, window and right plateau grids, in that order."""
-    grid = np.concatenate([np.linspace(-1.0, -delta, _PLATEAU_POINTS),
-                           np.linspace(-delta, delta, 2001),
-                           np.linspace(delta, 1.0, _PLATEAU_POINTS)])
-    grid.flags.writeable = False
-    return grid
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _cert_extremes(poly, delta):
-    """Max P on the left plateau, min P on the right one, max |P| and the
-    point count, all on _cert_grid(delta).
-
-    None of them depends on eta, so a polynomial judged again at another
-    eta evaluates nothing.
-    """
-    vals = poly.eval(_cert_grid(delta))
-    return (float(np.max(vals[:_PLATEAU_POINTS])), float(np.min(vals[-_PLATEAU_POINTS:])),
-            float(np.max(np.abs(vals))), vals.size)
-
-
-def verify_bounds(poly, spec):
-    """Certify the step bounds for poly from its extremes on _cert_grid."""
-    low_max, high_min, peak, size = _cert_extremes(poly, spec.delta)
-    return BoundReport(max_low_violation=low_max - spec.eta / 2.0,
-                       max_high_violation=(1.0 - spec.eta / 2.0) - high_min,
-                       max_abs_excess=peak - 1.0, grid_size=size)
-
-
-# ---------------------------------------------------------------------------
-# Builder internals.  The step is produced as P(x) = (1 + q(x)) / 2 where q
-# is an odd polynomial with |q| <= 1 on [-1, 1] and q >= 1 - eta on
-# [delta, 1]; oddness makes the left-plateau condition automatic.
 
 
 def _edge_grid(degree):
@@ -264,26 +232,49 @@ def _rescale_grid(delta):
     return grid
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _step_from_odd(odd, delta):
-    """Map an odd sign-like q, its coefficient tuple odd, to the step (1 + q)/2.
+def _grid_points(delta, degree):
+    """The points x >= 0 of the certification grid, which is their ±x.
 
-    q is evaluated by the parity-split recurrence, which is exactly odd,
-    on |x| of a uniform BOX_GRID_POINTS grid over [-1, 1] and on the
-    plateau, window and edge grids; the rescale makes |q| <= 1 at every
-    one of those points.  A search rescales only a candidate that passes
-    the plateau probe, once per (odd, delta).  Only the edge grid depends
-    on the degree, and is appended to the per-delta points as it is: a
-    point it repeats cannot change the peak.
+    The edge grid is appended as it is: a point it repeats changes no extreme.
+    """
+    return np.concatenate([_rescale_grid(delta), _edge_grid(degree)])
+
+
+def verify_bounds(poly, spec):
+    """Certify the step bounds for poly from its values on the ±grid.
+
+    poly is evaluated by ChebPoly.eval at ±x for every x of
+    _grid_points(spec.delta, poly.degree); the plateaus are |x| >= delta.
+    The builder judges its candidates by _judge instead.
+    """
+    points = _grid_points(spec.delta, poly.degree)
+    vals = poly.eval(np.concatenate([-points, points]))
+    left, right = vals[:points.size], vals[points.size:]
+    plateau = points >= spec.delta
+    return BoundReport(max_low_violation=float(np.max(left[plateau])) - spec.eta / 2.0,
+                       max_high_violation=(1.0 - spec.eta / 2.0) - float(np.min(right[plateau])),
+                       max_abs_excess=float(np.max(np.abs(vals))) - 1.0, grid_size=vals.size)
+
+
+# ---------------------------------------------------------------------------
+# Builder internals.  The step is produced as P(x) = (1 + q(x)) / 2 where q
+# is an odd polynomial with |q| <= 1 on [-1, 1] and q >= 1 - eta on
+# [delta, 1]; oddness makes the left-plateau condition automatic.
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _odd_extremes(odd, delta):
+    """max|q|, min q over the points >= delta, and the ±grid's point count.
+
+    q, given as its coefficient tuple odd, is evaluated once per
+    (odd, delta) on _grid_points(delta, d).  The parity-split recurrence is
+    exactly odd, so q(-x) = -q(x) and these are q's extremes on the ±grid.
+    None of them depends on eta.
     """
     coeffs = np.asarray(odd)
-    d = coeffs.size - 1
-    grid = np.concatenate([_rescale_grid(delta), _edge_grid(d)])
-    peak = float(np.max(np.abs(_clenshaw_split(grid, *_split_halves(coeffs)))))
-    step = np.zeros(d + 1)
-    step[0] = 0.5
-    step[1::2] = 0.5 * _scale_for(peak) * coeffs[1::2]
-    return ChebPoly(step)
+    points = _grid_points(delta, coeffs.size - 1)
+    q = _clenshaw_split(points, *_split_halves(coeffs))
+    return float(np.max(np.abs(q))), float(np.min(q[points >= delta])), 2 * points.size
 
 
 def _scale_for(peak):
@@ -291,34 +282,72 @@ def _scale_for(peak):
     return 1.0 if peak <= 1.0 else (1.0 - 1e-13) / peak
 
 
-# Stride of the plateau probe through the right plateau of _cert_grid.
+def _step_from_odd(odd, delta):
+    """Map an odd sign-like q, its coefficient tuple odd, to the step (1 + s q)/2.
+
+    s = _scale_for(max|q|) on the grid points (_odd_extremes), so |s q| <= 1
+    at every point of the ±grid.  The work beyond that memo is O(d).
+    """
+    coeffs = np.asarray(odd)
+    step = np.zeros(coeffs.size)
+    step[0] = 0.5
+    step[1::2] = 0.5 * _scale_for(_odd_extremes(odd, delta)[0]) * coeffs[1::2]
+    return ChebPoly(step)
+
+
+def _judge(odd, spec):
+    """The BoundReport of q's step, read off q's extremes on the ±grid.
+
+    With h = 0.5 s the step is P = 0.5 + h q: its left-plateau maximum is
+    0.5 - h min q, its right-plateau minimum 0.5 + h min q and its peak
+    |P| is 0.5 + h max|q|, all over the points >= delta.  verify_bounds on
+    _step_from_odd(odd, delta) evaluates P itself on the same points, so
+    the two differ only by rounding: h times the Clenshaw sum of q against
+    the Clenshaw sum of the coefficients h c_k, each off by at most about
+    (d + 1)^2 u sum|h c_k|, u = 2^-53, plus an ulp in each final
+    difference; grid_size is equal.  Over the 395 candidates judged by the
+    acceptance sweep, the delta = 0.2 frontier and test_build_scan's 125
+    builds, the fields agree to 2.6e-14 and no verdict differs.
+    """
+    peak, q_min, size = _odd_extremes(odd, spec.delta)
+    h = 0.5 * _scale_for(peak)
+    return BoundReport(max_low_violation=(0.5 - h * q_min) - spec.eta / 2.0,
+                       max_high_violation=(1.0 - spec.eta / 2.0) - (0.5 + h * q_min),
+                       max_abs_excess=(0.5 + h * peak) - 1.0, grid_size=size)
+
+
+# Stride of the plateau probe through the uniform plateau grid.
 _PROBE_STRIDE = 4
 
 
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _plateau_probe(delta):
-    """Read-only view of every _PROBE_STRIDE-th right-plateau point, from delta."""
-    return _cert_grid(delta)[-_PLATEAU_POINTS::_PROBE_STRIDE]
+    """Read-only every _PROBE_STRIDE-th point of the uniform plateau grid, from delta."""
+    probe = np.linspace(delta, 1.0, _PLATEAU_POINTS)[::_PROBE_STRIDE]
+    probe.flags.writeable = False
+    return probe
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _probe_top(odd, delta):
-    """Upper bound on the certified right-plateau minimum of q's step.
+    """Upper bound on the judged right-plateau minimum of q's step.
 
     q, given as its coefficient tuple odd, is evaluated once per
-    (odd, delta) on _plateau_probe(delta).  Those points belong to
-    _rescale_grid(delta) as well, and the evaluation is elementwise, so the
-    probe's max|q| is at most the rescale's peak; rounded division is
-    monotone, so the rescale's factor s is at most s_up = _scale_for(probe's
-    max|q|).  The probe's argmin of q is a point of the certification
-    grid's right plateau, where the step is at most
-    0.5 + 0.5 s_up max(min q, 0) up to rounding.  A candidate whose top
-    misses 1 - eta/2 by more than GRID_TOL has a max_high_violation above
-    GRID_TOL, so _Search.try_odd rejects it.  The slack 8 (d + 1)^2 u sum|c_k|,
-    u = 2^-53, covers the rounding of the step's coefficients 0.5 s c_k, of
-    this comparison and of the two parity-split Clenshaw sums (q here, the
-    step in verify_bounds), whose errors at |x| <= 1 grow like
-    (d + 1)^2 u sum|c_k|.  On the acceptance sweep it is at most 1.1e-9,
-    and every rejection misses by at least 1.9e-5.
+    (odd, delta) on _plateau_probe(delta).  Those points lie on the plateau
+    of _grid_points(delta, d), and the evaluation is elementwise, so there
+    q takes the same floats as in _odd_extremes: the probe's max|q| is at
+    most the judged peak, so _judge's factor s is at most s_up =
+    _scale_for(probe's max|q|) (rounded division is monotone), and the
+    probe's min q is at least the judged one.  Rounded products and sums
+    are monotone too, so _judge's right-plateau minimum 0.5 + 0.5 s min q
+    is at most 0.5 + 0.5 s_up max(min q, 0).  A candidate whose top misses
+    1 - eta/2 by more than GRID_TOL thus has a judged max_high_violation
+    above GRID_TOL, and _Search.try_odd rejects it.  The slack
+    8 (d + 1)^2 u sum|c_k|, u = 2^-53, covers the rounding of the
+    subtractions from 1 - eta/2, and also that of verify_bounds on the
+    step, whose own Clenshaw sum differs from _judge's by rounding (see
+    _judge).  On the acceptance sweep it is at most 1.1e-9, and every
+    rejection misses by at least 1.9e-5.
     """
     coeffs = np.asarray(odd)
     q = _clenshaw_split(_plateau_probe(delta), *_split_halves(coeffs))
@@ -343,8 +372,8 @@ class _Search:
     Each certified candidate has a lower degree than any before it, so it
     replaces best outright; with stop_at_first, the first one raises
     _Certified instead.  A candidate is q's coefficient tuple, and a
-    failure, rejected by the probe or by verify_bounds, is kept as it is;
-    least_bad computes their reports, which only a CapacityError needs.
+    failure, rejected by the probe or by _judge, is kept as it is;
+    least_bad judges them, which only a CapacityError needs.
     """
 
     def __init__(self, spec, stop_at_first=False):
@@ -355,20 +384,18 @@ class _Search:
 
     def try_odd(self, odd):
         delta, eta = self.spec.delta, self.spec.eta
-        if not _probe_top(odd, delta) < 1.0 - eta / 2.0 - GRID_TOL:
-            step = _step_from_odd(odd, delta)
-            if verify_bounds(step, self.spec).passes:
-                self.best = step
-                if self.stop_at_first:
-                    raise _Certified
-                return True
+        if not _probe_top(odd, delta) < 1.0 - eta / 2.0 - GRID_TOL \
+                and _judge(odd, self.spec).passes:
+            self.best = _step_from_odd(odd, delta)
+            if self.stop_at_first:
+                raise _Certified
+            return True
         self.failures.append(odd)
         return False
 
     def least_bad(self):
         """The failure with the smallest summed excess, the first on ties."""
-        return min((verify_bounds(_step_from_odd(f, self.spec.delta), self.spec)
-                    for f in self.failures), key=_badness)
+        return min((_judge(f, self.spec) for f in self.failures), key=_badness)
 
 
 def _erf_odd_terms(k, m_lo, m_hi):
@@ -698,9 +725,9 @@ def min_eta_for_degree(delta, degree):
     it, and the probe is True exactly when the build returns.  The minimax
     path then fits only the degree it tries first, the largest odd one
     within the budget that has a fit.  Neither that fit nor the ramp
-    depends on eta: each is fitted, probed, rescaled and evaluated on the
-    certification grid once per (delta, degree), and every later probe
-    judges it again in O(1).  Probes add nothing to the build cache.
+    depends on eta: each is fitted, probed and evaluated for its extremes
+    once per (delta, degree), and every later probe judges it again in
+    O(1).  Probes add nothing to the build cache.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")

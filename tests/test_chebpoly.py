@@ -100,9 +100,11 @@ def test_constructor_takes_any_1d_sequence():
 
 @pytest.mark.parametrize("coeffs", [[], [[0.5]], (0.5, math.nan), (math.inf,),
                                     np.zeros((1, 2)), 0.5, np.array([0.5, 1 + 1j]),
-                                    [1j], [object()], ["a"]],
+                                    [1j], [object()], ["a"], ["0.5"],
+                                    np.array(["0.5", "1"]), [b"0.5"]],
                          ids=["empty", "2-D", "nan", "inf", "2-D array", "scalar",
-                              "complex array", "complex", "object", "string"])
+                              "complex array", "complex", "object", "string",
+                              "numeric string", "string array", "bytes"])
 def test_constructor_refuses_what_is_not_a_finite_1d_sequence(coeffs):
     with pytest.raises(ValueError, match="nonempty 1-D sequence of finite numbers"):
         ChebPoly(coeffs)
@@ -127,16 +129,15 @@ def test_box_bound_certified_not_enforced_on_construction():
 
 def _clear_candidate_caches():
     for memo in (chebpoly._build_cached, chebpoly._minimax_fit, chebpoly._probe_top,
-                 chebpoly._step_from_odd, chebpoly._cert_extremes):
+                 chebpoly._odd_extremes):
         memo.cache_clear()
 
 
-_MEMOS = {"probes": chebpoly._probe_top, "rescales": chebpoly._step_from_odd,
-          "extremes": chebpoly._cert_extremes}
+_MEMOS = {"probes": chebpoly._probe_top, "extremes": chebpoly._odd_extremes}
 
 
 def _memo_misses():
-    """Misses so far of the probe, rescale and certificate-extremes memos."""
+    """Misses so far of the probe and extremes memos."""
     return Counter({name: memo.cache_info().misses for name, memo in _MEMOS.items()})
 
 
@@ -147,11 +148,12 @@ def _probe_rejects(odd, spec):
 
 def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     """Each candidate, the ramp included, is probed once per delta; a
-    survivor is then evaluated once for its rescale and once for
-    certification, a rejected one for neither.  A candidate judged again,
-    the ramp or a minimax fit at a later frontier probe, or a whole pass
-    repeated, evaluates nothing.  Counts are memo misses, so a call that the
-    memo answers counts as no work."""
+    survivor is then evaluated once more, for its extremes, from which it is
+    both judged and rescaled; a rejected one is not.  A candidate judged
+    again, the ramp or a minimax fit at a later frontier probe, or a whole
+    pass repeated, evaluates nothing, and the builder never calls
+    verify_bounds.  Counts are memo misses, so a call that the memo answers
+    counts as no work."""
     counts = Counter()
 
     def counted(name, fn):
@@ -168,6 +170,7 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
 
     monkeypatch.setattr(chebpoly, "verify_bounds",
                         counted("certifications", chebpoly.verify_bounds))
+    monkeypatch.setattr(chebpoly, "_judge", counted("judgments", chebpoly._judge))
     try_odd = chebpoly._Search.try_odd
     outcomes = Counter()
 
@@ -183,11 +186,10 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
             probed = Counter(probes=1, evals=1) if seen["probes"] else Counter()
             if _probe_rejects(odd, search.spec):
                 outcome, want = "rejected", probed
-            elif seen["rescales"]:
-                outcome, want = "survived", probed + Counter(
-                    rescales=1, extremes=1, certifications=1, evals=2)
+            elif seen["extremes"]:
+                outcome, want = "survived", probed + Counter(extremes=1, judgments=1, evals=1)
             else:
-                outcome, want = "judged again", Counter(certifications=1)
+                outcome, want = "judged again", Counter(judgments=1)
             assert seen == want
             outcomes[outcome] += 1
 
@@ -197,32 +199,34 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     alpha_schedule(0.5, 0.05, 1.0)
     # the ramp and one erf truncation are rejected on the probe
     assert outcomes == Counter(rejected=2, survived=3)
-    assert work() - start == Counter(probes=5, rescales=3, extremes=3, certifications=3,
-                                     evals=5 + 2 * 3)
+    assert work() - start == Counter(probes=5, extremes=3, judgments=3, evals=5 + 3)
 
-    # 30 judgments over the frontier's 15 eta probes: the ramp at each, the
+    # 30 tries over the frontier's 15 eta probes: the ramp at each, the
     # degree-21 fit at 7 and erf truncations at 8.  A repeated pass finds
-    # every probe, rescale and certificate in the memos.
-    for probes, rescales, again in ((6, 5, 6), (0, 0, 11)):
+    # every probe and every extremes entry in the memos.
+    for probes, extremes, again in ((6, 5, 6), (0, 0, 11)):
         start = work()
         outcomes.clear()
         min_eta_for_degree(0.2, 21)
-        assert work() - start == Counter(probes=probes, rescales=rescales, extremes=rescales,
-                                         certifications=11, evals=probes + 2 * rescales)
-        assert outcomes == Counter({"rejected": 19, "survived": rescales, "judged again": again})
+        assert work() - start == Counter(probes=probes, extremes=extremes, judgments=11,
+                                         evals=probes + extremes)
+        assert outcomes == Counter({"rejected": 19, "survived": extremes, "judged again": again})
 
 
 @pytest.mark.parametrize("delta", (0.2, 0.05, 0.0123, 0.7071, 0.99))
 def test_plateau_probe_lies_on_both_grids(delta):
+    """The probe is every fourth point of the uniform plateau grid, and
+    each point lies on the rescale grid and on the judged plateau."""
     probe = chebpoly._plateau_probe(delta)
-    plateau = chebpoly._cert_grid(delta)[-chebpoly._PLATEAU_POINTS:]
     assert probe.size == 1000 and probe[0] == delta
-    assert np.shares_memory(probe, chebpoly._cert_grid(delta))
+    assert np.array_equal(probe, np.linspace(delta, 1.0, 4000)[::4])
+    assert probe is chebpoly._plateau_probe(delta)
     assert not probe.flags.writeable
-    # exact float equality: the probe's max|q| bounds the rescale's peak,
-    # and its min bounds the certified plateau's
+    # exact float equality: the probe's max|q| bounds the judged peak, and
+    # its min bounds the judged plateau's
     assert np.all(np.isin(probe, chebpoly._rescale_grid(delta)))
-    assert np.all(np.isin(probe, plateau))
+    points = chebpoly._grid_points(delta, 41)
+    assert np.all(np.isin(probe, points[points >= delta]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -231,15 +235,17 @@ def test_plateau_probe_lies_on_both_grids(delta):
        half_degree=st.integers(0, 300))
 def test_probe_rejects_only_candidates_that_fail_certification(
         log_delta, log_eta, log_frac, k_factor, half_degree):
-    """Oracle: verify_bounds on the rescaled step.  The steepness k is the
-    erf path's for an eta * frac plateau loss, spread by k_factor."""
+    """Oracles: the judgment, and verify_bounds on the rescaled step.  The
+    steepness k is the erf path's for an eta * frac plateau loss, spread by
+    k_factor."""
     spec = StepSpec(10.0 ** log_delta, 10.0 ** log_eta)
     k = k_factor * float(chebpoly.erfcinv(spec.eta * 10.0 ** log_frac)) / spec.delta
     odd = tuple(chebpoly._erf_odd_coeffs(k, 2 * half_degree + 1).tolist())
     if _probe_rejects(odd, spec):
-        report = verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)
-        assert report.max_high_violation > chebpoly.GRID_TOL
-        assert not report.passes
+        for report in (chebpoly._judge(odd, spec),
+                       verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)):
+            assert report.max_high_violation > chebpoly.GRID_TOL
+            assert not report.passes
 
 
 @settings(max_examples=150, deadline=None)
@@ -248,26 +254,59 @@ def test_probe_rejects_only_candidates_that_fail_certification(
        log_miss=st.floats(-16.0, -3.0))
 def test_probe_is_sound_at_the_certification_threshold(
         log_delta, log_frac, half_degree, sign, log_miss):
-    """eta is set from the step's own plateau minimum so that certification
-    misses by sign * 10^log_miss past GRID_TOL: rejections within rounding
-    of the threshold must still fail verify_bounds."""
+    """eta is set from the judged plateau minimum of the step so that the
+    judgment misses by sign * 10^log_miss past GRID_TOL: rejections within
+    rounding of the threshold must still fail the judgment and
+    verify_bounds."""
     delta = 10.0 ** log_delta
     k = float(chebpoly.erfcinv(10.0 ** log_frac)) / delta
     odd = tuple(chebpoly._erf_odd_coeffs(k, 2 * half_degree + 1).tolist())
-    step = chebpoly._step_from_odd(odd, delta)
-    low = float(np.min(step.eval(chebpoly._cert_grid(delta)[-chebpoly._PLATEAU_POINTS:])))
+    peak, q_min, _ = chebpoly._odd_extremes(odd, delta)
+    low = 0.5 + 0.5 * chebpoly._scale_for(peak) * q_min
     eta = 2.0 * (1.0 - chebpoly.GRID_TOL - low - sign * 10.0 ** log_miss)
     assume(0.0 < eta < 1.0)
     spec = StepSpec(delta, eta)
     if _probe_rejects(odd, spec):
+        assert chebpoly._judge(odd, spec).max_high_violation > chebpoly.GRID_TOL
+        step = chebpoly._step_from_odd(odd, delta)
         assert verify_bounds(step, spec).max_high_violation > chebpoly.GRID_TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_delta=st.floats(-2.5, -0.05), log_eta=st.floats(-4.0, -0.01),
+       log_frac=st.floats(-6.0, -0.01), k_factor=st.floats(0.5, 2.0),
+       half_degree=st.integers(0, 200), erf=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), size=st.floats(0.5, 3.0))
+def test_judgment_agrees_with_verify_bounds_on_the_step(
+        log_delta, log_eta, log_frac, k_factor, half_degree, erf, seed, size):
+    """Oracle: verify_bounds on the rescaled step, which evaluates the step
+    itself.  Candidates of degree <= 401 are erf truncations, with the
+    steepness of test_probe_rejects_only_candidates_that_fail_certification,
+    or random odd series with sum|c_k| = size.  A tail that the rescale
+    would round to zero is trimmed, so the step keeps q's degree."""
+    spec = StepSpec(10.0 ** log_delta, 10.0 ** log_eta)
+    if erf:
+        k = k_factor * float(chebpoly.erfcinv(spec.eta * 10.0 ** log_frac)) / spec.delta
+        coeffs = chebpoly._erf_odd_coeffs(k, 2 * half_degree + 1)
+    else:
+        coeffs = np.zeros(2 * half_degree + 2)
+        coeffs[1::2] = np.random.default_rng(seed).normal(size=half_degree + 1) \
+            / np.arange(1, 2 * half_degree + 2, 2)
+        coeffs *= size / np.sum(np.abs(coeffs))
+    coeffs[np.abs(coeffs) < 1e-300] = 0.0
+    odd = tuple(np.trim_zeros(coeffs, "b").tolist())
+    judged = chebpoly._judge(odd, spec)
+    report = verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)
+    assert (judged.grid_size, judged.passes) == (report.grid_size, report.passes)
+    for field in ("max_low_violation", "max_high_violation", "max_abs_excess"):
+        assert abs(getattr(judged, field) - getattr(report, field)) <= 1e-12
 
 
 def test_least_bad_matches_an_eager_fold_over_every_failure():
     """Failures' reports are computed late; least_bad still picks what a
-    strict-< fold of each failure's report, in the order tried, picks.
+    strict-< fold of each failure's judgment, in the order tried, picks.
     Across the seeds the pick is sometimes a candidate the probe rejected
-    and sometimes one verify_bounds rejected."""
+    and sometimes one the judgment rejected."""
 
     def badness(r):
         return max(r.max_low_violation, 0.0) + max(r.max_high_violation, 0.0) \
@@ -286,7 +325,7 @@ def test_least_bad_matches_an_eager_fold_over_every_failure():
                 odd = tuple(chebpoly._erf_odd_coeffs(float(rng.uniform(1.0, 40.0)),
                                                      2 * int(rng.integers(0, 40)) + 1).tolist())
             search.try_odd(odd)
-            report = verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)
+            report = chebpoly._judge(odd, spec)
             if not report.passes:
                 assert search.failures[fails] is odd
                 if eager is None or badness(report) < eager[0]:
@@ -316,8 +355,7 @@ def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
         build_step_approx(spec, max_degree=5)
     ramp, fit = tried
     assert list(ramp) == [0.0, 1.0] and len(fit) == 6
-    reports = [verify_bounds(chebpoly._step_from_odd(f, spec.delta), spec)
-               for f in tried]
+    reports = [chebpoly._judge(f, spec) for f in tried]
     assert reports[0].max_low_violation == pytest.approx(0.0757, abs=1e-4)
     assert reports[0].max_high_violation == pytest.approx(0.0757, abs=1e-4)
     assert info.value.report == reports[1]
@@ -328,17 +366,19 @@ def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
 
 def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
     """Work counts over the 5x5 sweep grid: the probe rejects 90 of the 163
-    candidates, the 25 ramps among them, before their rescale, and the
-    73 survivors are each rescaled and certified once.  The ramp is probed
-    once per delta, and the sweep has 5 deltas, so 143 probes are made.
-    A cold eta frontier at delta 0.2, degrees 1, 3, 7, 15 and 21, probes,
-    rescales and evaluates 10 candidates for its 43 certifications: the
-    bisections over eta of two degrees meet the same erf truncations, which
-    the memos hold."""
-    verify = chebpoly.verify_bounds
+    candidates, the 25 ramps among them, before their extremes, and the
+    73 survivors are each evaluated once more, for the extremes that judge
+    and rescale them.  The ramp is probed once per delta, and the sweep has
+    5 deltas, so 143 probes are made.  A cold eta frontier at delta 0.2,
+    degrees 1, 3, 7, 15 and 21, probes and evaluates 10 candidates for its
+    43 judgments: the bisections over eta of two degrees meet the same erf
+    truncations, which the memos hold.  Neither calls verify_bounds."""
+    verify, judge = chebpoly.verify_bounds, chebpoly._judge
     calls = Counter()
     monkeypatch.setattr(chebpoly, "verify_bounds",
                         lambda *args: calls.update(["certifications"]) or verify(*args))
+    monkeypatch.setattr(chebpoly, "_judge",
+                        lambda *args: calls.update(["judgments"]) or judge(*args))
 
     def cold_misses(run):
         _clear_candidate_caches()
@@ -355,23 +395,24 @@ def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
         for degree in (1, 3, 7, 15, 21):
             min_eta_for_degree(0.2, degree)
 
-    assert cold_misses(sweep) == Counter(probes=143, rescales=73, extremes=73,
-                                         certifications=73)
-    assert cold_misses(frontier) == Counter(probes=10, rescales=10, extremes=10,
-                                            certifications=43)
+    assert cold_misses(sweep) == Counter(probes=143, extremes=73, judgments=73)
+    assert cold_misses(frontier) == Counter(probes=10, extremes=10, judgments=43)
 
 
-def _verify_bounds_three_grids(poly, spec):
-    """verify_bounds as three evaluations, one per plateau or window grid."""
-    left = np.linspace(-1.0, -spec.delta, 4000)
-    mid = np.linspace(-spec.delta, spec.delta, 2001)
-    right = np.linspace(spec.delta, 1.0, 4000)
-    pl, pm, pr = poly.eval(left), poly.eval(mid), poly.eval(right)
+def _verify_bounds_on_the_pm_grid(poly, spec):
+    """verify_bounds as two evaluations by ChebPoly.eval, at -x and at x,
+    over the grid points x built here from their four pieces."""
+    xs = np.concatenate([np.unique(np.concatenate([
+        np.abs(np.linspace(-1.0, 1.0, 10_000)), np.linspace(spec.delta, 1.0, 4000),
+        np.linspace(0.0, spec.delta, 201)])),
+        np.cos(np.linspace(0.0, math.pi / 2.0, min(4 * poly.degree + 65, 4097)))])
+    pl, pr = poly.eval(-xs), poly.eval(xs)
+    plateau = xs >= spec.delta
     return chebpoly.BoundReport(
-        max_low_violation=float(np.max(pl) - spec.eta / 2.0),
-        max_high_violation=float((1.0 - spec.eta / 2.0) - np.min(pr)),
-        max_abs_excess=float(np.max(np.abs(np.concatenate([pl, pm, pr]))) - 1.0),
-        grid_size=left.size + mid.size + right.size)
+        max_low_violation=float(np.max(pl[plateau])) - spec.eta / 2.0,
+        max_high_violation=(1.0 - spec.eta / 2.0) - float(np.min(pr[plateau])),
+        max_abs_excess=float(max(np.max(np.abs(pl)), np.max(np.abs(pr)))) - 1.0,
+        grid_size=2 * xs.size)
 
 
 def _step_over_unique_grid(odd_coeffs, delta):
@@ -399,14 +440,15 @@ def _assert_certification_unchanged(odd_coeffs, spec):
     poly = chebpoly._step_from_odd(tuple(np.asarray(odd_coeffs).tolist()), spec.delta)
     assert poly.coeffs == ChebPoly(
         _step_over_unique_grid(odd_coeffs, spec.delta)).coeffs
-    assert verify_bounds(poly, spec) == _verify_bounds_three_grids(poly, spec)
+    assert verify_bounds(poly, spec) == _verify_bounds_on_the_pm_grid(poly, spec)
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_certification_on_per_delta_grids_is_exact_for_seeded_candidates(seed):
     """Random odd series of degree <= 400, half of them erf truncations that
-    overshoot 1 slightly, certify with the same floats as three separate
-    evaluations and a per-candidate np.unique would give."""
+    overshoot 1 slightly, rescale with the same floats as a per-candidate
+    np.unique would give, and certify with the same floats as two separate
+    evaluations on the ±grid."""
     rng = np.random.default_rng(seed)
     delta = float(rng.choice([0.2, 0.05, rng.uniform(0.002, 0.9)]))
     degree = 2 * int(rng.integers(0, 200)) + 1
@@ -420,7 +462,7 @@ def test_certification_on_per_delta_grids_is_exact_for_seeded_candidates(seed):
     _assert_certification_unchanged(odd, StepSpec(delta, eta))
     raw = ChebPoly(odd)
     assert verify_bounds(raw, StepSpec(delta, eta)) \
-        == _verify_bounds_three_grids(raw, StepSpec(delta, eta))
+        == _verify_bounds_on_the_pm_grid(raw, StepSpec(delta, eta))
 
 
 @pytest.mark.parametrize("alpha", (0.0, 0.25, 0.5, 0.75, 1.0))
@@ -429,17 +471,19 @@ def test_certification_on_per_delta_grids_is_exact_for_sweep_schedules(alpha):
         sched = alpha_schedule(alpha, eps, 1.0)
         spec = StepSpec(sched.delta, sched.eta)
         assert verify_bounds(sched.poly, spec) \
-            == _verify_bounds_three_grids(sched.poly, spec)
+            == _verify_bounds_on_the_pm_grid(sched.poly, spec)
         odd = 2.0 * np.asarray(sched.poly.coeffs)
         odd[0::2] = 0.0
         _assert_certification_unchanged(odd, spec)
 
 
 def test_per_delta_grids_are_shared_and_read_only():
-    assert chebpoly._cert_grid(0.2) is chebpoly._cert_grid(0.2)
-    assert chebpoly._cert_grid(0.2).size == verify_bounds(
-        ChebPoly([0.5, 0.5]), StepSpec(0.2, 0.5)).grid_size == 10_001
-    for grid in (chebpoly._cert_grid(0.2), chebpoly._rescale_grid(0.2)):
+    """The ramp's ±grid: the 11,707 rescale points at delta 0.2 and the 69
+    edge points of degree 1, each at -x and at x."""
+    assert chebpoly._rescale_grid(0.2) is chebpoly._rescale_grid(0.2)
+    assert 2 * (chebpoly._rescale_grid(0.2).size + 69) == verify_bounds(
+        ChebPoly([0.5, 0.5]), StepSpec(0.2, 0.5)).grid_size == 23_552
+    for grid in (chebpoly._rescale_grid(0.2), chebpoly._plateau_probe(0.2)):
         with pytest.raises(ValueError, match="read-only"):
             grid[0] = 0.0
 
@@ -737,13 +781,13 @@ def test_high_degree_builds_are_small_and_search_short(monkeypatch):
     assert sched.degree == 675
 
     calls = []
-    verify = chebpoly.verify_bounds
+    judge = chebpoly._judge
 
-    def counting(poly, spec):
-        calls.append(poly.degree)
-        return verify(poly, spec)
+    def counting(odd, spec):
+        calls.append(len(odd) - 1)
+        return judge(odd, spec)
 
-    monkeypatch.setattr(chebpoly, "verify_bounds", counting)
+    monkeypatch.setattr(chebpoly, "_judge", counting)
     chebpoly._build_cached.cache_clear()
     assert alpha_schedule(0.0, 0.003125, 1.0).degree == 1349
     assert len(calls) <= 25

@@ -140,7 +140,7 @@ def test_poly_capacity_can_report_a_minimax_fit(capsys):
         "capacity: no certified step polynomial of degree <= 3 for "
         "delta=0.45, eta=0.02; least-bad candidate: "
         "max_low_violation 0.09098409750873733 max_high_violation "
-        "0.090984097508737261 max_abs_excess -4.6497830030745035e-09\n")
+        "0.090984097508737261 max_abs_excess -7.1654016053912528e-11\n")
 
 
 def test_poly_certifies_the_degree_3_minimax_fit_just_below_its_t_star(capsys):

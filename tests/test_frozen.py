@@ -39,7 +39,7 @@ def test_poly_build_with_its_files(capsys, tmp_path, monkeypatch):
                "curve.csv": sha256((tmp_path / "curve.csv").read_bytes()),
                "poly.txt": sha256((tmp_path / "poly.txt").read_bytes())}
     assert digests == {
-        "stdout": "ccd21cddf93ec3dc2500148d53509ab9a941e6907e128854e4d6864d6047b4cc",
+        "stdout": "f654bed70a5e995f9d22ee027c5ec97498acad6fa111cf798038b08740bb5191",
         "curve.csv": "94cbd93c8da56dabb6fb96bfcf55720f69771d26d3a0ebacc37898c8e9dba883",
         "poly.txt": "f4d4c901fb06112f1acf6cf32fcb4fd980a179bdd48b037eaa20fc89955d3e82",
     }
@@ -98,7 +98,7 @@ def test_build_scan():
              for cap in (3, 9, 21, 61, 4096)]
     assert sum(line.startswith("capacity") for line in lines) == 47
     assert sha256("\n".join(lines).encode()) == (
-        "d8aad982fbeea25f3393e5d8f1ab8a7baa4238fe810490588d01d2a26c1d965f")
+        "19171d405126eac4324a721cbf7b641fd6808f6df5b9f14fde1499d6965d4c3e")
 
 
 def test_random_builds():
@@ -116,7 +116,7 @@ def test_random_builds():
         lines.append(_scan_line(delta, eta, int(rng.choice(caps))))
     assert sum(line.startswith("capacity") for line in lines) == 29
     assert sha256("\n".join(lines).encode()) == (
-        "496440e47c99bf04faa613a8be572e0b20c576efac14cb250599b95352ce23b1")
+        "bbc983527fbb6ab53bc69e32c312ff7ee21f0c8cb4b28ee1123e9c659e03fd34")
 
 
 def test_eta_frontier_table():

@@ -37,14 +37,14 @@ def test_workload_pass_meets_its_checks(workloads, name, ops, failed, depth):
 def test_clearing_the_caches_makes_a_frontier_degree_cold_again(workloads, monkeypatch):
     """Every memo a frontier degree fills is a cache that the benchmark's
     clear_polynomial_caches empties, so no warm memo counts as a gain: after
-    it, min_eta_for_degree(0.2, 21) fits, probes, rescales and evaluates as much as
-    it did cold, and more than a warm rerun does."""
+    it, min_eta_for_degree(0.2, 21) fits, probes, takes extremes and evaluates as
+    much as it did cold, and more than a warm rerun does."""
     counts = Counter()
-    evaluate = chebpoly.ChebPoly.eval
-    monkeypatch.setattr(chebpoly.ChebPoly, "eval",
-                        lambda poly, x: counts.update(["evals"]) or evaluate(poly, x))
+    evaluate = chebpoly._clenshaw_split
+    monkeypatch.setattr(chebpoly, "_clenshaw_split",
+                        lambda *args: counts.update(["evals"]) or evaluate(*args))
     memos = {"fits": chebpoly._minimax_fit, "probes": chebpoly._probe_top,
-             "rescales": chebpoly._step_from_odd}
+             "extremes": chebpoly._odd_extremes}
 
     def misses():
         return Counter({name: memo.cache_info().misses for name, memo in memos.items()})
@@ -59,5 +59,5 @@ def test_clearing_the_caches_makes_a_frontier_degree_cold_again(workloads, monke
         runs.append(counts + misses() - before)
     cold, warm, again = runs
     assert again == cold and cold["fits"] == 1
-    assert warm["fits"] == 0 and warm["rescales"] < cold["rescales"]
+    assert warm["fits"] == 0 and warm["extremes"] < cold["extremes"]
     assert warm["evals"] < cold["evals"]
