@@ -39,16 +39,18 @@ _NEWTON_STEPS = 6
 _LEVEL_TOL = 1e-9
 _ROUNDING = 4e-15
 _MAX_SPREAD = 1e-3
+# The eta frontier fits up to this degree.  A fit's memory grows as d^2:
+# on a shared 2-core machine one peaked at 57 MB in 0.5 s at (delta 0.2,
+# degree 801) and at 88 MB in 10 s at (0.01, 1201).
+_FRONTIER_MAX_DEGREE = 801
 # Entries kept by each builder memo.  A cold 5x5 acceptance sweep leaves
 # 25 builds, 143 probes and 73 extremes; a cold eta frontier at degrees 1,
-# 3, 7, 15 and 21 leaves 4 minimax fits, 10 probes and 10 extremes.  A
+# 3, 7, 15 and 21 leaves 5 minimax fits, no probes and 5 extremes.  A
 # probe or extremes entry holds its key, about 32 bytes per coefficient,
 # and a few floats; a build entry holds its step.
 _CACHE_SIZE = 256
 # Deltas whose rescale grid and plateau probe are kept, about 2.0 MB.
 _GRID_CACHE_SIZE = 16
-# Width of the eta interval at which min_eta_for_degree stops bisecting.
-_ETA_TOL = 1e-4
 # Rows of the x,P(x) curve that `qsvtsim poly --emit` writes.
 _CURVE_ROWS = 1000
 
@@ -362,23 +364,17 @@ def _badness(report):
         + max(report.max_high_violation, 0.0) + max(report.max_abs_excess, 0.0)
 
 
-class _Certified(Exception):
-    """Ends a search that stops at its first certified candidate."""
-
-
 class _Search:
     """Tracks the best certified candidate and every failure, in order.
 
     Each certified candidate has a lower degree than any before it, so it
-    replaces best outright; with stop_at_first, the first one raises
-    _Certified instead.  A candidate is q's coefficient tuple, and a
+    replaces best outright.  A candidate is q's coefficient tuple, and a
     failure, rejected by the probe or by _judge, is kept as it is;
     least_bad judges them, which only a CapacityError needs.
     """
 
-    def __init__(self, spec, stop_at_first=False):
+    def __init__(self, spec):
         self.spec = spec
-        self.stop_at_first = stop_at_first
         self.best = None
         self.failures = []
 
@@ -387,8 +383,6 @@ class _Search:
         if not _probe_top(odd, delta) < 1.0 - eta / 2.0 - GRID_TOL \
                 and _judge(odd, self.spec).passes:
             self.best = _step_from_odd(odd, delta)
-            if self.stop_at_first:
-                raise _Certified
             return True
         self.failures.append(odd)
         return False
@@ -625,6 +619,21 @@ def _minimax_fit(delta, degree):
     return t_star, tuple(full.tolist())
 
 
+def _largest_fit_degree(delta, limit):
+    """The largest odd degree <= limit that has a minimax fit, or 1.
+
+    The exchange cannot level once E nears float64 rounding, which happens
+    from some degree on (from 21 at delta 0.9, from 53 at 0.45).  When the
+    fit at the largest odd degree is None, a bisection of the None fits
+    finds the first of them, and the odd degree below it is returned;
+    degree 1 is taken to have a fit.
+    """
+    hi = limit if limit % 2 else limit - 1
+    if hi > 1 and _minimax_fit(delta, hi) is None:
+        hi = _bisect_odd(lambda d: _minimax_fit(delta, d) is None, 1, hi) - 2
+    return hi
+
+
 def _minimax_path(search, limit):
     """Bisect the smallest odd degree whose minimax fit certifies.
 
@@ -635,11 +644,7 @@ def _minimax_path(search, limit):
     leaves room for candidates that certify on the grids yet overshoot 1
     between grid points.  It runs only when no other path certified, and
     search.try_odd alone judges each fit, as it does every candidate.
-
-    The exchange cannot level once E nears float64 rounding, which happens
-    from some degree on (from 21 at delta 0.9, from 53 at 0.45).  When the
-    fit at hi is None, hi first drops to the largest odd degree that has a
-    fit, found by a bisection of the None fits, which take milliseconds.
+    The bisection runs below the largest odd degree that has a fit.
     """
     spec = search.spec
     hi = min(limit, _MINIMAX_MAX_DEGREE)
@@ -647,10 +652,9 @@ def _minimax_path(search, limit):
         hi -= 1
     if hi < 3 or hi * math.asin(spec.delta) < (1.0 - spec.eta) / 2.0:
         return
-    if _minimax_fit(spec.delta, hi) is None:
-        hi = _bisect_odd(lambda d: _minimax_fit(spec.delta, d) is None, 1, hi) - 2
-        if hi < 3:
-            return
+    hi = _largest_fit_degree(spec.delta, hi)
+    if hi < 3:
+        return
 
     def feasible(d):
         fit = _minimax_fit(spec.delta, d)
@@ -659,27 +663,24 @@ def _minimax_path(search, limit):
     _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 
 
-def _run_search(spec, max_degree, stop_at_first=False):
+def _run_search(spec, max_degree):
     """Run the ramp, the erf path and the minimax path; return the _Search.
 
-    The search keeps lowering the certified degree, or with stop_at_first
-    ends at the first certified candidate, leaving it as best.
+    Each path runs only while nothing has certified, and the erf path keeps
+    lowering the certified degree, so best is the lowest-degree step found.
     """
-    search = _Search(spec, stop_at_first)
-    try:
-        # Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2.  It
-        # is optimal among affine candidates and certifies exactly when
-        # eta >= 1 - delta.
-        search.try_odd((0.0, 1.0))
-        if search.best is None:
-            _erf_path(search, max_degree)
-        if search.best is None:
-            # The kernel path found nothing under the cap.  That happens
-            # when the cap is tight relative to 1/delta, where the best
-            # uniform fit on the plateau still has a shot at a certificate.
-            _minimax_path(search, max_degree)
-    except _Certified:
-        pass
+    search = _Search(spec)
+    # Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2.  It
+    # is optimal among affine candidates and certifies exactly when
+    # eta >= 1 - delta.
+    search.try_odd((0.0, 1.0))
+    if search.best is None:
+        _erf_path(search, max_degree)
+    if search.best is None:
+        # The kernel path found nothing under the cap.  That happens
+        # when the cap is tight relative to 1/delta, where the best
+        # uniform fit on the plateau still has a shot at a certificate.
+        _minimax_path(search, max_degree)
     return search
 
 
@@ -712,44 +713,32 @@ def degree_constant(poly, spec):
 
 
 def min_eta_for_degree(delta, degree):
-    """Smallest eta, to within _ETA_TOL, feasible at the given degree.
+    """Smallest eta certified at the given degree, read off the minimax fit.
 
-    Feasibility is monotone in eta: any polynomial certified for eta also
-    certifies every larger eta, so plain bisection applies.
-
-    A probe asks whether build_step_approx(StepSpec(delta, eta), degree)
-    would return, that is whether any candidate certifies.  It runs the
-    builder's own search but stops at its first certified candidate, where
-    the build goes on to look for a lower degree.  No step before that
-    candidate depends on a later one, so the two take the same steps up to
-    it, and the probe is True exactly when the build returns.  The minimax
-    path then fits only the degree it tries first, the largest odd one
-    within the budget that has a fit.  Neither that fit nor the ramp
-    depends on eta: each is fitted, probed and evaluated for its extremes
-    once per (delta, degree), and every later probe judges it again in
-    O(1).  Probes add nothing to the build cache.
+    The fit is made at the largest odd degree <= min(degree,
+    _FRONTIER_MAX_DEGREE) that has one.  The eta returned is the fit's t*,
+    its sound plateau error, floored at 1e-9; it is within t*(fit) - t*(LP)
+    of the optimum, t*(LP) being the discrete minimax LP's lower bound.
+    Above _FRONTIER_MAX_DEGREE it stays certified, as a lower degree, but
+    no longer near the optimum.  Where there is no fit, or t* does not
+    undercut the ramp's eta 1 - delta, the ramp's eta, clamped to
+    [1e-9, 1 - 1e-9], is returned.  The candidate, fit or ramp, is judged
+    once at that eta, and a failed judgment raises CapacityError: no
+    uncertified eta is returned.  Nothing is built.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    limit = int(degree)
-
-    def feasible(eta):
-        search = _run_search(StepSpec(delta, eta), limit, stop_at_first=True)
-        return search.best is not None
-
-    # The ramp certifies at hi for every delta in (0, 1): its excesses are
-    # (1e-9 - delta)/2 twice and 0, all within GRID_TOL.
-    hi = 1.0 - 1e-9
-    lo = 1e-9
-    if feasible(lo):
-        return lo
-    while hi - lo > _ETA_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    spec = StepSpec(delta, min(max(1.0 - delta, 1e-9), 1.0 - 1e-9))
+    odd = (0.0, 1.0)
+    limit = min(int(degree), _FRONTIER_MAX_DEGREE)
+    fit = _minimax_fit(delta, _largest_fit_degree(delta, limit))
+    if fit is not None and fit[0] < spec.eta:
+        spec, odd = StepSpec(delta, max(1e-9, fit[0])), fit[1]
+    report = _judge(odd, spec)
+    if not report.passes:
+        raise CapacityError(f"the degree-{len(odd) - 1} step does not certify at its "
+                            f"eta={spec.eta!r} for delta={delta!r}", report=report)
+    return spec.eta
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared pytest wiring: one summary line per acceptance-marked test, and
-the benchmark's workloads loaded by path.
+the benchmark's workloads and step checker loaded by path.
 
 Capture in pytest grabs the stdout file descriptor itself, so tests
 cannot reliably print verdicts; instead the marked results are collected
@@ -20,6 +20,12 @@ def _load(name):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.fixture(scope="module")
+def certify():
+    """perfbench/certify.py, the benchmark's Newton-refined step checker."""
+    return _load("certify")
 
 
 @pytest.fixture(scope="module")

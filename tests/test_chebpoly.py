@@ -149,11 +149,11 @@ def _probe_rejects(odd, spec):
 def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     """Each candidate, the ramp included, is probed once per delta; a
     survivor is then evaluated once more, for its extremes, from which it is
-    both judged and rescaled; a rejected one is not.  A candidate judged
-    again, the ramp or a minimax fit at a later frontier probe, or a whole
-    pass repeated, evaluates nothing, and the builder never calls
-    verify_bounds.  Counts are memo misses, so a call that the memo answers
-    counts as no work."""
+    both judged and rescaled; a rejected one is not.  The eta frontier
+    judges its one candidate, a minimax fit, without a search or a probe.
+    A candidate judged again or a whole pass repeated evaluates nothing,
+    and the builder never calls verify_bounds.  Counts are memo misses, so
+    a call that the memo answers counts as no work."""
     counts = Counter()
 
     def counted(name, fn):
@@ -179,19 +179,18 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
 
     def try_odd_checked(search, odd):
         before = work()
-        try:
-            return try_odd(search, odd)
-        finally:  # a frontier probe's search raises at its certification
-            seen = work() - before
-            probed = Counter(probes=1, evals=1) if seen["probes"] else Counter()
-            if _probe_rejects(odd, search.spec):
-                outcome, want = "rejected", probed
-            elif seen["extremes"]:
-                outcome, want = "survived", probed + Counter(extremes=1, judgments=1, evals=1)
-            else:
-                outcome, want = "judged again", Counter(judgments=1)
-            assert seen == want
-            outcomes[outcome] += 1
+        certified = try_odd(search, odd)
+        seen = work() - before
+        probed = Counter(probes=1, evals=1) if seen["probes"] else Counter()
+        if _probe_rejects(odd, search.spec):
+            outcome, want = "rejected", probed
+        elif seen["extremes"]:
+            outcome, want = "survived", probed + Counter(extremes=1, judgments=1, evals=1)
+        else:
+            outcome, want = "judged again", Counter(judgments=1)
+        assert seen == want
+        outcomes[outcome] += 1
+        return certified
 
     monkeypatch.setattr(chebpoly._Search, "try_odd", try_odd_checked)
     _clear_candidate_caches()
@@ -201,16 +200,14 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     assert outcomes == Counter(rejected=2, survived=3)
     assert work() - start == Counter(probes=5, extremes=3, judgments=3, evals=5 + 3)
 
-    # 30 tries over the frontier's 15 eta probes: the ramp at each, the
-    # degree-21 fit at 7 and erf truncations at 8.  A repeated pass finds
-    # every probe and every extremes entry in the memos.
-    for probes, extremes, again in ((6, 5, 6), (0, 0, 11)):
+    # One judgment of the degree-21 fit, whose extremes a repeated pass
+    # finds in the memo; the frontier tries nothing through a search.
+    for extremes in (1, 0):
         start = work()
         outcomes.clear()
         min_eta_for_degree(0.2, 21)
-        assert work() - start == Counter(probes=probes, extremes=extremes, judgments=11,
-                                         evals=probes + extremes)
-        assert outcomes == Counter({"rejected": 19, "survived": extremes, "judged again": again})
+        assert work() - start == Counter(extremes=extremes, judgments=1, evals=extremes)
+        assert not outcomes
 
 
 @pytest.mark.parametrize("delta", (0.2, 0.05, 0.0123, 0.7071, 0.99))
@@ -370,9 +367,9 @@ def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
     73 survivors are each evaluated once more, for the extremes that judge
     and rescale them.  The ramp is probed once per delta, and the sweep has
     5 deltas, so 143 probes are made.  A cold eta frontier at delta 0.2,
-    degrees 1, 3, 7, 15 and 21, probes and evaluates 10 candidates for its
-    43 judgments: the bisections over eta of two degrees meet the same erf
-    truncations, which the memos hold.  Neither calls verify_bounds."""
+    degrees 1, 3, 7, 15 and 21, probes nothing and judges 5 candidates
+    once each: the ramp at degree 1 and the four fits.  Neither calls
+    verify_bounds."""
     verify, judge = chebpoly.verify_bounds, chebpoly._judge
     calls = Counter()
     monkeypatch.setattr(chebpoly, "verify_bounds",
@@ -396,7 +393,7 @@ def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
             min_eta_for_degree(0.2, degree)
 
     assert cold_misses(sweep) == Counter(probes=143, extremes=73, judgments=73)
-    assert cold_misses(frontier) == Counter(probes=10, extremes=10, judgments=43)
+    assert cold_misses(frontier) == Counter(extremes=5, judgments=5)
 
 
 def _verify_bounds_on_the_pm_grid(poly, spec):
@@ -625,8 +622,7 @@ def test_build_rejects_degree_budget_below_one():
 
 # Smallest certified degree under a tight cap, or None for CapacityError,
 # frozen from the builder before its unreachable branches were deleted.
-# _minimax_path certifies 4 of these 27 builds, (delta, eta, max_degree) =
-# (0.07, 0.3, 21), (0.07, 0.6, 9), (0.2, 0.6, 3) and (0.45, 0.3, 3).
+# _minimax_path certifies 4 of these 27 builds, _MINIMAX_CERTIFIED_BUILDS.
 _TIGHT_CAP_DEGREES = {
     (0.07, 0.1): (None, None, None),
     (0.07, 0.3): (None, None, 19),
@@ -638,6 +634,8 @@ _TIGHT_CAP_DEGREES = {
     (0.45, 0.3): (3, 5, 5),
     (0.45, 0.6): (1, 1, 1),
 }
+# (delta, eta, max_degree)
+_MINIMAX_CERTIFIED_BUILDS = ((0.07, 0.3, 21), (0.07, 0.6, 9), (0.2, 0.6, 3), (0.45, 0.3, 3))
 
 
 @pytest.mark.parametrize("delta, eta", sorted(_TIGHT_CAP_DEGREES))
@@ -746,10 +744,11 @@ def test_one_coefficient_skip_fires_only_when_the_start_degree_passes_the_cap(
         assert d0 > cap
 
 
-def test_cold_frontier_builds_few_erf_vectors(monkeypatch):
-    """At delta 0.2, degrees 1, 3, 7, 15 and 21, the frontier's erf path
-    passes the rough-degree check 148 times; one coefficient rules out 132
-    of those steepnesses, so 16 coefficient vectors are built."""
+def test_tight_cap_builds_make_few_erf_vectors(monkeypatch):
+    """The four cold tight-cap builds that certify a minimax fit pass the
+    erf path's rough-degree check 6 times; one coefficient rules out 4 of
+    those steepnesses, so 2 coefficient vectors are built."""
+    _clear_candidate_caches()
     counts = Counter()
     over_cap, build = chebpoly._tail_over_cap, chebpoly._erf_odd_coeffs
 
@@ -761,9 +760,9 @@ def test_cold_frontier_builds_few_erf_vectors(monkeypatch):
     monkeypatch.setattr(chebpoly, "_tail_over_cap", counted_over_cap)
     monkeypatch.setattr(chebpoly, "_erf_odd_coeffs",
                         lambda *args: counts.update(["built"]) or build(*args))
-    for degree in (1, 3, 7, 15, 21):
-        min_eta_for_degree(0.2, degree)
-    assert counts == Counter(checked=148, skipped=132, built=16)
+    for delta, eta, cap in _MINIMAX_CERTIFIED_BUILDS:
+        build_step_approx(StepSpec(delta, eta), max_degree=cap)
+    assert counts == Counter(checked=6, skipped=4, built=2)
 
 
 def test_high_degree_builds_are_small_and_search_short(monkeypatch):
@@ -809,17 +808,56 @@ def test_subnormal_eta_ends_in_capacity_without_warnings():
 @given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                  st.floats(-300.0, -1e-3).map(lambda e: 10.0 ** e)))
 def test_ramp_certifies_as_eta_approaches_one(delta):
-    """min_eta_for_degree starts its bisection at eta = 1 - 1e-9, where the
-    ramp's excesses are (1e-9 - delta)/2 twice and 0, so it never fails."""
+    """At eta = 1 - 1e-9, the top of the frontier's range, the ramp's
+    excesses are (1e-9 - delta)/2 twice and 0, so it never fails."""
     ramp = chebpoly._step_from_odd((0.0, 1.0), delta)
     assert ramp == ChebPoly((0.5, 0.5))
     assert verify_bounds(ramp, StepSpec(delta, 1.0 - 1e-9)).passes
     assert 1e-9 <= min_eta_for_degree(delta, 1) <= 1.0 - 1e-9
 
 
+def _judged_frontier(monkeypatch, delta, degree):
+    """min_eta_for_degree(delta, degree) and the (odd, spec, report) of
+    each judgment it makes."""
+    judge, judged = chebpoly._judge, []
+
+    def recording(odd, spec):
+        judged.append((odd, spec, judge(odd, spec)))
+        return judged[-1][2]
+
+    monkeypatch.setattr(chebpoly, "_judge", recording)
+    eta = min_eta_for_degree(delta, degree)
+    monkeypatch.undo()
+    return eta, judged
+
+
+@settings(max_examples=100, deadline=None)
+@example(5e-324, 1)
+@example(2.5e-310, 5)
+@example(1e-300, 21)
+@example(5e-324, 21)
+@example(1.0 - 2.0 ** -53, 3)
+@example(1.0 - 2.0 ** -53, 21)
+@given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                 st.floats(-300.0, -1e-3).map(lambda e: 10.0 ** e)),
+       st.sampled_from((1, 3, 5, 21)))
+def test_frontier_eta_stays_in_range_and_is_judged_once(delta, degree):
+    """Across the whole delta range, subnormal deltas and 1 - 2^-53 too,
+    the eta lies in [1e-9, 1 - 1e-9] and one passing judgment at it
+    confirms it: 1 - 1e-9 where 1 - delta rounds to 1, 1e-9 near 1."""
+    with pytest.MonkeyPatch.context() as mp:
+        eta, judged = _judged_frontier(mp, delta, degree)
+    assert 1e-9 <= eta <= 1.0 - 1e-9
+    [(_, spec, report)] = judged
+    assert spec == StepSpec(delta, eta) and report.passes
+    if delta < 1e-16:
+        assert eta == 1.0 - 1e-9
+    if delta == 1.0 - 2.0 ** -53:
+        assert eta == 1e-9
+
+
 def test_min_eta_degree_one_boundary():
-    eta = min_eta_for_degree(0.2, 1)
-    assert 0.8 - 1e-4 <= eta <= 0.8 + 1e-4
+    assert min_eta_for_degree(0.2, 1) == 1.0 - 0.2
     with pytest.raises(ValueError, match="degree must be at least 1"):
         min_eta_for_degree(0.2, 0)
 
@@ -835,10 +873,27 @@ def test_min_eta_nonincreasing_in_degree():
     assert values[0] >= values[1] >= values[2]
 
 
+def test_frontier_strictly_decreases_to_degree_61():
+    """An eta bisected to a fixed width saturated here: it printed
+    6.1036e-05 at both 51 and 61."""
+    etas = [min_eta_for_degree(0.2, d) for d in range(1, 62, 2)]
+    assert all(a > b for a, b in zip(etas, etas[1:])), etas
+
+
+def test_frontier_fits_no_degree_above_its_cap(monkeypatch):
+    """Above _FRONTIER_MAX_DEGREE the frontier reads the cap's fit, whose
+    step certifies at the higher degree too, and fits nothing above it."""
+    monkeypatch.setattr(chebpoly, "_FRONTIER_MAX_DEGREE", 21)
+    fit, fitted = chebpoly._minimax_fit, []
+    monkeypatch.setattr(chebpoly, "_minimax_fit",
+                        lambda delta, degree: fitted.append(degree) or fit(delta, degree))
+    assert min_eta_for_degree(0.2, 4096) == min_eta_for_degree(0.2, 21)
+    assert max(fitted) == 21
+
+
 def test_frontier_fits_each_minimax_once():
-    """Each eta probe stops at its first certified candidate, so the minimax
-    path only ever fits the frontier degree itself, once for every probe, and
-    the probes build nothing into the build cache."""
+    """A frontier degree fits the largest odd degree up to it, once, and
+    builds nothing into the build cache."""
     chebpoly._build_cached.cache_clear()
     chebpoly._minimax_fit.cache_clear()
     min_eta_for_degree(0.2, 21)
@@ -846,26 +901,36 @@ def test_frontier_fits_each_minimax_once():
     min_eta_for_degree(0.2, 15)
     assert chebpoly._minimax_fit.cache_info().misses == 2
     assert chebpoly._minimax_fit.cache_info().currsize == 2
-    min_eta_for_degree(0.2, 15)  # infeasible probes rerun the minimax path
+    min_eta_for_degree(0.2, 15)
     assert chebpoly._minimax_fit.cache_info().misses == 2
     assert chebpoly._build_cached.cache_info().currsize == 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.02, 0.6), st.floats(0.005, 0.95),
-       st.sampled_from(range(1, 16, 2)))
-def test_first_certification_probe_agrees_with_the_build(delta, eta, degree):
-    """The eta probe's stop-at-first search certifies a candidate exactly
-    when the full build returns, and finds none exactly when it raises."""
-    spec = StepSpec(delta, eta)
-    found = chebpoly._run_search(spec, degree, stop_at_first=True).best
-    try:
-        build_step_approx(spec, max_degree=degree)
-    except CapacityError:
-        assert found is None
-        return
-    assert found is not None
-    assert found.degree <= degree and verify_bounds(found, spec).passes
+@pytest.mark.parametrize("delta", (0.1, 0.2, 0.3, 0.45))
+def test_printed_frontier_steps_pass_the_newton_refined_certificate(monkeypatch, certify, delta):
+    """At odd d <= 21 the step judged at the printed eta, and the build at
+    that eta under a degree-d cap, both hold between grid points."""
+    for degree in range(1, 22, 2):
+        eta, [(odd, _, _)] = _judged_frontier(monkeypatch, delta, degree)
+        assert certify.certify(chebpoly._step_from_odd(odd, delta).coeffs, delta, eta).passes
+        poly = build_step_approx(StepSpec(delta, eta), max_degree=degree)
+        assert poly.degree <= degree, degree
+        assert certify.certify(poly.coeffs, delta, eta).passes, degree
+
+
+def test_a_failed_confirmation_raises(monkeypatch):
+    """A fit whose t* lies 1e-6 below the plateau error its step holds is
+    refused, not printed."""
+    fit = chebpoly._minimax_fit
+
+    def optimistic(delta, degree):
+        t_star, coeffs = fit(delta, degree)
+        return t_star - 1e-6, coeffs
+
+    monkeypatch.setattr(chebpoly, "_minimax_fit", optimistic)
+    with pytest.raises(CapacityError, match="does not certify") as info:
+        min_eta_for_degree(0.2, 21)
+    assert info.value.report.max_high_violation == pytest.approx(5e-7, rel=1e-3)
 
 
 def _full_grid_lp(delta, degree):
@@ -1068,8 +1133,8 @@ def test_no_lp_is_solved(monkeypatch):
     monkeypatch.setattr(chebpoly, "linprog", refuse)
     chebpoly._build_cached.cache_clear()
     chebpoly._minimax_fit.cache_clear()
-    assert min_eta_for_degree(0.2, 21) == float.fromhex("0x1.4600021ad12b8p-7")
-    for delta, eta, cap in ((0.07, 0.3, 21), (0.07, 0.6, 9), (0.2, 0.6, 3), (0.45, 0.3, 3)):
+    assert min_eta_for_degree(0.2, 21) == float.fromhex("0x1.45829b014ea40p-7")
+    for delta, eta, cap in _MINIMAX_CERTIFIED_BUILDS:
         got = build_step_approx(StepSpec(delta, eta), max_degree=cap).degree
         assert got == _TIGHT_CAP_DEGREES[delta, eta][(3, 9, 21).index(cap)]
     assert chebpoly._minimax_fit.cache_info().misses >= 5

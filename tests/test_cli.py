@@ -64,12 +64,19 @@ def test_poly_min_eta_mode(capsys):
                                   "--degree", "1,3,7,15,21"])
     assert rc == 0
     assert out.splitlines() == [
-        "degree 1 min_eta 0.80004882752490225",
-        "degree 3 min_eta 0.54846191396557609",
-        "degree 7 min_eta 0.23248291069128418",
-        "degree 15 min_eta 0.038146973579956056",
-        "degree 21 min_eta 0.0099487314488525408",
+        "degree 1 min_eta 0.80000000000000004",
+        "degree 3 min_eta 0.54842426197227967",
+        "degree 7 min_eta 0.23245972294587447",
+        "degree 15 min_eta 0.038097258701717429",
+        "degree 21 min_eta 0.0099337822781438989",
     ]
+
+
+def test_poly_min_eta_does_not_saturate(capsys):
+    """An eta bisected to a width of 1e-4 printed 6.1036e-05 at both degrees."""
+    rc, out, _ = run_cli(capsys, ["poly", "--delta", "0.2", "--degree", "51,61"])
+    assert (rc, out.splitlines()) == (0, ["degree 51 min_eta 1.5278634201809638e-05",
+                                          "degree 61 min_eta 1.8498074622064209e-06"])
 
 
 @pytest.mark.parametrize("degrees, bad", [
@@ -371,8 +378,8 @@ def test_repeated_list_flags_accumulate(capsys):
     """A list flag given twice extends its list; neither use is dropped."""
     rc, out, _ = run_cli(capsys, ["poly", "--delta", "0.2", "--degree", "1",
                                   "--degree", "3"])
-    assert (rc, out.splitlines()) == (0, ["degree 1 min_eta 0.80004882752490225",
-                                          "degree 3 min_eta 0.54846191396557609"])
+    assert (rc, out.splitlines()) == (0, ["degree 1 min_eta 0.80000000000000004",
+                                          "degree 3 min_eta 0.54842426197227967"])
     head = ["sweep", "--builtin", "diag:0.5,-0.25", "--out", "-"]
     rc, out, _ = run_cli(capsys, [*head, "--alphas", "0", "0.5", "--alphas", "1",
                                   "--eps-list", "0.25", "--eps-list", "0.2"])

@@ -125,4 +125,4 @@ def test_eta_frontier_table():
     lines = [chebpoly.min_eta_for_degree(delta, d).hex()
              for delta in (0.1, 0.3, 0.45) for d in range(1, 22, 2)]
     assert sha256("\n".join(lines).encode()) == (
-        "05b974cfbfdec2f3b674bd0a3f85d9195bf75e60bf0126807b01eb65c6c82e05")
+        "1226728cd9f5404416d3a879b20368d5f46e6df9df16544b09170faba392635a")

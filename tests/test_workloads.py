@@ -37,8 +37,8 @@ def test_workload_pass_meets_its_checks(workloads, name, ops, failed, depth):
 def test_clearing_the_caches_makes_a_frontier_degree_cold_again(workloads, monkeypatch):
     """Every memo a frontier degree fills is a cache that the benchmark's
     clear_polynomial_caches empties, so no warm memo counts as a gain: after
-    it, min_eta_for_degree(0.2, 21) fits, probes, takes extremes and evaluates as
-    much as it did cold, and more than a warm rerun does."""
+    it, min_eta_for_degree(0.2, 21) fits, takes extremes and evaluates as much
+    as it did cold, and more than a warm rerun does."""
     counts = Counter()
     evaluate = chebpoly._clenshaw_split
     monkeypatch.setattr(chebpoly, "_clenshaw_split",
