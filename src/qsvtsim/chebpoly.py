@@ -39,7 +39,8 @@ _NEWTON_STEPS = 6
 _LEVEL_TOL = 1e-9
 _ROUNDING = 4e-15
 _MAX_SPREAD = 1e-3
-# The eta frontier fits up to this degree.  A fit's memory grows as d^2:
+# The eta frontier fits up to this degree; above it, it answers only where
+# the fit here reaches the 1e-9 floor.  A fit's memory grows as d^2:
 # on a shared 2-core machine one peaked at 57 MB in 0.5 s at (delta 0.2,
 # degree 801) and at 88 MB in 10 s at (0.01, 1201).
 _FRONTIER_MAX_DEGREE = 801
@@ -663,8 +664,9 @@ def _minimax_path(search, limit):
     _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 
 
-def _run_search(spec, max_degree):
-    """Run the ramp, the erf path and the minimax path; return the _Search.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _build_cached(spec, max_degree):
+    """Run the ramp, the erf path and the minimax path; return the best step.
 
     Each path runs only while nothing has certified, and the erf path keeps
     lowering the certified degree, so best is the lowest-degree step found.
@@ -681,12 +683,6 @@ def _run_search(spec, max_degree):
         # when the cap is tight relative to 1/delta, where the best
         # uniform fit on the plateau still has a shot at a certificate.
         _minimax_path(search, max_degree)
-    return search
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _build_cached(spec, max_degree):
-    search = _run_search(spec, max_degree)
     if search.best is None:  # the ramp's report is among the failures
         raise CapacityError(
             f"no certified step polynomial of degree <= {max_degree} "
@@ -715,16 +711,22 @@ def degree_constant(poly, spec):
 def min_eta_for_degree(delta, degree):
     """Smallest eta certified at the given degree, read off the minimax fit.
 
-    The fit is made at the largest odd degree <= min(degree,
-    _FRONTIER_MAX_DEGREE) that has one.  The eta returned is the fit's t*,
-    its sound plateau error, floored at 1e-9; it is within t*(fit) - t*(LP)
-    of the optimum, t*(LP) being the discrete minimax LP's lower bound.
-    Above _FRONTIER_MAX_DEGREE it stays certified, as a lower degree, but
-    no longer near the optimum.  Where there is no fit, or t* does not
+    The fit is made at the largest odd degree <= degree that has one.  The
+    eta returned is the fit's t*, its sound plateau error, floored at 1e-9;
+    it is within t*(fit) - t*(LP) of the optimum, t*(LP) being the discrete
+    minimax LP's lower bound.  Where there is no fit, or t* does not
     undercut the ramp's eta 1 - delta, the ramp's eta, clamped to
     [1e-9, 1 - 1e-9], is returned.  The candidate, fit or ramp, is judged
     once at that eta, and a failed judgment raises CapacityError: no
     uncertified eta is returned.  Nothing is built.
+
+    Fits stop at _FRONTIER_MAX_DEGREE.  Above it, only the 1e-9 floor is
+    returned, which no degree undercuts; any other eta read at the cap
+    raises ValueError, since the higher degree may reach lower.  The builder
+    fits only up to _MINIMAX_MAX_DEGREE, so above that an eta returned here
+    may not be buildable by build_step_approx at the same degree.  Above
+    about degree 400 the fit's last bits can depend on the BLAS thread
+    count.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -734,6 +736,10 @@ def min_eta_for_degree(delta, degree):
     fit = _minimax_fit(delta, _largest_fit_degree(delta, limit))
     if fit is not None and fit[0] < spec.eta:
         spec, odd = StepSpec(delta, max(1e-9, fit[0])), fit[1]
+    if degree > limit and spec.eta > 1e-9:
+        raise ValueError(f"min eta above degree {limit} is known only where the "
+                         f"degree-{limit} fit reaches the 1e-9 floor; at delta={delta!r} "
+                         f"it reaches {spec.eta!r}, and degree {degree} may reach lower")
     report = _judge(odd, spec)
     if not report.passes:
         raise CapacityError(f"the degree-{len(odd) - 1} step does not certify at its "

@@ -881,13 +881,18 @@ def test_frontier_strictly_decreases_to_degree_61():
 
 
 def test_frontier_fits_no_degree_above_its_cap(monkeypatch):
-    """Above _FRONTIER_MAX_DEGREE the frontier reads the cap's fit, whose
-    step certifies at the higher degree too, and fits nothing above it."""
+    """Above _FRONTIER_MAX_DEGREE the frontier fits nothing.  It returns
+    the 1e-9 floor where the cap's fit reaches it, and refuses the degree
+    where the cap's eta is higher, since the degree may reach lower."""
     monkeypatch.setattr(chebpoly, "_FRONTIER_MAX_DEGREE", 21)
     fit, fitted = chebpoly._minimax_fit, []
     monkeypatch.setattr(chebpoly, "_minimax_fit",
                         lambda delta, degree: fitted.append(degree) or fit(delta, degree))
-    assert min_eta_for_degree(0.2, 4096) == min_eta_for_degree(0.2, 21)
+    assert min_eta_for_degree(0.9, 21) == min_eta_for_degree(0.9, 4096) == 1e-9
+    eta = min_eta_for_degree(0.2, 21)
+    with pytest.raises(ValueError, match=rf"above degree 21 .* reaches {eta!r}, "
+                                         "and degree 23 may reach lower"):
+        min_eta_for_degree(0.2, 23)
     assert max(fitted) == 21
 
 

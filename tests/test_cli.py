@@ -79,6 +79,18 @@ def test_poly_min_eta_does_not_saturate(capsys):
                                           "degree 61 min_eta 1.8498074622064209e-06"])
 
 
+def test_poly_min_eta_above_the_fit_cap(capsys):
+    """Above degree 801 only the 1e-9 floor is printed; where the
+    degree-801 fit does not reach it, the degree is refused."""
+    rc, out, _ = run_cli(capsys, ["poly", "--delta", "0.2", "--degree", "4096"])
+    assert (rc, out) == (0, "degree 4096 min_eta 1.0000000000000001e-09\n")
+    rc, out, err = run_cli(capsys, ["poly", "--delta", "0.01", "--degree", "802"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: min eta above degree 801 is known only where the "
+                          "degree-801 fit reaches the 1e-9 floor; at delta=0.01 it "
+                          "reaches 0.0001794")
+
+
 @pytest.mark.parametrize("degrees, bad", [
     ("nan", "nan"), ("3,0", "0"), ("-1", "-1"), ("1e308", "1e308"), ("3,x,7", "x"),
 ])
