@@ -3,9 +3,10 @@
 Builds polynomials that stay within [0, eta/2] on [-1, -delta] and within
 [1 - eta/2, 1] on [delta, 1] while remaining bounded by 1 everywhere on
 [-1, 1], certifies those bounds on one grid of points ±x, and searches for
-the smallest degree that meets a given (delta, eta) target.  The search
-judges each candidate from a single evaluation of its odd part on the
-points x >= 0 of that grid.
+the smallest degree that meets a given (delta, eta) target.  A cheap plateau
+probe steers the search; the candidate it would return is then judged from
+a single evaluation of its odd part on the points x >= 0 of that grid, and
+a failed judgment reruns the search judging every probe survivor.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ _MAX_SPREAD = 1e-3
 # degree 801) and at 88 MB in 10 s at (0.01, 1201).
 _FRONTIER_MAX_DEGREE = 801
 # Entries kept by each builder memo.  A cold 5x5 acceptance sweep leaves
-# 25 builds, 143 probes and 73 extremes; a cold eta frontier at degrees 1,
+# 25 builds, 143 probes and 25 extremes; a cold eta frontier at degrees 1,
 # 3, 7, 15 and 21 leaves 5 minimax fits, no probes and 5 extremes.  A
 # probe or extremes entry holds its key, about 32 bytes per coefficient,
 # and a few floats; a build entry holds its step.
@@ -67,17 +68,17 @@ class CapacityError(RuntimeError):
 def _split_halves(coeffs):
     """Even-index and odd-index halves of a Chebyshev series as float lists.
 
-    Exact trailing zeros are trimmed from each half; the even half keeps at
-    least its constant term, so an evaluation always has the shape of x.
+    Each half is cut once, after its last nonzero entry, so exact trailing
+    zeros go; the even half keeps at least its constant term, so an
+    evaluation always has the shape of x.
     """
     arr = np.asarray(coeffs, dtype=float)
-    even = arr[0::2].tolist() or [0.0]
-    odd = arr[1::2].tolist()
-    while len(even) > 1 and even[-1] == 0.0:
-        even.pop()
-    while odd and odd[-1] == 0.0:
-        odd.pop()
-    return even, odd
+    halves = []
+    for half in (arr[0::2], arr[1::2]):
+        nonzero = np.flatnonzero(half)
+        halves.append(half[:nonzero[-1] + 1 if nonzero.size else 0].tolist())
+    even, odd = halves
+    return even or arr[:1].tolist() or [0.0], odd
 
 
 def _clenshaw_y(y, coeffs):
@@ -366,24 +367,29 @@ def _badness(report):
 
 
 class _Search:
-    """Tracks the best certified candidate and every failure, in order.
+    """Tracks the best accepted candidate and every failure, in order.
 
-    Each certified candidate has a lower degree than any before it, so it
-    replaces best outright.  A candidate is q's coefficient tuple, and a
+    A candidate is q's coefficient tuple.  Each accepted candidate has a
+    lower degree than any before it, so it replaces best outright.  A
     failure, rejected by the probe or by _judge, is kept as it is;
     least_bad judges them, which only a CapacityError needs.
     """
 
-    def __init__(self, spec):
+    def __init__(self, spec, judge_all):
         self.spec = spec
+        self.judge_all = judge_all
         self.best = None
         self.failures = []
 
     def try_odd(self, odd):
-        delta, eta = self.spec.delta, self.spec.eta
-        if not _probe_top(odd, delta) < 1.0 - eta / 2.0 - GRID_TOL \
-                and _judge(odd, self.spec).passes:
-            self.best = _step_from_odd(odd, delta)
+        """Accept odd when it survives the plateau probe.
+
+        Only with judge_all is a survivor judged as well, and accepted when
+        it passes; otherwise best is unjudged until _build_cached judges it.
+        """
+        if not _probe_top(odd, self.spec.delta) < 1.0 - self.spec.eta / 2.0 - GRID_TOL \
+                and (not self.judge_all or _judge(odd, self.spec).passes):
+            self.best = odd
             return True
         self.failures.append(odd)
         return False
@@ -474,7 +480,8 @@ def _erf_path(search, limit):
             continue
         k = float(erfcinv(plateau_err)) / delta
         rough = 2.0 * k * math.sqrt(max(math.log(4.0 / budget), 1.0))
-        cap = limit if search.best is None else min(limit, search.best.degree - 2)
+        # two below the degree of best, q's coefficient tuple
+        cap = limit if search.best is None else min(limit, len(search.best) - 3)
         if rough > 3.0 * cap:
             continue
         n_terms = max(int(math.ceil(12.2 * k)) + 96, 192)
@@ -643,8 +650,8 @@ def _minimax_path(search, limit):
     q(0) = 0 to q(delta) >= 1 - eta.  No degree up to hi can certify when
     hi asin(delta) < (1 - eta) / 2, and then no fit is made; the factor 2
     leaves room for candidates that certify on the grids yet overshoot 1
-    between grid points.  It runs only when no other path certified, and
-    search.try_odd alone judges each fit, as it does every candidate.
+    between grid points.  It runs only when no other path found a
+    candidate, and search.try_odd takes each fit as it does every candidate.
     The bisection runs below the largest odd degree that has a fit.
     """
     spec = search.spec
@@ -664,14 +671,14 @@ def _minimax_path(search, limit):
     _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _build_cached(spec, max_degree):
-    """Run the ramp, the erf path and the minimax path; return the best step.
+def _run_search(spec, max_degree, judge_all):
+    """Run the ramp, the erf path and the minimax path; return the search.
 
-    Each path runs only while nothing has certified, and the erf path keeps
-    lowering the certified degree, so best is the lowest-degree step found.
+    Each path runs only while nothing is best, and the erf path keeps
+    lowering the accepted degree, so best is the lowest-degree candidate
+    accepted.
     """
-    search = _Search(spec)
+    search = _Search(spec, judge_all)
     # Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2.  It
     # is optimal among affine candidates and certifies exactly when
     # eta >= 1 - delta.
@@ -683,11 +690,30 @@ def _build_cached(spec, max_degree):
         # when the cap is tight relative to 1/delta, where the best
         # uniform fit on the plateau still has a shot at a certificate.
         _minimax_path(search, max_degree)
+    return search
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _build_cached(spec, max_degree):
+    """Search for a step and judge only the candidate the search returns.
+
+    The first search is steered by the plateau probe alone.  A failed
+    judgment of its pick means the probe passed a candidate that the
+    judgment rejects, and the search reruns judging every probe survivor;
+    the candidates both searches try are probed once, from the memo.  So
+    every step returned has passed _judge.  A first
+    search that accepts nothing saw the probe reject every candidate, and
+    the probe rejects only what the judgment rejects, so its CapacityError
+    report is the one a judging search would give.
+    """
+    search = _run_search(spec, max_degree, judge_all=False)
+    if search.best is not None and not _judge(search.best, spec).passes:
+        search = _run_search(spec, max_degree, judge_all=True)
     if search.best is None:  # the ramp's report is among the failures
         raise CapacityError(
             f"no certified step polynomial of degree <= {max_degree} "
             f"for delta={spec.delta!r}, eta={spec.eta!r}", report=search.least_bad())
-    return search.best
+    return _step_from_odd(search.best, spec.delta)
 
 
 def build_step_approx(spec, max_degree=DEFAULT_MAX_DEGREE):

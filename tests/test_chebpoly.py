@@ -5,6 +5,7 @@ the Chebyshev recurrence into monomials, evaluate by nested
 multiplication) so the two code paths share no arithmetic.
 """
 
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -117,6 +118,24 @@ def test_parity_classification():
     assert ChebPoly([1.0]).parity == "even"
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 5e-324, math.nan]), max_size=12))
+def test_split_halves_cuts_where_popping_zeros_stops(coeffs):
+    """Oracle: each half popped one exact zero at a time, the even half
+    down to one entry.  The lists agree bit for bit, signed zeros and
+    NaNs included."""
+    even = [float(c) for c in coeffs[0::2]] or [0.0]
+    odd = [float(c) for c in coeffs[1::2]]
+    while len(even) > 1 and even[-1] == 0.0:
+        even.pop()
+    while odd and odd[-1] == 0.0:
+        odd.pop()
+    got = chebpoly._split_halves(coeffs)
+    assert [[c.hex() for c in half] for half in got] \
+        == [[c.hex() for c in half] for half in (even, odd)]
+    assert all(type(c) is float for half in got for c in half)
+
+
 def test_box_bound_certified_not_enforced_on_construction():
     poly = ChebPoly([0.0, 1.2])
     report = verify_bounds(poly, StepSpec(0.2, 0.5))
@@ -147,13 +166,16 @@ def _probe_rejects(odd, spec):
 
 
 def test_candidates_are_evaluated_once_before_certification(monkeypatch):
-    """Each candidate, the ramp included, is probed once per delta; a
-    survivor is then evaluated once more, for its extremes, from which it is
-    both judged and rescaled; a rejected one is not.  The eta frontier
-    judges its one candidate, a minimax fit, without a search or a probe.
-    A candidate judged again or a whole pass repeated evaluates nothing,
-    and the builder never calls verify_bounds.  Counts are memo misses, so
-    a call that the memo answers counts as no work."""
+    """Each candidate, the ramp included, is probed once per delta, and a
+    build's first search judges none of them: a survivor is accepted on the
+    probe alone.  The candidate the build returns is then evaluated once
+    more, for its extremes, from which it is both judged and rescaled.  In
+    a search that judges every survivor, a survivor is evaluated once more
+    and judged, and a rejected one is not.  The eta frontier judges its one
+    candidate, a minimax fit, without a search or a probe.  A candidate
+    judged again or a whole pass repeated evaluates nothing, and the
+    builder never calls verify_bounds.  Counts are memo misses, so a call
+    that the memo answers counts as no work."""
     counts = Counter()
 
     def counted(name, fn):
@@ -184,6 +206,8 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
         probed = Counter(probes=1, evals=1) if seen["probes"] else Counter()
         if _probe_rejects(odd, search.spec):
             outcome, want = "rejected", probed
+        elif not search.judge_all:
+            outcome, want = "accepted unjudged", probed
         elif seen["extremes"]:
             outcome, want = "survived", probed + Counter(extremes=1, judgments=1, evals=1)
         else:
@@ -195,10 +219,23 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     monkeypatch.setattr(chebpoly._Search, "try_odd", try_odd_checked)
     _clear_candidate_caches()
     start = work()
-    alpha_schedule(0.5, 0.05, 1.0)
-    # the ramp and one erf truncation are rejected on the probe
-    assert outcomes == Counter(rejected=2, survived=3)
-    assert work() - start == Counter(probes=5, extremes=3, judgments=3, evals=5 + 3)
+    sched = alpha_schedule(0.5, 0.05, 1.0)
+    # the ramp and one erf truncation are rejected on the probe; the
+    # degree-9 step returned is the only candidate judged
+    assert outcomes == Counter({"rejected": 2, "accepted unjudged": 3})
+    assert sched.degree == 9
+    assert work() - start == Counter(probes=5, extremes=1, judgments=1, evals=5 + 1)
+
+    # The same search judging every survivor: the returned candidate is
+    # judged again, the two others are evaluated for their extremes.
+    outcomes.clear()
+    start = work()
+    spec = StepSpec(sched.delta, sched.eta)
+    assert chebpoly._run_search(spec, chebpoly.DEFAULT_MAX_DEGREE, judge_all=True).best \
+        == chebpoly._run_search(spec, chebpoly.DEFAULT_MAX_DEGREE, judge_all=False).best
+    assert outcomes == Counter({"rejected": 4, "survived": 2, "judged again": 1,
+                                "accepted unjudged": 3})
+    assert work() - start == Counter(extremes=2, judgments=3, evals=2)
 
     # One judgment of the degree-21 fit, whose extremes a repeated pass
     # finds in the memo; the frontier tries nothing through a search.
@@ -302,8 +339,9 @@ def test_judgment_agrees_with_verify_bounds_on_the_step(
 def test_least_bad_matches_an_eager_fold_over_every_failure():
     """Failures' reports are computed late; least_bad still picks what a
     strict-< fold of each failure's judgment, in the order tried, picks.
-    Across the seeds the pick is sometimes a candidate the probe rejected
-    and sometimes one the judgment rejected."""
+    The search judges every survivor, as a build's rerun does, so across
+    the seeds the pick is sometimes a candidate the probe rejected and
+    sometimes one the judgment rejected."""
 
     def badness(r):
         return max(r.max_low_violation, 0.0) + max(r.max_high_violation, 0.0) \
@@ -313,7 +351,7 @@ def test_least_bad_matches_an_eager_fold_over_every_failure():
     for seed in range(12):
         rng = np.random.default_rng(seed)
         spec = StepSpec(float(rng.uniform(0.05, 0.4)), float(10 ** rng.uniform(-3.0, -0.5)))
-        search = chebpoly._Search(spec)
+        search = chebpoly._Search(spec, judge_all=True)
         eager, fails = None, 0
         for _ in range(12):
             if rng.random() < 0.3:  # q = u x, rescaled to the ramp when u > 1
@@ -361,11 +399,97 @@ def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
     assert reports[1].max_abs_excess <= 0.0
 
 
+def _recorded_searches(monkeypatch):
+    """The judge_all flag of each search a build runs, in order."""
+    run, searches = chebpoly._run_search, []
+
+    def recording(spec, max_degree, judge_all):
+        searches.append(judge_all)
+        return run(spec, max_degree, judge_all)
+
+    monkeypatch.setattr(chebpoly, "_run_search", recording)
+    return searches
+
+
+def _hex(poly):
+    return [c.hex() for c in poly.coeffs]
+
+
+@pytest.mark.parametrize("delta, eta, cap", [(0.2, 0.01, 4096), (0.05, 0.1, 4096),
+                                             (0.05, 0.7985613664386098, 5)])
+def test_a_failed_return_judgment_reruns_the_search(monkeypatch, delta, eta, cap):
+    """With a probe that rejects nothing, the first search accepts the
+    ramp, whose judgment at return fails.  The one rerun judges every
+    candidate, so it returns the unpatched build bit for bit, a step that
+    verify_bounds passes, or raises the unpatched CapacityError's report."""
+    spec = StepSpec(delta, eta)
+
+    def outcome():
+        chebpoly._build_cached.cache_clear()
+        try:
+            return build_step_approx(spec, max_degree=cap)
+        except CapacityError as exc:
+            return exc.report
+
+    want = outcome()
+    monkeypatch.setattr(chebpoly, "_probe_top", lambda odd, delta: math.inf)
+    searches = _recorded_searches(monkeypatch)
+    got = outcome()
+    assert searches == [False, True]
+    if isinstance(want, ChebPoly):
+        assert want.degree > 1 and _hex(got) == _hex(want)
+        assert verify_bounds(got, spec).passes
+    else:
+        assert got == want
+
+
+def test_the_degree_675_schedule_takes_the_rerun(monkeypatch):
+    """At alpha 0, eps 0.00625 the 1,000-point probe passes a candidate
+    whose judgment fails, so the first search's pick is refused and the
+    rerun builds the step whose coefficients tests/test_frozen.py pins."""
+    judge, refused = chebpoly._judge, []
+
+    def recording(odd, spec):
+        report = judge(odd, spec)
+        if not report.passes:
+            refused.append(len(odd) - 1)
+        return report
+
+    monkeypatch.setattr(chebpoly, "_judge", recording)
+    searches = _recorded_searches(monkeypatch)
+    chebpoly._build_cached.cache_clear()
+    sched = alpha_schedule(0.0, 0.00625, 1.0)
+    assert searches == [False, True]
+    assert sched.degree == 675 and refused and refused[0] < 675
+    text = "\n".join(float(c).hex() for c in sched.poly.coeffs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4d17f8140c1c26b56c61756a324307f21c987ac6e2a67a64420d2208845f0385")
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_delta=st.floats(-1.3, -0.05), log_eta=st.floats(-4.0, -0.01),
+       cap=st.integers(1, 201))
+def test_build_matches_the_search_that_judges_every_survivor(log_delta, log_eta, cap):
+    """Oracle: the rerun's search, which judges every probe survivor.  The
+    build, which judges only what its first search returns, gives the same
+    step bit for bit, or the same CapacityError report."""
+    spec = StepSpec(10.0 ** log_delta, 10.0 ** log_eta)
+    oracle = chebpoly._run_search(spec, cap, judge_all=True)
+    try:
+        poly = build_step_approx(spec, max_degree=cap)
+    except CapacityError as exc:
+        assert oracle.best is None and exc.report == oracle.least_bad()
+        return
+    assert oracle.best is not None
+    assert _hex(poly) == _hex(chebpoly._step_from_odd(oracle.best, spec.delta))
+
+
 def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
     """Work counts over the 5x5 sweep grid: the probe rejects 90 of the 163
-    candidates, the 25 ramps among them, before their extremes, and the
-    73 survivors are each evaluated once more, for the extremes that judge
-    and rescale them.  The ramp is probed once per delta, and the sweep has
+    candidates, the 25 ramps among them, and accepts the other 73 without
+    their extremes.  Only the 25 steps returned are evaluated once more,
+    for the extremes that judge and rescale them; each passes, so no
+    search reruns.  The ramp is probed once per delta, and the sweep has
     5 deltas, so 143 probes are made.  A cold eta frontier at delta 0.2,
     degrees 1, 3, 7, 15 and 21, probes nothing and judges 5 candidates
     once each: the ramp at degree 1 and the four fits.  Neither calls
@@ -392,7 +516,7 @@ def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
         for degree in (1, 3, 7, 15, 21):
             min_eta_for_degree(0.2, degree)
 
-    assert cold_misses(sweep) == Counter(probes=143, extremes=73, judgments=73)
+    assert cold_misses(sweep) == Counter(probes=143, extremes=25, judgments=25)
     assert cold_misses(frontier) == Counter(extremes=5, judgments=5)
 
 
@@ -1147,7 +1271,7 @@ def test_no_lp_is_solved(monkeypatch):
 
 def _minimax_candidates(eta):
     """The odd parts _minimax_path hands to certification at delta 0.2, degree <= 21."""
-    search = chebpoly._Search(StepSpec(0.2, eta))
+    search = chebpoly._Search(StepSpec(0.2, eta), judge_all=False)
     tried = []
     try_odd = search.try_odd
 
