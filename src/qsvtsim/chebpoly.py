@@ -48,8 +48,9 @@ _FRONTIER_MAX_DEGREE = 801
 # Entries kept by each builder memo.  A cold 5x5 acceptance sweep leaves
 # 25 builds, 143 probes and 25 extremes; a cold eta frontier at degrees 1,
 # 3, 7, 15 and 21 leaves 5 minimax fits, no probes and 5 extremes.  A
-# probe or extremes entry holds its key, about 32 bytes per coefficient,
-# and a few floats; a build entry holds its step.
+# probe or extremes entry holds its key, q's odd-index coefficients at
+# about 32 bytes each (16 bytes per unit of degree), and a few floats; a
+# build entry holds its step.
 _CACHE_SIZE = 256
 # Deltas whose rescale grid and plateau probe are kept, about 2.0 MB.
 _GRID_CACHE_SIZE = 16
@@ -270,14 +271,13 @@ def verify_bounds(poly, spec):
 def _odd_extremes(odd, delta):
     """max|q|, min q over the points >= delta, and the ±grid's point count.
 
-    q, given as its coefficient tuple odd, is evaluated once per
+    q, given as odd = (c_1, c_3, ..., c_d), is evaluated once per
     (odd, delta) on _grid_points(delta, d).  The parity-split recurrence is
     exactly odd, so q(-x) = -q(x) and these are q's extremes on the ±grid.
     None of them depends on eta.
     """
-    coeffs = np.asarray(odd)
-    points = _grid_points(delta, coeffs.size - 1)
-    q = _clenshaw_split(points, *_split_halves(coeffs))
+    points = _grid_points(delta, 2 * len(odd) - 1)
+    q = _clenshaw_split(points, (0.0,), odd)
     return float(np.max(np.abs(q))), float(np.min(q[points >= delta])), 2 * points.size
 
 
@@ -287,15 +287,14 @@ def _scale_for(peak):
 
 
 def _step_from_odd(odd, delta):
-    """Map an odd sign-like q, its coefficient tuple odd, to the step (1 + s q)/2.
+    """Map an odd sign-like q, odd = (c_1, c_3, ..., c_d), to the step (1 + s q)/2.
 
     s = _scale_for(max|q|) on the grid points (_odd_extremes), so |s q| <= 1
     at every point of the ±grid.  The work beyond that memo is O(d).
     """
-    coeffs = np.asarray(odd)
-    step = np.zeros(coeffs.size)
+    step = np.zeros(2 * len(odd))
     step[0] = 0.5
-    step[1::2] = 0.5 * _scale_for(_odd_extremes(odd, delta)[0]) * coeffs[1::2]
+    step[1::2] = 0.5 * _scale_for(_odd_extremes(odd, delta)[0]) * np.asarray(odd)
     return ChebPoly(step)
 
 
@@ -336,7 +335,7 @@ def _plateau_probe(delta):
 def _probe_top(odd, delta):
     """Upper bound on the judged right-plateau minimum of q's step.
 
-    q, given as its coefficient tuple odd, is evaluated once per
+    q, given as odd = (c_1, c_3, ..., c_d), is evaluated once per
     (odd, delta) on _plateau_probe(delta).  Those points lie on the plateau
     of _grid_points(delta, d), and the evaluation is elementwise, so there
     q takes the same floats as in _odd_extremes: the probe's max|q| is at
@@ -353,11 +352,10 @@ def _probe_top(odd, delta):
     _judge).  On the acceptance sweep it is at most 1.1e-9, and every
     rejection misses by at least 1.9e-5.
     """
-    coeffs = np.asarray(odd)
-    q = _clenshaw_split(_plateau_probe(delta), *_split_halves(coeffs))
+    q = _clenshaw_split(_plateau_probe(delta), (0.0,), odd)
     s_up = _scale_for(float(np.max(np.abs(q))))
-    d = coeffs.size - 1
-    slack = 8.0 * (d + 1) ** 2 * 2.0 ** -53 * float(np.sum(np.abs(coeffs)))
+    d = 2 * len(odd) - 1
+    slack = 8.0 * (d + 1) ** 2 * 2.0 ** -53 * float(np.sum(np.abs(odd)))
     return 0.5 + 0.5 * s_up * max(float(np.min(q)), 0.0) + slack
 
 
@@ -369,7 +367,8 @@ def _badness(report):
 class _Search:
     """Tracks the best accepted candidate and every failure, in order.
 
-    A candidate is q's coefficient tuple.  Each accepted candidate has a
+    A candidate is q's odd-index coefficients (c_1, c_3, ..., c_d), a
+    tuple of degree d = 2 * len - 1.  Each accepted candidate has a
     lower degree than any before it, so it replaces best outright.  A
     failure, rejected by the probe or by _judge, is kept as it is;
     least_bad judges them, which only a CapacityError needs.
@@ -399,42 +398,18 @@ class _Search:
         return min((_judge(f, self.spec) for f in self.failures), key=_badness)
 
 
-def _erf_odd_terms(k, m_lo, m_hi):
-    """Chebyshev coefficients c_{2m+1} of erf(k x) for m_lo <= m < m_hi.
+def _erf_odd_coeffs(k, n):
+    """Chebyshev coefficients c_1, c_3, ..., c_{2n-1} of erf(k x), in closed form.
 
     The Low-Chuang expansion (arXiv:1707.05391) gives, with z = k^2/2,
     c_{2m+1} = (2k/sqrt(pi)) (-1)^m (e^{-z} I_m(z) + e^{-z} I_{m+1}(z)) / (2m+1).
-    scipy's ive is e^{-z} I_m(z) itself, so nothing overflows.  Each term
-    takes the same float steps whatever the range around it.
+    scipy's ive is e^{-z} I_m(z) itself, so nothing overflows.  The even
+    coefficients are zero; the work and memory are O(n).
     """
-    m = np.arange(m_lo, m_hi)
-    scaled = ive(np.arange(m_lo, m_hi + 1), 0.5 * k * k)  # e^{-z} I_j(z), m_lo <= j <= m_hi
+    m = np.arange(n)
+    scaled = ive(np.arange(n + 1), 0.5 * k * k)  # e^{-z} I_j(z), 0 <= j <= n
     sign = np.where(m % 2, -1.0, 1.0)
     return 2.0 * k / math.sqrt(math.pi) * sign * (scaled[:-1] + scaled[1:]) / (2 * m + 1)
-
-
-def _erf_odd_coeffs(k, n_terms):
-    """Chebyshev coefficients c_0 .. c_{n_terms} of erf(k x), in closed form.
-
-    The even ones are zero; the work and memory are O(n_terms).
-    """
-    coeffs = np.zeros(n_terms + 1)
-    coeffs[1::2] = _erf_odd_terms(k, 0, (n_terms + 1) // 2)
-    return coeffs
-
-
-def _tail_over_cap(k, cap, n_terms, plateau_err, eta):
-    """True when c_j of erf(k x), j the first odd index above cap, alone
-    breaks the budget that _erf_path's start degree d0 must fit.
-
-    Every tail at an index up to cap sums |c_j| among nonnegative terms, so
-    in floating point too it is at least |c_j|, and then every such index
-    fails: d0 > cap.  A j past n_terms is in no tail and decides nothing.
-    """
-    m = (cap + 1) // 2
-    if 2 * m + 1 > n_terms:
-        return False
-    return plateau_err + 2.0 * abs(_erf_odd_terms(k, m, m + 1)[0]) > eta * (1.0 - 1e-9)
 
 
 def _bisect_odd(feasible, lo, hi):
@@ -467,9 +442,8 @@ def _erf_path(search, limit):
     For each k the plateau already loses erfc(k*delta), so the Chebyshev
     tail of the truncation must fit in the remaining eta budget; the tail
     sums give a starting degree d0, about 1.6x too high, and a bisection of
-    the odd truncation degrees below it lowers it.  A k whose d0 must pass
-    the cap, by its rough degree or by one coefficient (_tail_over_cap), is
-    skipped before its coefficients are built.
+    the odd truncation degrees below it lowers it.  A k whose rough degree
+    must pass the cap is skipped before its coefficients are built.
     """
     spec = search.spec
     delta, eta = spec.delta, spec.eta
@@ -480,22 +454,17 @@ def _erf_path(search, limit):
             continue
         k = float(erfcinv(plateau_err)) / delta
         rough = 2.0 * k * math.sqrt(max(math.log(4.0 / budget), 1.0))
-        # two below the degree of best, q's coefficient tuple
-        cap = limit if search.best is None else min(limit, len(search.best) - 3)
+        # two below the degree of best
+        cap = limit if search.best is None else min(limit, 2 * len(search.best) - 3)
         if rough > 3.0 * cap:
             continue
-        n_terms = max(int(math.ceil(12.2 * k)) + 96, 192)
-        if _tail_over_cap(k, cap, n_terms, plateau_err, eta):
-            continue
-        coeffs = _erf_odd_coeffs(k, n_terms)
-        tails = np.concatenate([np.cumsum(np.abs(coeffs)[::-1])[::-1][1:], [0.0]])
-        # Index n_terms passes (its tail is 0 and frac < 1), and the first
-        # passing index is odd: even coefficients are exact zeros, so
-        # tails[2m] == tails[2m - 1], and index 0 fails because its tail is
-        # at least the series' value erf(k) at 1, and erfc(k delta) + 2 erf(k) > 1.
-        d0 = int(np.flatnonzero(plateau_err + 2.0 * tails <= eta * (1.0 - 1e-9))[0])
+        # the odd terms up to degree max(ceil(12.2 k) + 96, 192)
+        odd = _erf_odd_coeffs(k, (max(int(math.ceil(12.2 * k)) + 96, 192) + 1) // 2)
+        # tails[m] sums |c_j| over the odd j > 2m + 1; the last is 0 and passes
+        tails = np.concatenate([np.cumsum(np.abs(odd)[::-1])[::-1][1:], [0.0]])
+        d0 = 2 * int(np.flatnonzero(plateau_err + 2.0 * tails <= eta * (1.0 - 1e-9))[0]) + 1
         if d0 <= cap:  # lo = -1: degree 1 is still open
-            _bisect_odd(lambda d: search.try_odd(tuple(coeffs[:d + 1].tolist())), -1, d0)
+            _bisect_odd(lambda d: search.try_odd(tuple(odd[:(d + 1) // 2].tolist())), -1, d0)
 
 
 def _odd_cos_sums(theta, odd):
@@ -544,7 +513,8 @@ def _alternating(err, count):
 def _minimax_fit(delta, degree):
     """Best odd uniform approximation to 1 on [delta, 1], by Remez exchange.
 
-    Returns the immutable pair (t*, coeffs) of an odd polynomial q with
+    Returns the immutable pair (t*, odd) of an odd polynomial q, odd =
+    (c_1, c_3, ..., c_degree) its odd-index Chebyshev coefficients, with
     max |q| = 1 - 1e-13 on [0, 1] and t* = 1 - min q on [delta, 1], or None
     when the exchange cannot level its error.
 
@@ -622,9 +592,7 @@ def _minimax_fit(delta, degree):
         peaks = np.concatenate([cand, window, _refined_extrema(window, on_window, odd)])
         odd = _scale_for(float(np.max(np.abs(_odd_cos_sums(peaks, odd)[0])))) * odd
         t_star = 1.0 - float(np.min(_odd_cos_sums(cand, odd)[0]))
-    full = np.zeros(degree + 1)
-    full[1::2] = odd
-    return t_star, tuple(full.tolist())
+    return t_star, tuple(odd.tolist())
 
 
 def _largest_fit_degree(delta, limit):
@@ -682,7 +650,7 @@ def _run_search(spec, max_degree, judge_all):
     # Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2.  It
     # is optimal among affine candidates and certifies exactly when
     # eta >= 1 - delta.
-    search.try_odd((0.0, 1.0))
+    search.try_odd((1.0,))
     if search.best is None:
         _erf_path(search, max_degree)
     if search.best is None:
@@ -757,7 +725,7 @@ def min_eta_for_degree(delta, degree):
     if degree < 1:
         raise ValueError("degree must be at least 1")
     spec = StepSpec(delta, min(max(1.0 - delta, 1e-9), 1.0 - 1e-9))
-    odd = (0.0, 1.0)
+    odd = (1.0,)
     limit = min(int(degree), _FRONTIER_MAX_DEGREE)
     fit = _minimax_fit(delta, _largest_fit_degree(delta, limit))
     if fit is not None and fit[0] < spec.eta:
@@ -768,7 +736,7 @@ def min_eta_for_degree(delta, degree):
                          f"it reaches {spec.eta!r}, and degree {degree} may reach lower")
     report = _judge(odd, spec)
     if not report.passes:
-        raise CapacityError(f"the degree-{len(odd) - 1} step does not certify at its "
+        raise CapacityError(f"the degree-{2 * len(odd) - 1} step does not certify at its "
                             f"eta={spec.eta!r} for delta={delta!r}", report=report)
     return spec.eta
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .blockenc import DEFAULT_DIM_CAP, HermitianOp, read_matrix
+from .blockenc import HermitianOp, read_matrix
 from .chebpoly import (DEFAULT_MAX_DEGREE, CapacityError, StepSpec,
                        build_step_approx, degree_constant, min_eta_for_degree,
                        to_text, verify_bounds, write_curve_csv)
@@ -342,8 +342,6 @@ def cmd_reduce(args):
         if not 0.0 <= args.phi <= math.pi:
             raise ValueError("--phi must lie in [0, pi] (the reduction "
                              "recovers phases on that branch)")
-        if not 1 <= dim <= DEFAULT_DIM_CAP // 2:  # the EE operator is 2 * dim
-            raise ValueError(f"--dim must lie in [1, {DEFAULT_DIM_CAP // 2}]")
     elif args.amp is None:
         raise ValueError("reduce ae needs --amp")
     # Reject a bad --alpha or --eps before any encoding is built; the

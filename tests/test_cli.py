@@ -666,7 +666,7 @@ def test_reduce_pe_rejects_dim_beyond_cap(capsys, dim):
         "reduce", "pe", "--phi", "1.0", "--dim", dim, "--eps", "0.05",
         "--alpha", "0.5"])
     assert rc == 2
-    assert err == "error: --dim must lie in [1, 32]\n"
+    assert err == "error: dim must lie in [1, 32]\n"
 
 
 @pytest.mark.parametrize("eps, alpha", [("0.3", "-1"), ("4", "0.5")])
