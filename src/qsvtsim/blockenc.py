@@ -31,8 +31,16 @@ class MatrixFormatError(ValueError):
     """Raised when a matrix file does not parse."""
 
 
+def _complex(m, what):
+    """m as a fresh complex array; strings, bytes and objects are not numbers."""
+    arr = np.asarray(m)
+    if arr.dtype.kind not in "biufc":
+        raise ValueError(f"{what} must hold numbers, got dtype {arr.dtype}")
+    return np.array(arr, dtype=complex)
+
+
 def _as_state(psi, dim, what):
-    vec = np.array(psi, dtype=complex).reshape(-1)
+    vec = _complex(psi, what).reshape(-1)
     if not np.isfinite(vec).all():
         raise ValueError(f"{what} must be finite")
     if vec.shape[0] != dim:
@@ -45,7 +53,7 @@ def _as_state(psi, dim, what):
 def _as_matrix(m, what, cap=DEFAULT_DIM_CAP):
     """m as a fresh complex array, square, of dimension 1..cap and finite: the
     one place a matrix's shape, size and finiteness are checked."""
-    arr = np.array(m, dtype=complex)
+    arr = _complex(m, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
     if not 1 <= arr.shape[0] <= cap:

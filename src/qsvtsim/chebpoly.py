@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 # Unused here; perfbench's tracer wraps chebpoly.linprog by this name.
@@ -45,12 +45,9 @@ _MAX_SPREAD = 1e-3
 # on a shared 2-core machine one peaked at 57 MB in 0.5 s at (delta 0.2,
 # degree 801) and at 88 MB in 10 s at (0.01, 1201).
 _FRONTIER_MAX_DEGREE = 801
-# Entries kept by each builder memo.  A cold 5x5 acceptance sweep leaves
-# 25 builds, 143 probes and 25 extremes; a cold eta frontier at degrees 1,
-# 3, 7, 15 and 21 leaves 5 minimax fits, no probes and 5 extremes.  A
-# probe or extremes entry holds its key, q's odd-index coefficients at
-# about 32 bytes each (16 bytes per unit of degree), and a few floats; a
-# build entry holds its step.
+# Entries kept by the build and minimax-fit memos: a cold 5x5 acceptance
+# sweep leaves 25 builds, a cold eta frontier at degrees 1, 3, 7, 15 and 21
+# leaves 5 fits.  No memo is keyed by a candidate (see _Search).
 _CACHE_SIZE = 256
 # Deltas whose rescale grid and plateau probe are kept, about 2.0 MB.
 _GRID_CACHE_SIZE = 16
@@ -162,23 +159,26 @@ class ChebPoly:
         The even-index and odd-index halves of the series each run their own
         recurrence in y = T_2(x) (see _clenshaw_split), so a step polynomial
         (1 + q)/2 costs half a full-length recurrence.  A scalar x (Python
-        or numpy number, 0-d array) gives a float computed in float
-        arithmetic; anything else gives an array of x's shape, bit for bit
-        equal to the scalar results.  Points within EVAL_DOMAIN_SLACK of
-        [-1, 1] are clipped onto it; any other point, NaN and infinities
-        included, raises ValueError.
+        or numpy real number, 0-d array) gives a float computed in float
+        arithmetic; any other real array-like gives an array of x's shape,
+        bit for bit equal to the scalar results.  Points within
+        EVAL_DOMAIN_SLACK of [-1, 1] are clipped onto it; any other point,
+        NaN and infinities included, raises ValueError, and so does x that
+        is not real: strings, bytes, objects and complex numbers.
         """
-        if np.ndim(x) == 0:
-            xs = float(x)
-            inside = abs(xs) <= 1.0 + EVAL_DOMAIN_SLACK
-            xs = min(max(xs, -1.0), 1.0)
-        else:
-            xs = np.asarray(x, dtype=float)
-            inside = np.all(np.abs(xs) <= 1.0 + EVAL_DOMAIN_SLACK)
-            xs = np.clip(xs, -1.0, 1.0)
-        if not inside:
+        if type(x) is not float:
+            arr = np.asarray(x)
+            if arr.dtype.kind not in "biuf":
+                raise ValueError(f"evaluation points must be real numbers, got {arr.dtype}")
+            if arr.ndim == 0:
+                return self.eval(float(arr))
+            xs = np.asarray(arr, dtype=float)
+            if not np.all(np.abs(xs) <= 1.0 + EVAL_DOMAIN_SLACK):
+                raise ValueError("evaluation point outside [-1, 1]")
+            return _clenshaw_split(np.clip(xs, -1.0, 1.0), *self._halves)
+        if not abs(x) <= 1.0 + EVAL_DOMAIN_SLACK:
             raise ValueError("evaluation point outside [-1, 1]")
-        return _clenshaw_split(xs, *self._halves)
+        return _clenshaw_split(min(max(x, -1.0), 1.0), *self._halves)
 
 
 @dataclass(frozen=True)
@@ -267,12 +267,11 @@ def verify_bounds(poly, spec):
 # [delta, 1]; oddness makes the left-plateau condition automatic.
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _odd_extremes(odd, delta):
     """max|q|, min q over the points >= delta, and the ±grid's point count.
 
-    q, given as odd = (c_1, c_3, ..., c_d), is evaluated once per
-    (odd, delta) on _grid_points(delta, d).  The parity-split recurrence is
+    q, given as odd = (c_1, c_3, ..., c_d), is evaluated once on
+    _grid_points(delta, d).  The parity-split recurrence is
     exactly odd, so q(-x) = -q(x) and these are q's extremes on the ±grid.
     None of them depends on eta.
     """
@@ -286,25 +285,25 @@ def _scale_for(peak):
     return 1.0 if peak <= 1.0 else (1.0 - 1e-13) / peak
 
 
-def _step_from_odd(odd, delta):
+def _step_from_odd(odd, peak):
     """Map an odd sign-like q, odd = (c_1, c_3, ..., c_d), to the step (1 + s q)/2.
 
-    s = _scale_for(max|q|) on the grid points (_odd_extremes), so |s q| <= 1
-    at every point of the ±grid.  The work beyond that memo is O(d).
+    peak is max|q| on the grid points (_odd_extremes) and s = _scale_for(peak),
+    so |s q| <= 1 at every point of the ±grid.  The work is O(d).
     """
     step = np.zeros(2 * len(odd))
     step[0] = 0.5
-    step[1::2] = 0.5 * _scale_for(_odd_extremes(odd, delta)[0]) * np.asarray(odd)
+    step[1::2] = 0.5 * _scale_for(peak) * np.asarray(odd)
     return ChebPoly(step)
 
 
-def _judge(odd, spec):
-    """The BoundReport of q's step, read off q's extremes on the ±grid.
+def _judge(extremes, spec):
+    """The BoundReport of q's step, read off q's _odd_extremes on the ±grid.
 
     With h = 0.5 s the step is P = 0.5 + h q: its left-plateau maximum is
     0.5 - h min q, its right-plateau minimum 0.5 + h min q and its peak
     |P| is 0.5 + h max|q|, all over the points >= delta.  verify_bounds on
-    _step_from_odd(odd, delta) evaluates P itself on the same points, so
+    _step_from_odd(odd, peak) evaluates P itself on the same points, so
     the two differ only by rounding: h times the Clenshaw sum of q against
     the Clenshaw sum of the coefficients h c_k, each off by at most about
     (d + 1)^2 u sum|h c_k|, u = 2^-53, plus an ulp in each final
@@ -312,7 +311,7 @@ def _judge(odd, spec):
     acceptance sweep, the delta = 0.2 frontier and test_build_scan's 125
     builds, the fields agree to 2.6e-14 and no verdict differs.
     """
-    peak, q_min, size = _odd_extremes(odd, spec.delta)
+    peak, q_min, size = extremes
     h = 0.5 * _scale_for(peak)
     return BoundReport(max_low_violation=(0.5 - h * q_min) - spec.eta / 2.0,
                        max_high_violation=(1.0 - spec.eta / 2.0) - (0.5 + h * q_min),
@@ -331,12 +330,11 @@ def _plateau_probe(delta):
     return probe
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _probe_top(odd, delta):
     """Upper bound on the judged right-plateau minimum of q's step.
 
-    q, given as odd = (c_1, c_3, ..., c_d), is evaluated once per
-    (odd, delta) on _plateau_probe(delta).  Those points lie on the plateau
+    q, given as odd = (c_1, c_3, ..., c_d), is evaluated once on
+    _plateau_probe(delta).  Those points lie on the plateau
     of _grid_points(delta, d), and the evaluation is elementwise, so there
     q takes the same floats as in _odd_extremes: the probe's max|q| is at
     most the judged peak, so _judge's factor s is at most s_up =
@@ -365,13 +363,15 @@ def _badness(report):
 
 
 class _Search:
-    """Tracks the best accepted candidate and every failure, in order.
+    """One build's search: the best accepted candidate and every failure, in order.
 
     A candidate is q's odd-index coefficients (c_1, c_3, ..., c_d), a
     tuple of degree d = 2 * len - 1.  Each accepted candidate has a
     lower degree than any before it, so it replaces best outright.  A
     failure, rejected by the probe or by _judge, is kept as it is;
-    least_bad judges them, which only a CapacityError needs.
+    least_bad judges them, which only a CapacityError needs.  top and
+    extremes call _probe_top and _odd_extremes once per candidate, and their
+    results go with the search.
     """
 
     def __init__(self, spec, judge_all):
@@ -379,6 +379,8 @@ class _Search:
         self.judge_all = judge_all
         self.best = None
         self.failures = []
+        self.top = cache(lambda odd: _probe_top(odd, spec.delta))
+        self.extremes = cache(lambda odd: _odd_extremes(odd, spec.delta))
 
     def try_odd(self, odd):
         """Accept odd when it survives the plateau probe.
@@ -386,8 +388,8 @@ class _Search:
         Only with judge_all is a survivor judged as well, and accepted when
         it passes; otherwise best is unjudged until _build_cached judges it.
         """
-        if not _probe_top(odd, self.spec.delta) < 1.0 - self.spec.eta / 2.0 - GRID_TOL \
-                and (not self.judge_all or _judge(odd, self.spec).passes):
+        if not self.top(odd) < 1.0 - self.spec.eta / 2.0 - GRID_TOL \
+                and (not self.judge_all or _judge(self.extremes(odd), self.spec).passes):
             self.best = odd
             return True
         self.failures.append(odd)
@@ -395,7 +397,7 @@ class _Search:
 
     def least_bad(self):
         """The failure with the smallest summed excess, the first on ties."""
-        return min((_judge(f, self.spec) for f in self.failures), key=_badness)
+        return min((_judge(self.extremes(f), self.spec) for f in self.failures), key=_badness)
 
 
 def _erf_odd_coeffs(k, n):
@@ -639,14 +641,13 @@ def _minimax_path(search, limit):
     _bisect_odd(feasible, 1, hi)  # degree 1 is the ramp, already rejected
 
 
-def _run_search(spec, max_degree, judge_all):
-    """Run the ramp, the erf path and the minimax path; return the search.
+def _run_search(search, max_degree):
+    """Run the ramp, the erf path and the minimax path on search; return it.
 
     Each path runs only while nothing is best, and the erf path keeps
     lowering the accepted degree, so best is the lowest-degree candidate
     accepted.
     """
-    search = _Search(spec, judge_all)
     # Degree 1: q = x, rescaled by exactly 1 to the ramp (1 + x)/2.  It
     # is optimal among affine candidates and certifies exactly when
     # eta >= 1 - delta.
@@ -667,21 +668,22 @@ def _build_cached(spec, max_degree):
 
     The first search is steered by the plateau probe alone.  A failed
     judgment of its pick means the probe passed a candidate that the
-    judgment rejects, and the search reruns judging every probe survivor;
-    the candidates both searches try are probed once, from the memo.  So
-    every step returned has passed _judge.  A first
-    search that accepts nothing saw the probe reject every candidate, and
-    the probe rejects only what the judgment rejects, so its CapacityError
-    report is the one a judging search would give.
+    judgment rejects, and the same search, with each candidate's probe and
+    extremes, reruns judging every probe survivor.  So every step returned
+    has passed _judge.  A first search that accepts nothing saw the probe
+    reject every candidate, and the probe rejects only what the judgment
+    rejects, so its CapacityError report is the one a judging search would
+    give.  The search goes when the build returns.
     """
-    search = _run_search(spec, max_degree, judge_all=False)
-    if search.best is not None and not _judge(search.best, spec).passes:
-        search = _run_search(spec, max_degree, judge_all=True)
+    search = _run_search(_Search(spec, judge_all=False), max_degree)
+    if search.best is not None and not _judge(search.extremes(search.best), spec).passes:
+        search.best, search.failures, search.judge_all = None, [], True
+        _run_search(search, max_degree)
     if search.best is None:  # the ramp's report is among the failures
         raise CapacityError(
             f"no certified step polynomial of degree <= {max_degree} "
             f"for delta={spec.delta!r}, eta={spec.eta!r}", report=search.least_bad())
-    return _step_from_odd(search.best, spec.delta)
+    return _step_from_odd(search.best, search.extremes(search.best)[0])
 
 
 def build_step_approx(spec, max_degree=DEFAULT_MAX_DEGREE):
@@ -734,7 +736,7 @@ def min_eta_for_degree(delta, degree):
         raise ValueError(f"min eta above degree {limit} is known only where the "
                          f"degree-{limit} fit reaches the 1e-9 floor; at delta={delta!r} "
                          f"it reaches {spec.eta!r}, and degree {degree} may reach lower")
-    report = _judge(odd, spec)
+    report = _judge(_odd_extremes(odd, delta), spec)
     if not report.passes:
         raise CapacityError(f"the degree-{2 * len(odd) - 1} step does not certify at its "
                             f"eta={spec.eta!r} for delta={delta!r}", report=report)

@@ -1,5 +1,6 @@
-"""Shared pytest wiring: one summary line per acceptance-marked test, and
-the benchmark's workloads and step checker loaded by path.
+"""Shared pytest wiring: one summary line per acceptance-marked test, the
+benchmark's workloads and step checker loaded by path, and a cold start
+and call counts for the step builder.
 
 Capture in pytest grabs the stdout file descriptor itself, so tests
 cannot reliably print verdicts; instead the marked results are collected
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from qsvtsim import chebpoly
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,6 +38,32 @@ def workloads():
         # workloads.py imports its checker as a top-level module
         mp.setitem(sys.modules, "certify", _load("certify"))
         yield _load("workloads")
+
+
+def _clear_chebpoly_caches():
+    for val in list(vars(chebpoly).values()):
+        if callable(getattr(val, "cache_clear", None)):
+            val.cache_clear()
+
+
+@pytest.fixture
+def clear_chebpoly_caches():
+    """Empties every functools cache of chebpoly when called, as the
+    benchmark's clear_polynomial_caches does: a cold start."""
+    return _clear_chebpoly_caches
+
+
+@pytest.fixture
+def count_chebpoly_calls(monkeypatch):
+    """count(counts, key=name, ...) wraps each chebpoly function name, looked
+    up by module name, so that each call of it adds one to counts[key]."""
+    def count(counts, **names):
+        for key, name in names.items():
+            def wrapper(*args, _key=key, _fn=getattr(chebpoly, name)):
+                counts[_key] += 1
+                return _fn(*args)
+            monkeypatch.setattr(chebpoly, name, wrapper)
+    return count
 
 
 _VERDICTS = {}

@@ -322,6 +322,13 @@ def test_hermitian_op_rejects_non_finite_entries(bad):
         HermitianOp.from_matrix(m)
 
 
+@pytest.mark.parametrize("m", [[["0.5"]], [[b"1"]], np.array([[0.5, None], [None, 0.5]])],
+                         ids=["numeric string", "bytes", "object"])
+def test_hermitian_op_refuses_entries_that_are_not_numbers(m):
+    with pytest.raises(ValueError, match="matrix must hold numbers"):
+        HermitianOp.from_matrix(m)
+
+
 def test_spectral_norm_is_computed_once(monkeypatch):
     h = HermitianOp.from_matrix(np.diag([0.5, -0.75]))
     calls = []

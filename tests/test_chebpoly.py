@@ -150,18 +150,14 @@ def test_box_bound_certified_not_enforced_on_construction():
         apply_poly(h, poly)
 
 
-def _clear_candidate_caches():
-    for memo in (chebpoly._build_cached, chebpoly._minimax_fit, chebpoly._probe_top,
-                 chebpoly._odd_extremes):
-        memo.cache_clear()
+def _judged(odd, spec):
+    """_judge's report on odd, from its extremes."""
+    return chebpoly._judge(chebpoly._odd_extremes(odd, spec.delta), spec)
 
 
-_MEMOS = {"probes": chebpoly._probe_top, "extremes": chebpoly._odd_extremes}
-
-
-def _memo_misses():
-    """Misses so far of the probe and extremes memos."""
-    return Counter({name: memo.cache_info().misses for name, memo in _MEMOS.items()})
+def _step(odd, delta):
+    """The step a build at delta makes of odd, rescaled by its grid peak."""
+    return chebpoly._step_from_odd(odd, chebpoly._odd_extremes(odd, delta)[0])
 
 
 def _probe_rejects(odd, spec):
@@ -169,46 +165,41 @@ def _probe_rejects(odd, spec):
     return chebpoly._probe_top(odd, spec.delta) < 1.0 - spec.eta / 2.0 - chebpoly.GRID_TOL
 
 
-def test_candidates_are_evaluated_once_before_certification(monkeypatch):
-    """Each candidate, the ramp included, is probed once per delta, and a
+def test_candidates_are_evaluated_once_before_certification(
+        monkeypatch, clear_chebpoly_caches, count_chebpoly_calls):
+    """Each candidate, the ramp included, is probed once per build, and a
     build's first search judges none of them: a survivor is accepted on the
     probe alone.  The candidate the build returns is then evaluated once
-    more, for its extremes, from which it is both judged and rescaled.  In
-    a search that judges every survivor, a survivor is evaluated once more
-    and judged, and a rejected one is not.  The eta frontier judges its one
-    candidate, a minimax fit, without a search or a probe.  A candidate
-    judged again or a whole pass repeated evaluates nothing, and the
-    builder never calls verify_bounds.  Counts are memo misses, so a call
-    that the memo answers counts as no work."""
+    more, for its extremes, from which it is both judged and rescaled.  A
+    rerun of that search, judging every survivor, probes nothing again; a
+    survivor is evaluated once more and judged, the candidate already
+    judged is judged again without an evaluation, and a rejected one is not
+    judged.  The eta frontier judges its one candidate, a minimax fit,
+    without a search or a probe, and evaluates it at every call.  A build
+    repeated evaluates nothing, and the builder never calls verify_bounds.
+    Counts are calls of _probe_top, _odd_extremes, _judge and the
+    evaluator, so work that a memo saves counts as none."""
     counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(chebpoly, "_clenshaw_split",
-                        counted("evals", chebpoly._clenshaw_split))
+    count_chebpoly_calls(counts, evals="_clenshaw_split")
     ChebPoly([0.5, 0.5])
     ChebPoly([0.0, 1.2])
     assert counts["evals"] == 0
 
-    monkeypatch.setattr(chebpoly, "verify_bounds",
-                        counted("certifications", chebpoly.verify_bounds))
-    monkeypatch.setattr(chebpoly, "_judge", counted("judgments", chebpoly._judge))
+    count_chebpoly_calls(counts, certifications="verify_bounds", judgments="_judge",
+                         probes="_probe_top", extremes="_odd_extremes")
     try_odd = chebpoly._Search.try_odd
     outcomes = Counter()
 
     def work():
-        return counts + _memo_misses()
+        return Counter(counts)
 
     def try_odd_checked(search, odd):
         before = work()
         certified = try_odd(search, odd)
         seen = work() - before
         probed = Counter(probes=1, evals=1) if seen["probes"] else Counter()
-        if _probe_rejects(odd, search.spec):
+        # the search's own probe top, read without probing again
+        if search.top(odd) < 1.0 - search.spec.eta / 2.0 - chebpoly.GRID_TOL:
             outcome, want = "rejected", probed
         elif not search.judge_all:
             outcome, want = "accepted unjudged", probed
@@ -221,7 +212,7 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
         return certified
 
     monkeypatch.setattr(chebpoly._Search, "try_odd", try_odd_checked)
-    _clear_candidate_caches()
+    clear_chebpoly_caches()
     start = work()
     sched = alpha_schedule(0.5, 0.05, 1.0)
     # the ramp and one erf truncation are rejected on the probe; the
@@ -229,25 +220,32 @@ def test_candidates_are_evaluated_once_before_certification(monkeypatch):
     assert outcomes == Counter({"rejected": 2, "accepted unjudged": 3})
     assert sched.degree == 9
     assert work() - start == Counter(probes=5, extremes=1, judgments=1, evals=5 + 1)
+    start = work()
+    assert alpha_schedule(0.5, 0.05, 1.0) == sched
+    assert work() == start
 
-    # The same search judging every survivor: the returned candidate is
-    # judged again, the two others are evaluated for their extremes.
+    # The build's search rerun as a failed return judgment reruns it: the
+    # returned candidate is judged again, the two others are evaluated
+    # for their extremes, and nothing is probed twice.
+    spec = StepSpec(sched.delta, sched.eta)
+    search = chebpoly._run_search(chebpoly._Search(spec, judge_all=False),
+                                  chebpoly.DEFAULT_MAX_DEGREE)
+    best = search.best
+    assert chebpoly._judge(search.extremes(best), spec).passes
     outcomes.clear()
     start = work()
-    spec = StepSpec(sched.delta, sched.eta)
-    assert chebpoly._run_search(spec, chebpoly.DEFAULT_MAX_DEGREE, judge_all=True).best \
-        == chebpoly._run_search(spec, chebpoly.DEFAULT_MAX_DEGREE, judge_all=False).best
-    assert outcomes == Counter({"rejected": 4, "survived": 2, "judged again": 1,
-                                "accepted unjudged": 3})
+    search.best, search.failures, search.judge_all = None, [], True
+    assert chebpoly._run_search(search, chebpoly.DEFAULT_MAX_DEGREE).best == best
+    assert outcomes == Counter({"rejected": 2, "survived": 2, "judged again": 1})
     assert work() - start == Counter(extremes=2, judgments=3, evals=2)
 
-    # One judgment of the degree-21 fit, whose extremes a repeated pass
-    # finds in the memo; the frontier tries nothing through a search.
-    for extremes in (1, 0):
+    # One judgment of the degree-21 fit, evaluated again by a repeated
+    # pass; the frontier tries nothing through a search.
+    for _ in range(2):
         start = work()
         outcomes.clear()
         min_eta_for_degree(0.2, 21)
-        assert work() - start == Counter(extremes=extremes, judgments=1, evals=extremes)
+        assert work() - start == Counter(extremes=1, judgments=1, evals=1)
         assert not outcomes
 
 
@@ -280,8 +278,7 @@ def test_probe_rejects_only_candidates_that_fail_certification(
     k = k_factor * float(chebpoly.erfcinv(spec.eta * 10.0 ** log_frac)) / spec.delta
     odd = tuple(chebpoly._erf_odd_coeffs(k, half_degree + 1).tolist())
     if _probe_rejects(odd, spec):
-        for report in (chebpoly._judge(odd, spec),
-                       verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)):
+        for report in (_judged(odd, spec), verify_bounds(_step(odd, spec.delta), spec)):
             assert report.max_high_violation > chebpoly.GRID_TOL
             assert not report.passes
 
@@ -299,14 +296,15 @@ def test_probe_is_sound_at_the_certification_threshold(
     delta = 10.0 ** log_delta
     k = float(chebpoly.erfcinv(10.0 ** log_frac)) / delta
     odd = tuple(chebpoly._erf_odd_coeffs(k, half_degree + 1).tolist())
-    peak, q_min, _ = chebpoly._odd_extremes(odd, delta)
+    extremes = chebpoly._odd_extremes(odd, delta)
+    peak, q_min, _ = extremes
     low = 0.5 + 0.5 * chebpoly._scale_for(peak) * q_min
     eta = 2.0 * (1.0 - chebpoly.GRID_TOL - low - sign * 10.0 ** log_miss)
     assume(0.0 < eta < 1.0)
     spec = StepSpec(delta, eta)
     if _probe_rejects(odd, spec):
-        assert chebpoly._judge(odd, spec).max_high_violation > chebpoly.GRID_TOL
-        step = chebpoly._step_from_odd(odd, delta)
+        assert chebpoly._judge(extremes, spec).max_high_violation > chebpoly.GRID_TOL
+        step = chebpoly._step_from_odd(odd, peak)
         assert verify_bounds(step, spec).max_high_violation > chebpoly.GRID_TOL
 
 
@@ -340,8 +338,8 @@ def test_judgment_agrees_with_verify_bounds_on_the_step(
     assert (peak.hex(), q_min.hex(), count) == (float(np.max(np.abs(q))).hex(),
                                               float(np.min(q[points >= spec.delta])).hex(),
                                               2 * points.size)
-    judged = chebpoly._judge(odd, spec)
-    report = verify_bounds(chebpoly._step_from_odd(odd, spec.delta), spec)
+    judged = chebpoly._judge((peak, q_min, count), spec)
+    report = verify_bounds(chebpoly._step_from_odd(odd, peak), spec)
     assert (judged.grid_size, judged.passes) == (report.grid_size, report.passes)
     for field in ("max_low_violation", "max_high_violation", "max_abs_excess"):
         assert abs(getattr(judged, field) - getattr(report, field)) <= 1e-12
@@ -371,7 +369,7 @@ def test_least_bad_matches_an_eager_fold_over_every_failure():
                 odd = tuple(chebpoly._erf_odd_coeffs(float(rng.uniform(1.0, 40.0)),
                                                      int(rng.integers(0, 40)) + 1).tolist())
             search.try_odd(odd)
-            report = chebpoly._judge(odd, spec)
+            report = _judged(odd, spec)
             if not report.passes:
                 assert search.failures[fails] is odd
                 if eager is None or badness(report) < eager[0]:
@@ -401,7 +399,7 @@ def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
         build_step_approx(spec, max_degree=5)
     ramp, fit = tried
     assert list(ramp) == [1.0] and len(fit) == 3
-    reports = [chebpoly._judge(f, spec) for f in tried]
+    reports = [_judged(f, spec) for f in tried]
     assert reports[0].max_low_violation == pytest.approx(0.0757, abs=1e-4)
     assert reports[0].max_high_violation == pytest.approx(0.0757, abs=1e-4)
     assert info.value.report == reports[1]
@@ -411,12 +409,13 @@ def test_capacity_report_is_the_least_bad_of_the_failures(monkeypatch):
 
 
 def _recorded_searches(monkeypatch):
-    """The judge_all flag of each search a build runs, in order."""
+    """The judge_all flag and the pick of each search pass a build runs, in order."""
     run, searches = chebpoly._run_search, []
 
-    def recording(spec, max_degree, judge_all):
-        searches.append(judge_all)
-        return run(spec, max_degree, judge_all)
+    def recording(search, max_degree):
+        run(search, max_degree)
+        searches.append((search.judge_all, search.best))
+        return search
 
     monkeypatch.setattr(chebpoly, "_run_search", recording)
     return searches
@@ -446,7 +445,7 @@ def test_a_failed_return_judgment_reruns_the_search(monkeypatch, delta, eta, cap
     monkeypatch.setattr(chebpoly, "_probe_top", lambda odd, delta: math.inf)
     searches = _recorded_searches(monkeypatch)
     got = outcome()
-    assert searches == [False, True]
+    assert [flag for flag, _ in searches] == [False, True] and searches[0][1] == (1.0,)
     if isinstance(want, ChebPoly):
         assert want.degree > 1 and _hex(got) == _hex(want)
         assert verify_bounds(got, spec).passes
@@ -457,21 +456,23 @@ def test_a_failed_return_judgment_reruns_the_search(monkeypatch, delta, eta, cap
 def test_the_degree_675_schedule_takes_the_rerun(monkeypatch):
     """At alpha 0, eps 0.00625 the 1,000-point probe passes a candidate
     whose judgment fails, so the first search's pick is refused and the
-    rerun builds the step whose coefficients tests/test_frozen.py pins."""
-    judge, refused = chebpoly._judge, []
-
-    def recording(odd, spec):
-        report = judge(odd, spec)
-        if not report.passes:
-            refused.append(2 * len(odd) - 1)
-        return report
-
-    monkeypatch.setattr(chebpoly, "_judge", recording)
+    rerun builds the step whose coefficients tests/test_frozen.py pins.
+    The rerun reuses the first pass's work: across the build no candidate
+    is probed twice or evaluated for its extremes twice."""
+    seen = {"_probe_top": Counter(), "_odd_extremes": Counter()}
+    for name, counts in seen.items():
+        def counting(odd, delta, _fn=getattr(chebpoly, name), _counts=counts):
+            _counts[odd] += 1
+            return _fn(odd, delta)
+        monkeypatch.setattr(chebpoly, name, counting)
     searches = _recorded_searches(monkeypatch)
     chebpoly._build_cached.cache_clear()
     sched = alpha_schedule(0.0, 0.00625, 1.0)
-    assert searches == [False, True]
-    assert sched.degree == 675 and refused and refused[0] < 675
+    assert [flag for flag, _ in searches] == [False, True]
+    (_, refused), (_, built) = searches
+    assert sched.degree == 2 * len(built) - 1 == 675 and 2 * len(refused) - 1 < 675
+    for counts in seen.values():
+        assert counts and max(counts.values()) == 1
     text = "\n".join(float(c).hex() for c in sched.poly.coeffs)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4d17f8140c1c26b56c61756a324307f21c987ac6e2a67a64420d2208845f0385")
@@ -485,38 +486,36 @@ def test_build_matches_the_search_that_judges_every_survivor(log_delta, log_eta,
     build, which judges only what its first search returns, gives the same
     step bit for bit, or the same CapacityError report."""
     spec = StepSpec(10.0 ** log_delta, 10.0 ** log_eta)
-    oracle = chebpoly._run_search(spec, cap, judge_all=True)
+    oracle = chebpoly._run_search(chebpoly._Search(spec, judge_all=True), cap)
     try:
         poly = build_step_approx(spec, max_degree=cap)
     except CapacityError as exc:
         assert oracle.best is None and exc.report == oracle.least_bad()
         return
     assert oracle.best is not None
-    assert _hex(poly) == _hex(chebpoly._step_from_odd(oracle.best, spec.delta))
+    assert _hex(poly) == _hex(_step(oracle.best, spec.delta))
 
 
-def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
+def test_cold_sweep_builds_rescale_only_probe_survivors(clear_chebpoly_caches,
+                                                        count_chebpoly_calls):
     """Work counts over the 5x5 sweep grid: the probe rejects 90 of the 163
     candidates, the 25 ramps among them, and accepts the other 73 without
     their extremes.  Only the 25 steps returned are evaluated once more,
     for the extremes that judge and rescale them; each passes, so no
-    search reruns.  The ramp is probed once per delta, and the sweep has
-    5 deltas, so 143 probes are made.  A cold eta frontier at delta 0.2,
+    search reruns.  Each build probes its own candidates, the ramp
+    included, so 163 probes are made.  A cold eta frontier at delta 0.2,
     degrees 1, 3, 7, 15 and 21, probes nothing and judges 5 candidates
     once each: the ramp at degree 1 and the four fits.  Neither calls
     verify_bounds."""
-    verify, judge = chebpoly.verify_bounds, chebpoly._judge
     calls = Counter()
-    monkeypatch.setattr(chebpoly, "verify_bounds",
-                        lambda *args: calls.update(["certifications"]) or verify(*args))
-    monkeypatch.setattr(chebpoly, "_judge",
-                        lambda *args: calls.update(["judgments"]) or judge(*args))
+    count_chebpoly_calls(calls, certifications="verify_bounds", judgments="_judge",
+                         probes="_probe_top", extremes="_odd_extremes")
 
-    def cold_misses(run):
-        _clear_candidate_caches()
+    def cold_work(run):
+        clear_chebpoly_caches()
         calls.clear()
         run()
-        return _memo_misses() + calls
+        return calls
 
     def sweep():
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -527,8 +526,17 @@ def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch):
         for degree in (1, 3, 7, 15, 21):
             min_eta_for_degree(0.2, degree)
 
-    assert cold_misses(sweep) == Counter(probes=143, extremes=25, judgments=25)
-    assert cold_misses(frontier) == Counter(extremes=5, judgments=5)
+    assert cold_work(sweep) == Counter(probes=163, extremes=25, judgments=25)
+    assert cold_work(frontier) == Counter(extremes=5, judgments=5)
+
+
+def test_no_memo_keeps_a_candidate_after_its_build():
+    """The memos left after a build and a frontier degree are the grids,
+    the minimax fits and the builds; none is keyed by a candidate."""
+    build_step_approx(StepSpec(0.05, 0.01))
+    min_eta_for_degree(0.2, 21)
+    memos = {name for name, val in vars(chebpoly).items() if hasattr(val, "cache_info")}
+    assert memos == {"_rescale_grid", "_plateau_probe", "_minimax_fit", "_build_cached"}
 
 
 def _verify_bounds_on_the_pm_grid(poly, spec):
@@ -573,7 +581,7 @@ def _step_over_unique_grid(odd_coeffs, delta):
 
 
 def _assert_certification_unchanged(odd_coeffs, spec):
-    poly = chebpoly._step_from_odd(tuple(np.asarray(odd_coeffs).tolist()), spec.delta)
+    poly = _step(tuple(np.asarray(odd_coeffs).tolist()), spec.delta)
     assert poly.coeffs == ChebPoly(
         _step_over_unique_grid(odd_coeffs, spec.delta)).coeffs
     assert verify_bounds(poly, spec) == _verify_bounds_on_the_pm_grid(poly, spec)
@@ -635,6 +643,15 @@ def test_eval_outside_domain_rejected():
     assert poly.eval(-1.0 - 5e-13) == poly.eval(-1.0)
     assert np.array_equal(poly.eval(np.array([1.0 + 5e-13])),
                           poly.eval(np.array([1.0])))
+
+
+@pytest.mark.parametrize("x", ["0.5", b"0.5", np.array(["0.5"]), np.array([0.5 + 1j]),
+                               0.5 + 0j, None, [0.5, object()]],
+                         ids=["string", "bytes", "string array", "complex array",
+                              "complex", "none", "object"])
+def test_eval_refuses_what_is_not_real(x):
+    with pytest.raises(ValueError, match="evaluation points must be real numbers"):
+        ChebPoly([0.5, 0.5]).eval(x)
 
 
 def test_eval_input_contract():
@@ -858,11 +875,11 @@ def test_erf_coefficients_take_linear_memory():
     assert peak < 1 << 20
 
 
-def test_tight_cap_builds_make_few_erf_vectors(monkeypatch):
+def test_tight_cap_builds_make_few_erf_vectors(monkeypatch, clear_chebpoly_caches):
     """The four cold tight-cap builds that certify a minimax fit pass the
     erf path's rough-degree check 6 times, and build one coefficient vector
     for each of those steepnesses, not one per steepness (24 per build)."""
-    _clear_candidate_caches()
+    clear_chebpoly_caches()
     built = []
     build = chebpoly._erf_odd_coeffs
     monkeypatch.setattr(chebpoly, "_erf_odd_coeffs",
@@ -872,7 +889,7 @@ def test_tight_cap_builds_make_few_erf_vectors(monkeypatch):
     assert len(built) == 6
 
 
-def test_high_degree_builds_are_small_and_search_short(monkeypatch):
+def test_high_degree_builds_are_small_and_search_short(count_chebpoly_calls):
     """alpha = 0 steps of degree 675 and 1349, with the memory bound first:
     a build that regresses to a quadratic-memory construction fails it at
     a few hundred MB, before the larger build could ask for gigabytes."""
@@ -886,17 +903,11 @@ def test_high_degree_builds_are_small_and_search_short(monkeypatch):
     assert peak < 32 << 20
     assert sched.degree == 675
 
-    calls = []
-    judge = chebpoly._judge
-
-    def counting(odd, spec):
-        calls.append(2 * len(odd) - 1)
-        return judge(odd, spec)
-
-    monkeypatch.setattr(chebpoly, "_judge", counting)
+    calls = Counter()
+    count_chebpoly_calls(calls, judgments="_judge")
     chebpoly._build_cached.cache_clear()
     assert alpha_schedule(0.0, 0.003125, 1.0).degree == 1349
-    assert len(calls) <= 25
+    assert calls["judgments"] <= 25
 
 
 def test_subnormal_eta_ends_in_capacity_without_warnings():
@@ -917,7 +928,7 @@ def test_subnormal_eta_ends_in_capacity_without_warnings():
 def test_ramp_certifies_as_eta_approaches_one(delta):
     """At eta = 1 - 1e-9, the top of the frontier's range, the ramp's
     excesses are (1e-9 - delta)/2 twice and 0, so it never fails."""
-    ramp = chebpoly._step_from_odd((1.0,), delta)
+    ramp = _step((1.0,), delta)
     assert ramp == ChebPoly((0.5, 0.5))
     assert verify_bounds(ramp, StepSpec(delta, 1.0 - 1e-9)).passes
     assert 1e-9 <= min_eta_for_degree(delta, 1) <= 1.0 - 1e-9
@@ -925,17 +936,22 @@ def test_ramp_certifies_as_eta_approaches_one(delta):
 
 def _judged_frontier(monkeypatch, delta, degree):
     """min_eta_for_degree(delta, degree) and the (odd, spec, report) of
-    each judgment it makes."""
-    judge, judged = chebpoly._judge, []
+    each judgment it makes, odd being the candidate whose extremes it read."""
+    extremes, judge, odds, judged = chebpoly._odd_extremes, chebpoly._judge, [], []
 
-    def recording(odd, spec):
-        judged.append((odd, spec, judge(odd, spec)))
-        return judged[-1][2]
+    def reading(odd, delta):
+        odds.append(odd)
+        return extremes(odd, delta)
 
+    def recording(peaks, spec):
+        judged.append((spec, judge(peaks, spec)))
+        return judged[-1][1]
+
+    monkeypatch.setattr(chebpoly, "_odd_extremes", reading)
     monkeypatch.setattr(chebpoly, "_judge", recording)
     eta = min_eta_for_degree(delta, degree)
     monkeypatch.undo()
-    return eta, judged
+    return eta, [(odd, *rest) for odd, rest in zip(odds, judged, strict=True)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1024,7 +1040,7 @@ def test_printed_frontier_steps_pass_the_newton_refined_certificate(monkeypatch,
     that eta under a degree-d cap, both hold between grid points."""
     for degree in range(1, 22, 2):
         eta, [(odd, _, _)] = _judged_frontier(monkeypatch, delta, degree)
-        assert certify.certify(chebpoly._step_from_odd(odd, delta).coeffs, delta, eta).passes
+        assert certify.certify(_step(odd, delta).coeffs, delta, eta).passes
         poly = build_step_approx(StepSpec(delta, eta), max_degree=degree)
         assert poly.degree <= degree, degree
         assert certify.certify(poly.coeffs, delta, eta).passes, degree
@@ -1251,7 +1267,7 @@ def test_every_minimax_fit_certifies_at_its_own_t_star(delta):
     for degree in range(3, 22, 2):
         t_star, coeffs = chebpoly._minimax_fit(delta, degree)
         spec = StepSpec(delta, t_star * (1.0 + 1e-12))
-        assert verify_bounds(chebpoly._step_from_odd(coeffs, delta), spec).passes, degree
+        assert verify_bounds(_step(coeffs, delta), spec).passes, degree
         poly = build_step_approx(spec, max_degree=degree)
         assert poly.degree <= degree and verify_bounds(poly, spec).passes
 
@@ -1288,11 +1304,11 @@ def _minimax_candidates(eta):
     return tried
 
 
-def test_minimax_fit_reaches_certification_and_cache_safety():
+def test_minimax_fit_reaches_certification_and_cache_safety(clear_chebpoly_caches):
     """At eta = t*, the cached fit's own odd-coefficient tuple goes to
     certification, whatever t* says, and handing it over leaves the cache
     entry as it was."""
-    _clear_candidate_caches()
+    clear_chebpoly_caches()
     fit = chebpoly._minimax_fit(0.2, 21)
     t_star, coeffs = fit
     tried = _minimax_candidates(t_star)
@@ -1306,7 +1322,7 @@ def test_certified_tight_cap_fit_is_returned(delta, degree):
     check of t* with that margin would refuse it; the build just above the
     grid threshold returns a certified step within the cap."""
     t_star, coeffs = chebpoly._minimax_fit(delta, degree)
-    report = verify_bounds(chebpoly._step_from_odd(coeffs, delta), StepSpec(delta, 0.5))
+    report = verify_bounds(_step(coeffs, delta), StepSpec(delta, 0.5))
     assert report.max_abs_excess <= chebpoly.GRID_TOL
     worst = max(report.max_low_violation, report.max_high_violation)
     threshold = 0.5 + 2.0 * (worst - chebpoly.GRID_TOL)

@@ -121,6 +121,14 @@ def test_instance_validation():
     assert inst.true_mu == 0.5
 
 
+@pytest.mark.parametrize("psi", [["1", "0"], [b"1", b"0"], np.array([1.0, None])],
+                         ids=["strings", "bytes", "object"])
+def test_instance_refuses_a_psi_of_non_numbers(psi):
+    h = HermitianOp.from_matrix(np.diag([0.5, -0.25]))
+    with pytest.raises(ValueError, match="psi must hold numbers"):
+        EEInstance(H=h, gamma=1.0, psi=psi, true_mu=0.5)
+
+
 def test_instance_keeps_its_own_psi():
     """A frozen instance must not see later writes to the caller's array."""
     v = np.array([1.0 + 0.0j, 0.0])
