@@ -20,6 +20,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import erfcinv, ive
 
+from .sampler import as_int
+
 # Certification tolerance applied to every bound violation.
 GRID_TOL = 1e-9
 # Uniform grid whose |x| values the rescale of every odd candidate covers.
@@ -47,9 +49,11 @@ _MAX_SPREAD = 1e-3
 _FRONTIER_MAX_DEGREE = 801
 # Entries kept by the build and minimax-fit memos: a cold 5x5 acceptance
 # sweep leaves 25 builds, a cold eta frontier at degrees 1, 3, 7, 15 and 21
-# leaves 5 fits.  No memo is keyed by a candidate (see _Search).
+# leaves 4 fits.  No memo is keyed by a candidate (see _Search).
 _CACHE_SIZE = 256
-# Deltas whose rescale grid and plateau probe are kept, about 2.0 MB.
+# Deltas whose rescale grid and plateau probe are kept (_delta_points): 16
+# entries hold 2.0 MB by tracemalloc, each 11,707 grid points and the
+# 4,000-point plateau that the probe views.
 _GRID_CACHE_SIZE = 16
 # Rows of the x,P(x) curve that `qsvtsim poly --emit` writes.
 _CURVE_ROWS = 1000
@@ -215,34 +219,39 @@ class BoundReport:
                 and self.max_abs_excess <= GRID_TOL)
 
 
-# Points of the uniform plateau grid, which the rescale grid contains.
+# Points of the uniform plateau grid, which the rescale grid contains, and
+# the stride of the plateau probe through it.
 _PLATEAU_POINTS = 4000
-
-
-def _edge_grid(degree):
-    """Chebyshev-spaced points that resolve the fast oscillation near x = 1."""
-    n = min(4 * degree + 65, 4097)
-    return np.cos(np.linspace(0.0, math.pi / 2.0, n))
+_PROBE_STRIDE = 4
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _rescale_grid(delta):
-    """Read-only distinct points of the box, plateau and window grids."""
+def _delta_points(delta):
+    """Read-only (rescale grid, plateau probe) of one delta.
+
+    The rescale grid is the distinct points of the box, plateau and window
+    grids; the probe is every _PROBE_STRIDE-th point of the same uniform
+    plateau grid, from delta, so each probe point is a rescale-grid point.
+    """
+    plateau = np.linspace(delta, 1.0, _PLATEAU_POINTS)
     grid = np.unique(np.concatenate([
-        np.abs(np.linspace(-1.0, 1.0, BOX_GRID_POINTS)),
-        np.linspace(delta, 1.0, _PLATEAU_POINTS),
+        np.abs(np.linspace(-1.0, 1.0, BOX_GRID_POINTS)), plateau,
         np.linspace(0.0, delta, 201),
     ]))
-    grid.flags.writeable = False
-    return grid
+    probe = plateau[::_PROBE_STRIDE]
+    grid.flags.writeable = probe.flags.writeable = False
+    return grid, probe
 
 
 def _grid_points(delta, degree):
     """The points x >= 0 of the certification grid, which is their ±x.
 
-    The edge grid is appended as it is: a point it repeats changes no extreme.
+    They are delta's rescale grid, then min(4 degree + 65, 4097)
+    Chebyshev-spaced points that resolve the fast oscillation near x = 1,
+    appended as they are: a point they repeat changes no extreme.
     """
-    return np.concatenate([_rescale_grid(delta), _edge_grid(degree)])
+    edge = np.cos(np.linspace(0.0, math.pi / 2.0, min(4 * degree + 65, 4097)))
+    return np.concatenate([_delta_points(delta)[0], edge])
 
 
 def verify_bounds(poly, spec):
@@ -318,23 +327,11 @@ def _judge(extremes, spec):
                        max_abs_excess=(0.5 + h * peak) - 1.0, grid_size=size)
 
 
-# Stride of the plateau probe through the uniform plateau grid.
-_PROBE_STRIDE = 4
-
-
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _plateau_probe(delta):
-    """Read-only every _PROBE_STRIDE-th point of the uniform plateau grid, from delta."""
-    probe = np.linspace(delta, 1.0, _PLATEAU_POINTS)[::_PROBE_STRIDE]
-    probe.flags.writeable = False
-    return probe
-
-
 def _probe_top(odd, delta):
     """Upper bound on the judged right-plateau minimum of q's step.
 
-    q, given as odd = (c_1, c_3, ..., c_d), is evaluated once on
-    _plateau_probe(delta).  Those points lie on the plateau
+    q, given as odd = (c_1, c_3, ..., c_d), is evaluated once on the
+    plateau probe of _delta_points(delta).  Those points lie on the plateau
     of _grid_points(delta, d), and the evaluation is elementwise, so there
     q takes the same floats as in _odd_extremes: the probe's max|q| is at
     most the judged peak, so _judge's factor s is at most s_up =
@@ -350,16 +347,11 @@ def _probe_top(odd, delta):
     _judge).  On the acceptance sweep it is at most 1.1e-9, and every
     rejection misses by at least 1.9e-5.
     """
-    q = _clenshaw_split(_plateau_probe(delta), (0.0,), odd)
+    q = _clenshaw_split(_delta_points(delta)[1], (0.0,), odd)
     s_up = _scale_for(float(np.max(np.abs(q))))
     d = 2 * len(odd) - 1
     slack = 8.0 * (d + 1) ** 2 * 2.0 ** -53 * float(np.sum(np.abs(odd)))
     return 0.5 + 0.5 * s_up * max(float(np.min(q)), 0.0) + slack
-
-
-def _badness(report):
-    return max(report.max_low_violation, 0.0) \
-        + max(report.max_high_violation, 0.0) + max(report.max_abs_excess, 0.0)
 
 
 class _Search:
@@ -397,7 +389,9 @@ class _Search:
 
     def least_bad(self):
         """The failure with the smallest summed excess, the first on ties."""
-        return min((_judge(self.extremes(f), self.spec) for f in self.failures), key=_badness)
+        return min((_judge(self.extremes(f), self.spec) for f in self.failures),
+                   key=lambda r: max(r.max_low_violation, 0.0)
+                   + max(r.max_high_violation, 0.0) + max(r.max_abs_excess, 0.0))
 
 
 def _erf_odd_coeffs(k, n):
@@ -603,8 +597,9 @@ def _largest_fit_degree(delta, limit):
     The exchange cannot level once E nears float64 rounding, which happens
     from some degree on (from 21 at delta 0.9, from 53 at 0.45).  When the
     fit at the largest odd degree is None, a bisection of the None fits
-    finds the first of them, and the odd degree below it is returned;
-    degree 1 is taken to have a fit.
+    finds the first of them, and the odd degree below it is returned.
+    Degree 1 is the ramp, which no caller fits, so only degrees >= 3 are
+    fitted.
     """
     hi = limit if limit % 2 else limit - 1
     if hi > 1 and _minimax_fit(delta, hi) is None:
@@ -691,12 +686,13 @@ def build_step_approx(spec, max_degree=DEFAULT_MAX_DEGREE):
 
     Args:
         spec: StepSpec with the window half-width delta and budget eta.
-        max_degree: degree budget; exceeded -> CapacityError carrying the
-            least-violating BoundReport seen.
+        max_degree: integer degree budget; exceeded -> CapacityError
+            carrying the least-violating BoundReport seen.
     """
+    max_degree = as_int(max_degree, "max_degree")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    return _build_cached(spec, int(max_degree))
+    return _build_cached(spec, max_degree)
 
 
 def degree_constant(poly, spec):
@@ -712,9 +708,12 @@ def min_eta_for_degree(delta, degree):
     it is within t*(fit) - t*(LP) of the optimum, t*(LP) being the discrete
     minimax LP's lower bound.  Where there is no fit, or t* does not
     undercut the ramp's eta 1 - delta, the ramp's eta, clamped to
-    [1e-9, 1 - 1e-9], is returned.  The candidate, fit or ramp, is judged
-    once at that eta, and a failed judgment raises CapacityError: no
-    uncertified eta is returned.  Nothing is built.
+    [1e-9, 1 - 1e-9], is returned.  Degrees 1 and 2 fit nothing and return
+    exactly that clamped ramp eta: the degree-1 odd fit is c x, c = 1 - 1e-13
+    after its peak scaling, whose t* = 1 - c delta exceeds 1 - delta but for
+    rounding.  The candidate, fit or ramp, is judged once at that eta, and
+    a failed judgment raises CapacityError: no uncertified eta is returned.
+    Nothing is built.
 
     Fits stop at _FRONTIER_MAX_DEGREE.  Above it, only the 1e-9 floor is
     returned, which no degree undercuts; any other eta read at the cap
@@ -724,12 +723,14 @@ def min_eta_for_degree(delta, degree):
     about degree 400 the fit's last bits can depend on the BLAS thread
     count.
     """
+    degree = as_int(degree, "degree")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     spec = StepSpec(delta, min(max(1.0 - delta, 1e-9), 1.0 - 1e-9))
     odd = (1.0,)
-    limit = min(int(degree), _FRONTIER_MAX_DEGREE)
-    fit = _minimax_fit(delta, _largest_fit_degree(delta, limit))
+    limit = min(degree, _FRONTIER_MAX_DEGREE)
+    fit_degree = _largest_fit_degree(delta, limit)
+    fit = _minimax_fit(delta, fit_degree) if fit_degree >= 3 else None
     if fit is not None and fit[0] < spec.eta:
         spec, odd = StepSpec(delta, max(1e-9, fit[0])), fit[1]
     if degree > limit and spec.eta > 1e-9:

@@ -29,7 +29,7 @@ from .reductions import (AE_TO_EE_DEPTH_MULT, AE_TO_EE_TIME_MULT,
                          PE_TO_AE_TIME_MULT, ae_instance_from_amplitude,
                          composed_phase_tolerance, pe_instance_from_phase,
                          pe_to_ae, solve_ae_via_ee)
-from .sampler import RngStream
+from .sampler import RngStream, as_int
 
 
 def _fmt(x):
@@ -50,7 +50,7 @@ class SweepConfig:
     max_degree: int = DEFAULT_MAX_DEGREE
 
     def __post_init__(self):
-        if self.runs < 1:
+        if as_int(self.runs, "runs") < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
 
 

@@ -19,9 +19,9 @@ import numpy as np
 from .blockenc import (STATE_TOL, HermitianOp, _as_state, _check_norm_bound,
                        _shift_denominator, apply_poly, right_probability,
                        shift_and_scale)
-from .chebpoly import DEFAULT_MAX_DEGREE, StepSpec, build_step_approx
-from .sampler import (MAX_TRIALS, Outcome, ResourceLedger, bernoulli_trials,
-                      record_shots)
+from .chebpoly import DEFAULT_MAX_DEGREE, ChebPoly, StepSpec, build_step_approx
+from .sampler import (MAX_TRIALS, Outcome, ResourceLedger, as_int,
+                      bernoulli_trials, record_shots)
 
 
 def _check_finite(**values):
@@ -38,7 +38,7 @@ class AlphaSchedule:
     eta: float
     n_samples: int
     threshold: float
-    poly: "ChebPoly"
+    poly: ChebPoly
 
     @property
     def degree(self):
@@ -217,6 +217,7 @@ def ipe_baseline(phi, m, shots_per_bit, rng):
     Bits are taken by strict majority over shots_per_bit draws.  Ledger:
     depth 2**(m-1), total shots_per_bit * (2**m - 1).
     """
+    m, shots_per_bit = as_int(m, "m"), as_int(shots_per_bit, "shots_per_bit")
     if m < 1:
         raise ValueError("need at least one bit")
     if shots_per_bit < 1:

@@ -16,7 +16,7 @@ import numpy as np
 from .blockenc import (DEFAULT_DIM_CAP, HERMITIAN_TOL, STATE_TOL, BlockEncoding,
                        HermitianOp, _hermitian, _unchecked, _unitary)
 from .estimator import EEInstance, estimate_ee
-from .sampler import ResourceLedger
+from .sampler import ResourceLedger, as_int
 
 # Cost multipliers attached by the reductions, in units of the source
 # problem's oracle calls.  One A application consumes one state-prep
@@ -254,6 +254,7 @@ def pe_instance_from_phase(phi, dim=1, rng=None):
     phi = float(phi) % (2.0 * math.pi)
     if phi == 2.0 * math.pi:  # a tiny negative phi rounds up to 2 pi
         phi = 0.0
+    dim = as_int(dim, "dim")
     if not 1 <= dim <= DEFAULT_DIM_CAP // 2:  # before any draw; pe_to_ae doubles dim
         raise ValueError(f"dim must lie in [1, {DEFAULT_DIM_CAP // 2}]")
     if dim == 1:

@@ -55,13 +55,23 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
+def as_int(value, name):
+    """A count or degree as an int: Python and NumPy integers pass; bools,
+    floats (2.0 included) and strings raise ValueError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def bernoulli_trials(p, n, rng):
     """Count of successes in n independent draws with success probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability must lie in [0, 1]")
+    if type(n) is not int:
+        n = as_int(n, "trial count")
     if not 0 <= n <= MAX_TRIALS:
         raise ValueError("trial count must lie in [0, 2**63 - 1]")
-    return int(rng.generator.binomial(int(n), p))
+    return int(rng.generator.binomial(n, p))
 
 
 @dataclass
@@ -75,6 +85,10 @@ class ResourceLedger:
 
 def record_shots(ledger, depth, n):
     """Record n shots of the given depth; mutates and returns the ledger."""
+    if type(depth) is not int:
+        depth = as_int(depth, "depth")
+    if type(n) is not int:
+        n = as_int(n, "shot count")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if n < 0:

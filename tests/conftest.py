@@ -40,17 +40,11 @@ def workloads():
         yield _load("workloads")
 
 
-def _clear_chebpoly_caches():
-    for val in list(vars(chebpoly).values()):
-        if callable(getattr(val, "cache_clear", None)):
-            val.cache_clear()
-
-
 @pytest.fixture
-def clear_chebpoly_caches():
-    """Empties every functools cache of chebpoly when called, as the
-    benchmark's clear_polynomial_caches does: a cold start."""
-    return _clear_chebpoly_caches
+def clear_chebpoly_caches(workloads):
+    """The benchmark's clear_polynomial_caches, which empties every
+    functools cache of a qsvtsim module when called: a cold start."""
+    return workloads.clear_polynomial_caches
 
 
 @pytest.fixture

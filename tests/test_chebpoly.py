@@ -253,14 +253,14 @@ def test_candidates_are_evaluated_once_before_certification(
 def test_plateau_probe_lies_on_both_grids(delta):
     """The probe is every fourth point of the uniform plateau grid, and
     each point lies on the rescale grid and on the judged plateau."""
-    probe = chebpoly._plateau_probe(delta)
+    grid, probe = chebpoly._delta_points(delta)
     assert probe.size == 1000 and probe[0] == delta
     assert np.array_equal(probe, np.linspace(delta, 1.0, 4000)[::4])
-    assert probe is chebpoly._plateau_probe(delta)
+    assert probe is chebpoly._delta_points(delta)[1]
     assert not probe.flags.writeable
     # exact float equality: the probe's max|q| bounds the judged peak, and
     # its min bounds the judged plateau's
-    assert np.all(np.isin(probe, chebpoly._rescale_grid(delta)))
+    assert np.all(np.isin(probe, grid))
     points = chebpoly._grid_points(delta, 41)
     assert np.all(np.isin(probe, points[points >= delta]))
 
@@ -531,12 +531,12 @@ def test_cold_sweep_builds_rescale_only_probe_survivors(clear_chebpoly_caches,
 
 
 def test_no_memo_keeps_a_candidate_after_its_build():
-    """The memos left after a build and a frontier degree are the grids,
-    the minimax fits and the builds; none is keyed by a candidate."""
+    """The memos left after a build and a frontier degree are the per-delta
+    points, the minimax fits and the builds; none is keyed by a candidate."""
     build_step_approx(StepSpec(0.05, 0.01))
     min_eta_for_degree(0.2, 21)
     memos = {name for name, val in vars(chebpoly).items() if hasattr(val, "cache_info")}
-    assert memos == {"_rescale_grid", "_plateau_probe", "_minimax_fit", "_build_cached"}
+    assert memos == {"_delta_points", "_minimax_fit", "_build_cached"}
 
 
 def _verify_bounds_on_the_pm_grid(poly, spec):
@@ -568,7 +568,8 @@ def _step_over_unique_grid(odd_coeffs, delta):
     d = 2 * len(odd_coeffs) - 1
     grid = np.unique(np.concatenate([
         np.abs(np.linspace(-1.0, 1.0, 10_000)), np.linspace(delta, 1.0, 4000),
-        np.linspace(0.0, delta, 201), chebpoly._edge_grid(d)]))
+        np.linspace(0.0, delta, 201),
+        np.cos(np.linspace(0.0, math.pi / 2.0, min(4 * d + 65, 4097)))]))
     odd = [float(c) for c in odd_coeffs]
     while odd and odd[-1] == 0.0:
         odd.pop()
@@ -621,12 +622,27 @@ def test_certification_on_per_delta_grids_is_exact_for_sweep_schedules(alpha):
 def test_per_delta_grids_are_shared_and_read_only():
     """The ramp's ±grid: the 11,707 rescale points at delta 0.2 and the 69
     edge points of degree 1, each at -x and at x."""
-    assert chebpoly._rescale_grid(0.2) is chebpoly._rescale_grid(0.2)
-    assert 2 * (chebpoly._rescale_grid(0.2).size + 69) == verify_bounds(
+    assert chebpoly._delta_points(0.2) is chebpoly._delta_points(0.2)
+    grid, probe = chebpoly._delta_points(0.2)
+    assert 2 * (grid.size + 69) == verify_bounds(
         ChebPoly([0.5, 0.5]), StepSpec(0.2, 0.5)).grid_size == 23_552
-    for grid in (chebpoly._rescale_grid(0.2), chebpoly._plateau_probe(0.2)):
+    for points in (grid, probe):
         with pytest.raises(ValueError, match="read-only"):
-            grid[0] = 0.0
+            points[0] = 0.0
+
+
+@pytest.mark.parametrize("delta", (0.2, 0.05, 0.0123, 0.7071, 0.99, 1e-6))
+def test_per_delta_points_follow_their_linspace_formulas(delta):
+    """The memo's rescale grid and probe are, float hex for float hex, the
+    distinct |x| of the box, plateau and window linspaces and every fourth
+    point of the plateau linspace, and neither can be written."""
+    plateau = np.linspace(delta, 1.0, 4000)
+    want_grid = np.unique(np.concatenate([
+        np.abs(np.linspace(-1.0, 1.0, 10_000)), plateau, np.linspace(0.0, delta, 201)]))
+    grid, probe = chebpoly._delta_points(delta)
+    assert [x.hex() for x in grid.tolist()] == [x.hex() for x in want_grid.tolist()]
+    assert [x.hex() for x in probe.tolist()] == [x.hex() for x in plateau[::4].tolist()]
+    assert not grid.flags.writeable and not probe.flags.writeable
 
 
 def test_eval_outside_domain_rejected():
@@ -979,6 +995,34 @@ def test_frontier_eta_stays_in_range_and_is_judged_once(delta, degree):
         assert eta == 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@example(1.1686000644507705e-09)
+@example(5e-324)
+@example(1.0 - 2.0 ** -53)
+@given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                 st.floats(-300.0, -1e-3).map(lambda e: 10.0 ** e)))
+def test_frontier_degrees_one_and_two_are_exactly_the_ramp(delta):
+    """Degree 1 is the ramp, and degree 2 has no odd degree above it, so
+    both return the ramp's eta, clamped, to the last bit.  A degree-1 fit
+    c x, c = 1 - 1e-13, used to undercut it by one ulp of rounding at
+    delta = 1.1686000644507705e-09."""
+    ramp = min(max(1.0 - delta, 1e-9), 1.0 - 1e-9)
+    assert min_eta_for_degree(delta, 1) == min_eta_for_degree(delta, 2) == ramp
+
+
+def test_cold_frontier_fits_only_degrees_from_three(monkeypatch, clear_chebpoly_caches):
+    """A cold delta = 0.2 frontier at degrees 1, 3, 7, 15 and 21 fits each
+    of 3, 7, 15 and 21 once and nothing at degree 1."""
+    clear_chebpoly_caches()
+    fit, fitted = chebpoly._minimax_fit, set()
+    monkeypatch.setattr(chebpoly, "_minimax_fit",
+                        lambda delta, degree: fitted.add(degree) or fit(delta, degree))
+    for degree in (1, 3, 7, 15, 21):
+        min_eta_for_degree(0.2, degree)
+    assert fitted == {3, 7, 15, 21}
+    assert fit.cache_info().misses == 4
+
+
 def test_min_eta_degree_one_boundary():
     assert min_eta_for_degree(0.2, 1) == 1.0 - 0.2
     with pytest.raises(ValueError, match="degree must be at least 1"):
@@ -1070,7 +1114,7 @@ def _full_grid_lp(delta, degree):
     """
     xs = np.unique(np.concatenate([
         np.linspace(0.0, 1.0, 2501), np.linspace(delta, 1.0, 1500),
-        chebpoly._edge_grid(degree), [delta]]))
+        np.cos(np.linspace(0.0, math.pi / 2.0, min(4 * degree + 65, 4097))), [delta]]))
     vander = npcheb.chebvander(xs, degree)[:, 1::2]
     n_var = vander.shape[1]
     plateau = vander[xs >= delta]
@@ -1408,3 +1452,20 @@ def test_curve_csv_shape(tmp_path):
     assert x0 == -1.0 and xe == 1.0
     assert p0 == pytest.approx(poly.eval(-1.0), abs=1e-15)
     assert pe == pytest.approx(poly.eval(1.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", (5.7, 5.0, True, "5"))
+def test_build_takes_only_an_integer_degree_cap(bad):
+    """A float cap, 5.0 included, a bool or a string is refused rather
+    than cut to an int; a numpy integer is the cap itself."""
+    spec = StepSpec(0.2, 0.6)
+    with pytest.raises(ValueError, match="max_degree must be an integer"):
+        build_step_approx(spec, bad)
+    assert build_step_approx(spec, np.int64(5)) == build_step_approx(spec, 5)
+
+
+@pytest.mark.parametrize("bad", (3.5, 3.0, True, "3"))
+def test_frontier_takes_only_an_integer_degree(bad):
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        min_eta_for_degree(0.2, bad)
+    assert min_eta_for_degree(0.2, np.int64(3)) == min_eta_for_degree(0.2, 3)

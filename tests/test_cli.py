@@ -848,3 +848,10 @@ def _citable_names(argv, tmp):
     if argv[0] == "fit":
         names |= {f.name for f in fields(SweepRow)}
     return names
+
+
+@pytest.mark.parametrize("bad", (2.5, 2.0, True, "2"))
+def test_sweep_config_takes_only_an_integer_run_count(bad):
+    """A float run count used to be accepted and fail later in run_sweep."""
+    with pytest.raises(ValueError, match="runs must be an integer"):
+        SweepConfig(alphas=(1.0,), eps_list=(0.2,), runs=bad, seed=0)

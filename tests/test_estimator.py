@@ -1,6 +1,8 @@
 """Schedule derivation, thresholded bisection, and baseline estimators."""
 
+import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -498,3 +500,35 @@ def test_ipe_is_deterministic_per_seed():
     a = ipe_baseline(2.0, 6, 7, RngStream(5, 0))
     b = ipe_baseline(2.0, 6, 7, RngStream(5, 0))
     assert a == b
+
+
+def test_estimate_takes_only_an_integer_degree_cap():
+    inst = diag_instance([0.5, -0.25])
+    for bad in (40.9, 40.0, True, "40"):
+        with pytest.raises(ValueError, match="max_degree must be an integer"):
+            estimate_ee(inst, 0.1, 0.5, RngStream(0, 0), max_degree=bad)
+
+
+def test_ipe_takes_only_integer_bits_and_shots():
+    """Non-integers are refused; numpy integers run as Python ints, so the
+    ledger holds Python ints."""
+    for m, shots in ((2, 3.5), (2.5, 3), (2, 3.0), (True, 3), (2, "3")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ipe_baseline(1.0, m, shots, RngStream(0, 0))
+    got = ipe_baseline(1.0, np.int64(3), np.int64(5), RngStream(2, 0))
+    assert got == ipe_baseline(1.0, 3, 5, RngStream(2, 0))
+    assert all(type(v) is int for v in vars(got[1]).values())
+
+
+def test_every_dataclass_has_resolvable_type_hints():
+    """typing.get_type_hints resolves each dataclass of every qsvtsim
+    module; AlphaSchedule's ChebPoly once named a class never imported."""
+    from qsvtsim import blockenc, chebpoly, cli, reductions, sampler
+    seen = []
+    for mod in (blockenc, chebpoly, cli, estimator, reductions, sampler):
+        for val in vars(mod).values():
+            if isinstance(val, type) and dataclasses.is_dataclass(val) \
+                    and val.__module__ == mod.__name__:
+                assert set(typing.get_type_hints(val)) >= {f.name for f in dataclasses.fields(val)}
+                seen.append(val.__name__)
+    assert "AlphaSchedule" in seen and len(seen) >= 13

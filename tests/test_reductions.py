@@ -458,3 +458,11 @@ def test_factory_validation():
     big = pe_instance_from_phase(2.5, dim=4, rng=RngStream(6, 0))
     assert big.U.shape == (4, 4)
     assert big.true_phi == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("bad", (2.5, 2.0, True, "2"))
+def test_pe_instance_takes_only_an_integer_dim(bad):
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        pe_instance_from_phase(1.0, dim=bad)
+    same = pe_instance_from_phase(1.0, dim=np.int64(2), rng=RngStream(3, 0))
+    assert np.array_equal(same.U, pe_instance_from_phase(1.0, dim=2, rng=RngStream(3, 0)).U)

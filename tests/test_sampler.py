@@ -139,3 +139,24 @@ def test_outcome_enum_members():
     assert Outcome.RIGHT.value == 1
     assert Outcome(0) is Outcome.LEFT
     assert Outcome(1) is Outcome.RIGHT
+
+
+@pytest.mark.parametrize("bad", (3.7, 3.0, True, "3"))
+def test_bernoulli_takes_only_an_integer_trial_count(bad):
+    with pytest.raises(ValueError, match="trial count must be an integer"):
+        bernoulli_trials(0.5, bad, RngStream(0, 0))
+    assert bernoulli_trials(0.5, np.int64(30), RngStream(4, 0)) \
+        == bernoulli_trials(0.5, 30, RngStream(4, 0))
+
+
+@pytest.mark.parametrize("bad", (2.5, 2.0, True, "2"))
+def test_ledger_takes_only_integer_depths_and_shot_counts(bad):
+    """The ledger keeps Python ints: a numpy integer is converted, and
+    anything else that is not an integer is refused."""
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        record_shots(ResourceLedger(), bad, 3)
+    with pytest.raises(ValueError, match="shot count must be an integer"):
+        record_shots(ResourceLedger(), 3, bad)
+    led = record_shots(ResourceLedger(), np.int64(5), np.int32(3))
+    assert (led.total_queries, led.max_depth, led.shots) == (15, 5, 3)
+    assert all(type(v) is int for v in (led.total_queries, led.max_depth, led.shots))

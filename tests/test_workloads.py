@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from qsvtsim import chebpoly
+from qsvtsim import chebpoly, estimator
 
 
 # (workload, ops per pass, failed ops at most, depth_sum at most)
@@ -35,23 +35,33 @@ def test_workload_pass_meets_its_checks(workloads, name, ops, failed, depth):
 
 
 def test_clearing_the_caches_makes_a_frontier_degree_cold_again(workloads, count_chebpoly_calls):
-    """Every memo a frontier degree fills is a cache that the benchmark's
-    clear_polynomial_caches empties, so no warm memo counts as a gain:
-    after it, min_eta_for_degree(0.2, 21) fits and evaluates as much as it
-    did cold.  A warm rerun skips only the fit; no memo keeps the fit's
-    extremes, so they are evaluated again.  Counts are calls of the fit's
-    cosine sums, of _odd_extremes and of the Clenshaw evaluator."""
+    """Every memo that a frontier degree or a sweep cell's schedule fills is
+    a cache that the benchmark's clear_polynomial_caches empties, so no
+    warm memo counts as a gain: after it, min_eta_for_degree(0.2, 21) fits
+    and evaluates as much as it did cold, and alpha_schedule(0.5, 0.05, 1)
+    probes, reads extremes and judges as much.  A warm frontier rerun skips
+    only the fit; no memo keeps the fit's extremes, so they are evaluated
+    and judged again.  A warm schedule is the build memo's and does none of
+    that work.  Counts are calls of the fit's cosine sums, of _probe_top,
+    _odd_extremes, _judge and of the Clenshaw evaluator."""
     counts = Counter()
-    count_chebpoly_calls(counts, fit_sums="_odd_cos_sums", extremes="_odd_extremes",
-                         evals="_clenshaw_split")
+    count_chebpoly_calls(counts, fit_sums="_odd_cos_sums", probes="_probe_top",
+                         extremes="_odd_extremes", judgments="_judge", evals="_clenshaw_split")
 
-    runs = []
-    for clear in (True, False, True):
-        if clear:
-            workloads.clear_polynomial_caches()
-        counts.clear()
-        chebpoly.min_eta_for_degree(0.2, 21)
-        runs.append(Counter(counts))
-    cold, warm, again = runs
+    def cold_warm_cold(op):
+        runs = []
+        for clear in (True, False, True):
+            if clear:
+                workloads.clear_polynomial_caches()
+            counts.clear()
+            op()
+            runs.append(Counter(counts))
+        return runs
+
+    cold, warm, again = cold_warm_cold(lambda: chebpoly.min_eta_for_degree(0.2, 21))
     assert again == cold and cold["fit_sums"] > 0 and cold["extremes"] == 1
-    assert warm == Counter(extremes=1, evals=cold["evals"])
+    assert warm == Counter(extremes=1, judgments=1, evals=cold["evals"])
+
+    cold, warm, again = cold_warm_cold(lambda: estimator.alpha_schedule(0.5, 0.05, 1.0))
+    assert again == cold and warm == Counter()
+    assert cold["probes"] > 0 and cold["extremes"] == cold["judgments"] == 1
