@@ -4,9 +4,11 @@ Builds polynomials that stay within [0, eta/2] on [-1, -delta] and within
 [1 - eta/2, 1] on [delta, 1] while remaining bounded by 1 everywhere on
 [-1, 1], certifies those bounds on one grid of points ±x, and searches for
 the smallest degree that meets a given (delta, eta) target.  A cheap plateau
-probe steers the search; the candidate it would return is then judged from
-a single evaluation of its odd part on the points x >= 0 of that grid, and
-a failed judgment reruns the search judging every probe survivor.
+probe steers the search: one forward pass of the Chebyshev recurrence
+probes every truncation of an erf series at once.  The candidate the search
+would return is then judged from a single evaluation of its odd part on the
+points x >= 0 of that grid, and a failed judgment reruns the search judging
+every probe survivor.
 """
 
 from __future__ import annotations
@@ -327,43 +329,87 @@ def _judge(extremes, spec):
                        max_abs_excess=(0.5 + h * peak) - 1.0, grid_size=size)
 
 
-def _probe_top(odd, delta):
-    """Upper bound on the judged right-plateau minimum of q's step.
+# Rows of a forward pass's block: 16 x 1,000 floats stay under glibc's 128 KiB
+# mmap threshold; in short sweep_cold runs 32 rows read 0.15 MB more peak RSS.
+_PASS_ROWS = 16
 
-    q, given as odd = (c_1, c_3, ..., c_d), is evaluated once on the
-    plateau probe of _delta_points(delta).  Those points lie on the plateau
-    of _grid_points(delta, d), and the evaluation is elementwise, so there
-    q takes the same floats as in _odd_extremes: the probe's max|q| is at
-    most the judged peak, so _judge's factor s is at most s_up =
-    _scale_for(probe's max|q|) (rounded division is monotone), and the
-    probe's min q is at least the judged one.  Rounded products and sums
-    are monotone too, so _judge's right-plateau minimum 0.5 + 0.5 s min q
-    is at most 0.5 + 0.5 s_up max(min q, 0).  A candidate whose top misses
-    1 - eta/2 by more than GRID_TOL thus has a judged max_high_violation
-    above GRID_TOL, and _Search.try_odd rejects it.  The slack
-    8 (d + 1)^2 u sum|c_k|, u = 2^-53, covers the rounding of the
-    subtractions from 1 - eta/2, and also that of verify_bounds on the
-    step, whose own Clenshaw sum differs from _judge's by rounding (see
-    _judge).  On the acceptance sweep it is at most 1.1e-9, and every
-    rejection misses by at least 1.9e-5.
+
+def _prefix_extremes(odd, x):
+    """min S_m and max|S_m| on the points x of every partial sum of q.
+
+    S_m = sum_{j<m} c_j T_{2j+1}(x), 1 <= m <= n = len(odd), come from one
+    forward pass: T_{2j+3} = 2 T_2 T_{2j+1} - T_{2j-1} from T_{-1} = T_1 =
+    x, with T_2 = y = 2x^2 - 1 rounded as in _clenshaw_split.  Rows are made
+    _PASS_ROWS at a time, scaled by c_j and summed down the block onto the
+    carried S, so n rows are made in one block's memory.  Each S_m is
+    within e_m = (d + 1)^2 u sum_{j<m} |c_j|, d = 2m - 1, u = 2^-53, of
+    the exact sum at (x, y), and so is _clenshaw_split on odd[:m] (see
+    _judge); so the two, and their extremes, differ by at most 2 e_m.
     """
-    q = _clenshaw_split(_delta_points(delta)[1], (0.0,), odd)
-    s_up = _scale_for(float(np.max(np.abs(q))))
-    d = 2 * len(odd) - 1
-    slack = 8.0 * (d + 1) ** 2 * 2.0 ** -53 * float(np.sum(np.abs(odd)))
-    return 0.5 + 0.5 * s_up * max(float(np.min(q)), 0.0) + slack
+    n = len(odd)
+    y = 2.0 * x * x - 1.0
+    y2 = y + y
+    coeffs = np.asarray(odd)
+    low, peak = np.empty(n), np.empty(n)
+    older, old, total = x, x, 0.0  # T_{-1}, T_1 and the empty sum
+    for start in range(0, n, _PASS_ROWS):
+        block = rows = np.empty((min(_PASS_ROWS, n - start), x.size))
+        if start == 0:  # row 0 is T_1 itself; the recurrence starts at T_3
+            block[0] = x
+            rows = block[1:]
+        for row in rows:
+            np.multiply(y2, old, out=row)
+            row -= older
+            older, old = old, row
+        older, old = older.copy(), old.copy()  # the rows are scaled in place next
+        block *= coeffs[start:start + len(block), None]
+        block[0] += total
+        for prev, row in zip(block, block[1:]):  # np.cumsum down axis 0 is slower
+            row += prev
+        total = block[-1].copy()
+        low[start:start + len(block)] = np.min(block, axis=1)
+        peak[start:start + len(block)] = np.max(np.abs(block, out=block), axis=1)
+    return low, peak
+
+
+def _probe_tops(odd, delta):
+    """Upper bounds on the judged right-plateau minimum of each prefix's step.
+
+    Entry m - 1 bounds that of odd[:m], the candidate q of degree d =
+    2m - 1, for 1 <= m <= len(odd).  Its partial sum S_m is read by
+    _prefix_extremes on the plateau probe of _delta_points(delta), whose
+    points lie on the plateau of _grid_points(delta, d); there the judged
+    Clenshaw values of q are within 2 e_m of S_m.  So the judged peak is at
+    least max|S_m| - 2 e_m, and _judge's factor s is at most s_up =
+    _scale_for(max|S_m| - 2 e_m); the judged min q is at most min S_m +
+    2 e_m.  _judge's right-plateau minimum 0.5 + 0.5 s min q is thus at
+    most 0.5 + 0.5 s_up max(min S_m, 0) + e_m.  The slack 16 e_m covers
+    that e_m, the rounding of the subtractions from 1 - eta/2, and that of
+    verify_bounds on the step, whose own Clenshaw sum differs from _judge's
+    by rounding (see _judge).  A candidate whose top misses 1 - eta/2 by
+    more than GRID_TOL thus has a judged max_high_violation above GRID_TOL,
+    and _Search.try_odd rejects it.  On the acceptance sweep the slack is
+    at most 2.2e-9, and every rejection misses by at least 1.9e-5.
+    """
+    low, peak = _prefix_extremes(odd, _delta_points(delta)[1])
+    m = np.arange(1, len(odd) + 1)
+    err = (2.0 * m) ** 2 * 2.0 ** -53 * np.cumsum(np.abs(odd))
+    return [0.5 + 0.5 * _scale_for(p - 2.0 * e) * max(lo, 0.0) + 16.0 * e
+            for lo, p, e in zip(low.tolist(), peak.tolist(), err.tolist())]
 
 
 class _Search:
     """One build's search: the best accepted candidate and every failure, in order.
 
     A candidate is q's odd-index coefficients (c_1, c_3, ..., c_d), a
-    tuple of degree d = 2 * len - 1.  Each accepted candidate has a
-    lower degree than any before it, so it replaces best outright.  A
+    tuple of degree d = 2 * len - 1, and a prefix of a series: an erf
+    truncation of the series whose tail sums set the bisection's start
+    degree, or a lone candidate, its own series.  Each accepted candidate
+    has a lower degree than any before it, so it replaces best outright.  A
     failure, rejected by the probe or by _judge, is kept as it is;
-    least_bad judges them, which only a CapacityError needs.  top and
-    extremes call _probe_top and _odd_extremes once per candidate, and their
-    results go with the search.
+    least_bad judges them, which only a CapacityError needs.  tops holds
+    each series' _probe_tops, from one pass, and extremes calls
+    _odd_extremes once per candidate; both go with the search.
     """
 
     def __init__(self, spec, judge_all):
@@ -371,16 +417,24 @@ class _Search:
         self.judge_all = judge_all
         self.best = None
         self.failures = []
-        self.top = cache(lambda odd: _probe_top(odd, spec.delta))
+        self.tops = {}
         self.extremes = cache(lambda odd: _odd_extremes(odd, spec.delta))
 
-    def try_odd(self, odd):
-        """Accept odd when it survives the plateau probe.
+    def top(self, odd, series=None):
+        """The probe top of odd, a prefix of series (odd itself by default),
+        from series' one pass."""
+        series = odd if series is None else series
+        if series not in self.tops:
+            self.tops[series] = _probe_tops(series, self.spec.delta)
+        return self.tops[series][len(odd) - 1]
+
+    def try_odd(self, odd, series=None):
+        """Accept odd, a prefix of series, when it survives the plateau probe.
 
         Only with judge_all is a survivor judged as well, and accepted when
         it passes; otherwise best is unjudged until _build_cached judges it.
         """
-        if not self.top(odd) < 1.0 - self.spec.eta / 2.0 - GRID_TOL \
+        if not self.top(odd, series) < 1.0 - self.spec.eta / 2.0 - GRID_TOL \
                 and (not self.judge_all or _judge(self.extremes(odd), self.spec).passes):
             self.best = odd
             return True
@@ -460,7 +514,8 @@ def _erf_path(search, limit):
         tails = np.concatenate([np.cumsum(np.abs(odd)[::-1])[::-1][1:], [0.0]])
         d0 = 2 * int(np.flatnonzero(plateau_err + 2.0 * tails <= eta * (1.0 - 1e-9))[0]) + 1
         if d0 <= cap:  # lo = -1: degree 1 is still open
-            _bisect_odd(lambda d: search.try_odd(tuple(odd[:(d + 1) // 2].tolist())), -1, d0)
+            series = tuple(odd[:(d0 + 1) // 2].tolist())
+            _bisect_odd(lambda d: search.try_odd(series[:(d + 1) // 2], series), -1, d0)
 
 
 def _odd_cos_sums(theta, odd):
@@ -663,12 +718,12 @@ def _build_cached(spec, max_degree):
 
     The first search is steered by the plateau probe alone.  A failed
     judgment of its pick means the probe passed a candidate that the
-    judgment rejects, and the same search, with each candidate's probe and
-    extremes, reruns judging every probe survivor.  So every step returned
-    has passed _judge.  A first search that accepts nothing saw the probe
-    reject every candidate, and the probe rejects only what the judgment
-    rejects, so its CapacityError report is the one a judging search would
-    give.  The search goes when the build returns.
+    judgment rejects, and the same search, with each series' probe tops and
+    each candidate's extremes, reruns judging every probe survivor.  So
+    every step returned has passed _judge.  A first search that accepts
+    nothing saw the probe reject every candidate, and the probe rejects only
+    what the judgment rejects, so its CapacityError report is the one a
+    judging search would give.  The search goes when the build returns.
     """
     search = _run_search(_Search(spec, judge_all=False), max_degree)
     if search.best is not None and not _judge(search.extremes(search.best), spec).passes:

@@ -50,6 +50,8 @@ class SweepConfig:
     max_degree: int = DEFAULT_MAX_DEGREE
 
     def __post_init__(self):
+        as_int(self.seed, "seed")
+        as_int(self.max_degree, "max_degree")
         if as_int(self.runs, "runs") < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
 

@@ -42,14 +42,21 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "generator")
 
     def __init__(self, seed, stream_id=0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
+        """seed and stream_id are integers, taken mod 2**64 (see as_int)."""
+        if type(seed) is not int:
+            seed = as_int(seed, "seed")
+        if type(stream_id) is not int:
+            stream_id = as_int(stream_id, "stream_id")
+        self.seed = seed & _MASK64
+        self.stream_id = stream_id & _MASK64
         key = _PhiloxKey(self.seed, self.stream_id)
         self.generator = np.random.Generator(np.random.Philox(key))
 
     def child(self, offset):
         """Fresh stream at stream_id + offset with the same seed."""
-        return RngStream(self.seed, (self.stream_id + int(offset)) & _MASK64)
+        if type(offset) is not int:
+            offset = as_int(offset, "offset")
+        return RngStream(self.seed, (self.stream_id + offset) & _MASK64)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -160,25 +160,28 @@ def _step(odd, delta):
     return chebpoly._step_from_odd(odd, chebpoly._odd_extremes(odd, delta)[0])
 
 
-def _probe_rejects(odd, spec):
-    """The plateau probe's verdict on odd, as _Search.try_odd reads it."""
-    return chebpoly._probe_top(odd, spec.delta) < 1.0 - spec.eta / 2.0 - chebpoly.GRID_TOL
+def _probe_rejects(odd, spec, series=None):
+    """The plateau probe's verdict on odd, a prefix of series (odd itself by
+    default), as _Search.try_odd reads it off series' one pass."""
+    top = chebpoly._probe_tops(odd if series is None else series, spec.delta)[len(odd) - 1]
+    return top < 1.0 - spec.eta / 2.0 - chebpoly.GRID_TOL
 
 
 def test_candidates_are_evaluated_once_before_certification(
         monkeypatch, clear_chebpoly_caches, count_chebpoly_calls):
-    """Each candidate, the ramp included, is probed once per build, and a
-    build's first search judges none of them: a survivor is accepted on the
-    probe alone.  The candidate the build returns is then evaluated once
-    more, for its extremes, from which it is both judged and rescaled.  A
-    rerun of that search, judging every survivor, probes nothing again; a
-    survivor is evaluated once more and judged, the candidate already
-    judged is judged again without an evaluation, and a rejected one is not
-    judged.  The eta frontier judges its one candidate, a minimax fit,
-    without a search or a probe, and evaluates it at every call.  A build
-    repeated evaluates nothing, and the builder never calls verify_bounds.
-    Counts are calls of _probe_top, _odd_extremes, _judge and the
-    evaluator, so work that a memo saves counts as none."""
+    """Each series, the ramp included, is probed by one pass per build,
+    made when its first candidate is tried, and a build's first search
+    judges none of its candidates: a survivor is accepted on the probe
+    alone.  The candidate the build returns is then evaluated once, for its
+    extremes, from which it is both judged and rescaled.  A rerun of that
+    search, judging every survivor, probes nothing again; a survivor is
+    evaluated once more and judged, the candidate already judged is judged
+    again without an evaluation, and a rejected one is not judged.  The eta
+    frontier judges its one candidate, a minimax fit, without a search or a
+    probe, and evaluates it at every call.  A build repeated evaluates
+    nothing, and the builder never calls verify_bounds.  Counts are calls
+    of _probe_tops, _odd_extremes, _judge and the Clenshaw evaluator, which
+    no pass calls, so work that a memo saves counts as none."""
     counts = Counter()
     count_chebpoly_calls(counts, evals="_clenshaw_split")
     ChebPoly([0.5, 0.5])
@@ -186,20 +189,21 @@ def test_candidates_are_evaluated_once_before_certification(
     assert counts["evals"] == 0
 
     count_chebpoly_calls(counts, certifications="verify_bounds", judgments="_judge",
-                         probes="_probe_top", extremes="_odd_extremes")
+                         passes="_probe_tops", extremes="_odd_extremes")
     try_odd = chebpoly._Search.try_odd
     outcomes = Counter()
 
     def work():
         return Counter(counts)
 
-    def try_odd_checked(search, odd):
+    def try_odd_checked(search, odd, series=None):
+        series = odd if series is None else series
+        probed = Counter() if series in search.tops else Counter(passes=1)
         before = work()
-        certified = try_odd(search, odd)
+        certified = try_odd(search, odd, series)
         seen = work() - before
-        probed = Counter(probes=1, evals=1) if seen["probes"] else Counter()
         # the search's own probe top, read without probing again
-        if search.top(odd) < 1.0 - search.spec.eta / 2.0 - chebpoly.GRID_TOL:
+        if search.top(odd, series) < 1.0 - search.spec.eta / 2.0 - chebpoly.GRID_TOL:
             outcome, want = "rejected", probed
         elif not search.judge_all:
             outcome, want = "accepted unjudged", probed
@@ -215,11 +219,12 @@ def test_candidates_are_evaluated_once_before_certification(
     clear_chebpoly_caches()
     start = work()
     sched = alpha_schedule(0.5, 0.05, 1.0)
-    # the ramp and one erf truncation are rejected on the probe; the
-    # degree-9 step returned is the only candidate judged
+    # two passes, the ramp's and one erf series': the ramp and one
+    # truncation are rejected on the probe, and the degree-9 step returned
+    # is the only candidate judged
     assert outcomes == Counter({"rejected": 2, "accepted unjudged": 3})
     assert sched.degree == 9
-    assert work() - start == Counter(probes=5, extremes=1, judgments=1, evals=5 + 1)
+    assert work() - start == Counter(passes=2, extremes=1, judgments=1, evals=1)
     start = work()
     assert alpha_schedule(0.5, 0.05, 1.0) == sched
     assert work() == start
@@ -265,47 +270,83 @@ def test_plateau_probe_lies_on_both_grids(delta):
     assert np.all(np.isin(probe, points[points >= delta]))
 
 
+def _erf_series(spec, log_frac, k_factor, terms):
+    """The first terms odd-index coefficients of erf(k x), k the erf path's
+    steepness for an eta * frac plateau loss, spread by k_factor."""
+    k = k_factor * float(chebpoly.erfcinv(spec.eta * 10.0 ** log_frac)) / spec.delta
+    return tuple(chebpoly._erf_odd_coeffs(k, terms).tolist())
+
+
 @settings(max_examples=150, deadline=None)
 @given(log_delta=st.floats(-1.5, -0.05), log_eta=st.floats(-4.0, -0.01),
        log_frac=st.floats(-6.0, -0.01), k_factor=st.floats(0.5, 2.0),
-       half_degree=st.integers(0, 300))
+       half_degree=st.integers(0, 300), extra=st.integers(0, 100))
 def test_probe_rejects_only_candidates_that_fail_certification(
-        log_delta, log_eta, log_frac, k_factor, half_degree):
-    """Oracles: the judgment, and verify_bounds on the rescaled step.  The
-    steepness k is the erf path's for an eta * frac plateau loss, spread by
-    k_factor."""
+        log_delta, log_eta, log_frac, k_factor, half_degree, extra):
+    """Oracles: the judgment, and verify_bounds on the rescaled step.  One
+    pass probes an erf series of half_degree + 1 + extra terms; the
+    candidate of degree 2 half_degree + 1 and the whole series are the
+    prefixes checked, each whenever the pass rejects it."""
     spec = StepSpec(10.0 ** log_delta, 10.0 ** log_eta)
-    k = k_factor * float(chebpoly.erfcinv(spec.eta * 10.0 ** log_frac)) / spec.delta
-    odd = tuple(chebpoly._erf_odd_coeffs(k, half_degree + 1).tolist())
-    if _probe_rejects(odd, spec):
-        for report in (_judged(odd, spec), verify_bounds(_step(odd, spec.delta), spec)):
-            assert report.max_high_violation > chebpoly.GRID_TOL
-            assert not report.passes
+    series = _erf_series(spec, log_frac, k_factor, half_degree + 1 + extra)
+    tops = chebpoly._probe_tops(series, spec.delta)
+    for odd in {series[:half_degree + 1], series}:
+        if tops[len(odd) - 1] < 1.0 - spec.eta / 2.0 - chebpoly.GRID_TOL:
+            for report in (_judged(odd, spec), verify_bounds(_step(odd, spec.delta), spec)):
+                assert report.max_high_violation > chebpoly.GRID_TOL
+                assert not report.passes
 
 
 @settings(max_examples=150, deadline=None)
 @given(log_delta=st.floats(-1.5, -0.05), log_frac=st.floats(-6.0, -0.5),
-       half_degree=st.integers(0, 300), sign=st.sampled_from([-1.0, 1.0]),
-       log_miss=st.floats(-16.0, -3.0))
+       half_degree=st.integers(0, 300), extra=st.integers(0, 100),
+       sign=st.sampled_from([-1.0, 1.0]), log_miss=st.floats(-16.0, -3.0))
 def test_probe_is_sound_at_the_certification_threshold(
-        log_delta, log_frac, half_degree, sign, log_miss):
-    """eta is set from the judged plateau minimum of the step so that the
-    judgment misses by sign * 10^log_miss past GRID_TOL: rejections within
+        log_delta, log_frac, half_degree, extra, sign, log_miss):
+    """eta is set from the judged plateau minimum of the step of the
+    candidate of degree 2 half_degree + 1, so that the judgment misses by
+    sign * 10^log_miss past GRID_TOL.  The candidate is a prefix of the erf
+    series that one pass probes, extra terms longer: rejections within
     rounding of the threshold must still fail the judgment and
     verify_bounds."""
     delta = 10.0 ** log_delta
     k = float(chebpoly.erfcinv(10.0 ** log_frac)) / delta
-    odd = tuple(chebpoly._erf_odd_coeffs(k, half_degree + 1).tolist())
+    series = tuple(chebpoly._erf_odd_coeffs(k, half_degree + 1 + extra).tolist())
+    odd = series[:half_degree + 1]
     extremes = chebpoly._odd_extremes(odd, delta)
     peak, q_min, _ = extremes
     low = 0.5 + 0.5 * chebpoly._scale_for(peak) * q_min
     eta = 2.0 * (1.0 - chebpoly.GRID_TOL - low - sign * 10.0 ** log_miss)
     assume(0.0 < eta < 1.0)
     spec = StepSpec(delta, eta)
-    if _probe_rejects(odd, spec):
+    if _probe_rejects(odd, spec, series):
         assert chebpoly._judge(extremes, spec).max_high_violation > chebpoly.GRID_TOL
         step = chebpoly._step_from_odd(odd, peak)
         assert verify_bounds(step, spec).max_high_violation > chebpoly.GRID_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_delta=st.floats(-2.5, -0.05), log_eta=st.floats(-4.0, -0.01),
+       log_frac=st.floats(-6.0, -0.01), k_factor=st.floats(0.5, 2.0),
+       terms=st.integers(1, 200))
+def test_pass_extremes_match_clenshaw_on_every_prefix(
+        log_delta, log_eta, log_frac, k_factor, terms):
+    """Oracle: _clenshaw_split on each prefix odd[:m] of an erf series, on
+    the plateau probe.  The pass's min S_m and max|S_m| are within the
+    2 e_m that _prefix_extremes states, e_m = (d + 1)^2 u sum_{j<m} |c_j|
+    at degree d = 2m - 1, u = 2^-53; the ramp's are exact."""
+    spec = StepSpec(10.0 ** log_delta, 10.0 ** log_eta)
+    series = _erf_series(spec, log_frac, k_factor, terms)
+    probe = chebpoly._delta_points(spec.delta)[1]
+    low, peak = chebpoly._prefix_extremes(series, probe)
+    assert low.shape == peak.shape == (terms,)
+    for m in range(1, terms + 1):
+        q = chebpoly._clenshaw_split(probe, (0.0,), series[:m])
+        bound = 2.0 * (2 * m) ** 2 * 2.0 ** -53 * float(np.sum(np.abs(series[:m])))
+        assert abs(low[m - 1] - float(np.min(q))) <= bound
+        assert abs(peak[m - 1] - float(np.max(np.abs(q)))) <= bound
+    ramp = chebpoly._prefix_extremes((1.0,), probe)
+    assert (ramp[0][0], ramp[1][0]) == (probe[0], probe[-1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -442,7 +483,7 @@ def test_a_failed_return_judgment_reruns_the_search(monkeypatch, delta, eta, cap
             return exc.report
 
     want = outcome()
-    monkeypatch.setattr(chebpoly, "_probe_top", lambda odd, delta: math.inf)
+    monkeypatch.setattr(chebpoly, "_probe_tops", lambda odd, delta: [math.inf] * len(odd))
     searches = _recorded_searches(monkeypatch)
     got = outcome()
     assert [flag for flag, _ in searches] == [False, True] and searches[0][1] == (1.0,)
@@ -457,9 +498,10 @@ def test_the_degree_675_schedule_takes_the_rerun(monkeypatch):
     """At alpha 0, eps 0.00625 the 1,000-point probe passes a candidate
     whose judgment fails, so the first search's pick is refused and the
     rerun builds the step whose coefficients tests/test_frozen.py pins.
-    The rerun reuses the first pass's work: across the build no candidate
-    is probed twice or evaluated for its extremes twice."""
-    seen = {"_probe_top": Counter(), "_odd_extremes": Counter()}
+    The rerun reuses the first search's work: across the build no series
+    is probed by a second pass and no candidate is evaluated for its
+    extremes twice."""
+    seen = {"_probe_tops": Counter(), "_odd_extremes": Counter()}
     for name, counts in seen.items():
         def counting(odd, delta, _fn=getattr(chebpoly, name), _counts=counts):
             _counts[odd] += 1
@@ -496,20 +538,35 @@ def test_build_matches_the_search_that_judges_every_survivor(log_delta, log_eta,
     assert _hex(poly) == _hex(_step(oracle.best, spec.delta))
 
 
-def test_cold_sweep_builds_rescale_only_probe_survivors(clear_chebpoly_caches,
+def test_cold_sweep_builds_rescale_only_probe_survivors(monkeypatch, clear_chebpoly_caches,
                                                         count_chebpoly_calls):
     """Work counts over the 5x5 sweep grid: the probe rejects 90 of the 163
     candidates, the 25 ramps among them, and accepts the other 73 without
-    their extremes.  Only the 25 steps returned are evaluated once more,
-    for the extremes that judge and rescale them; each passes, so no
-    search reruns.  Each build probes its own candidates, the ramp
-    included, so 163 probes are made.  A cold eta frontier at delta 0.2,
-    degrees 1, 3, 7, 15 and 21, probes nothing and judges 5 candidates
-    once each: the ramp at degree 1 and the four fits.  Neither calls
-    verify_bounds."""
+    their extremes.  Only the 25 steps returned are evaluated, for the
+    extremes that judge and rescale them; each passes, so no search reruns.
+    Each build probes its own series, the ramp's included, by one pass
+    each: 50 passes of 1,172 rows in all, one row per term of a series,
+    where probing each candidate on its own took 7,111 recurrence steps.  A
+    cold eta frontier at delta 0.2, degrees 1, 3, 7, 15 and 21, probes
+    nothing and judges 5 candidates once each: the ramp at degree 1 and the
+    four fits.  Neither calls verify_bounds."""
     calls = Counter()
     count_chebpoly_calls(calls, certifications="verify_bounds", judgments="_judge",
-                         probes="_probe_top", extremes="_odd_extremes")
+                         passes="_probe_tops", extremes="_odd_extremes")
+    probe_tops, try_odd = chebpoly._probe_tops, chebpoly._Search.try_odd
+
+    def counted_tops(odd, delta):
+        calls["rows"] += len(odd)
+        return probe_tops(odd, delta)
+
+    def counted_try(search, odd, series=None):
+        accepted = try_odd(search, odd, series)
+        calls["candidates"] += 1
+        calls["rejected"] += not accepted
+        return accepted
+
+    monkeypatch.setattr(chebpoly, "_probe_tops", counted_tops)
+    monkeypatch.setattr(chebpoly._Search, "try_odd", counted_try)
 
     def cold_work(run):
         clear_chebpoly_caches()
@@ -526,7 +583,8 @@ def test_cold_sweep_builds_rescale_only_probe_survivors(clear_chebpoly_caches,
         for degree in (1, 3, 7, 15, 21):
             min_eta_for_degree(0.2, degree)
 
-    assert cold_work(sweep) == Counter(probes=163, extremes=25, judgments=25)
+    assert cold_work(sweep) == Counter(candidates=163, rejected=90, passes=50, rows=1172,
+                                       extremes=25, judgments=25)
     assert cold_work(frontier) == Counter(extremes=5, judgments=5)
 
 

@@ -855,3 +855,12 @@ def test_sweep_config_takes_only_an_integer_run_count(bad):
     """A float run count used to be accepted and fail later in run_sweep."""
     with pytest.raises(ValueError, match="runs must be an integer"):
         SweepConfig(alphas=(1.0,), eps_list=(0.2,), runs=bad, seed=0)
+
+
+@pytest.mark.parametrize("field, bad", [("seed", 1.5), ("seed", True), ("max_degree", 2.5)],
+                         ids=["float seed", "bool seed", "float degree cap"])
+def test_sweep_config_takes_only_an_integer_seed_and_degree_cap(field, bad):
+    """A float seed used to sweep the truncated seed's streams while its rows
+    recorded the float; a float cap used to fail later in run_sweep."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SweepConfig(alphas=(1.0,), eps_list=(0.2,), runs=1, **{"seed": 0, field: bad})

@@ -160,3 +160,22 @@ def test_ledger_takes_only_integer_depths_and_shot_counts(bad):
     led = record_shots(ResourceLedger(), np.int64(5), np.int32(3))
     assert (led.total_queries, led.max_depth, led.shots) == (15, 5, 3)
     assert all(type(v) is int for v in (led.total_queries, led.max_depth, led.shots))
+
+
+@pytest.mark.parametrize("seed, stream_id, name", [
+    (1.5, 0, "seed"), (True, 0, "seed"), ("1", 0, "seed"),
+    (1, 0.7, "stream_id"), (1, False, "stream_id")],
+    ids=["float seed", "bool seed", "string seed", "float stream id", "bool stream id"])
+def test_stream_takes_only_integer_seeds_and_ids(seed, stream_id, name):
+    """int() once made RngStream(1.5, 0.7) the seed-1, stream-0 stream."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        RngStream(seed, stream_id)
+
+
+@pytest.mark.parametrize("offset", (2.5, True), ids=["float offset", "bool offset"])
+def test_child_takes_only_an_integer_offset(offset):
+    with pytest.raises(ValueError, match="offset must be an integer"):
+        RngStream(3, 100).child(offset)
+    kid = RngStream(np.uint64(3), np.int64(100)).child(np.int32(5))
+    assert (kid.seed, kid.stream_id) == (3, 105)
+    assert type(kid.seed) is type(kid.stream_id) is int

@@ -42,10 +42,10 @@ def test_clearing_the_caches_makes_a_frontier_degree_cold_again(workloads, count
     probes, reads extremes and judges as much.  A warm frontier rerun skips
     only the fit; no memo keeps the fit's extremes, so they are evaluated
     and judged again.  A warm schedule is the build memo's and does none of
-    that work.  Counts are calls of the fit's cosine sums, of _probe_top,
+    that work.  Counts are calls of the fit's cosine sums, of _probe_tops,
     _odd_extremes, _judge and of the Clenshaw evaluator."""
     counts = Counter()
-    count_chebpoly_calls(counts, fit_sums="_odd_cos_sums", probes="_probe_top",
+    count_chebpoly_calls(counts, fit_sums="_odd_cos_sums", passes="_probe_tops",
                          extremes="_odd_extremes", judgments="_judge", evals="_clenshaw_split")
 
     def cold_warm_cold(op):
@@ -64,4 +64,4 @@ def test_clearing_the_caches_makes_a_frontier_degree_cold_again(workloads, count
 
     cold, warm, again = cold_warm_cold(lambda: estimator.alpha_schedule(0.5, 0.05, 1.0))
     assert again == cold and warm == Counter()
-    assert cold["probes"] > 0 and cold["extremes"] == cold["judgments"] == 1
+    assert cold["passes"] > 0 and cold["extremes"] == cold["judgments"] == 1
